@@ -225,7 +225,10 @@ fn stats_snapshots_are_consistent_under_concurrent_growth() {
         let reader = s.spawn(move || {
             let mut last_nodes = 0usize;
             let mut snapshots = 0u32;
-            while !done.load(Ordering::Acquire) {
+            // Snapshot before testing `done`, so at least one read
+            // happens even when the writer finishes first.
+            loop {
+                let finished = done.load(Ordering::Acquire);
                 let st = mgr2.stats();
                 assert!(
                     st.nodes >= last_nodes,
@@ -240,6 +243,9 @@ fn stats_snapshots_are_consistent_under_concurrent_growth() {
                 let _ = mgr2.ops_used();
                 last_nodes = st.nodes;
                 snapshots += 1;
+                if finished {
+                    break;
+                }
                 thread::yield_now();
             }
             snapshots

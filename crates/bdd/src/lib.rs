@@ -15,9 +15,9 @@
 //!
 //! The store is **thread-safe**: managers clone cheaply (`Arc`), handles
 //! are `Send + Sync`, and the unique table and op caches are sharded
-//! behind fine-grained locks so the parallel Phase-1 worklist and the
-//! server's shared per-program BDD space can build formulas
-//! concurrently. See `manager` module docs and DESIGN.md §12.
+//! behind fine-grained locks so concurrent server sessions sharing one
+//! per-program BDD space can build formulas at the same time. See
+//! `manager` module docs and DESIGN.md §12.
 //!
 //! # Example
 //!

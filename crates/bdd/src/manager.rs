@@ -851,7 +851,7 @@ impl BddManager {
     /// discarded by the caller.
     ///
     /// Arming is not synchronized against in-flight operations: callers
-    /// arm *before* starting a (possibly multi-threaded) solve and
+    /// arm *before* starting a solve and
     /// disarm after it, exactly like the governed ladder does.
     pub fn set_budget(&self, budget: BddBudget) {
         let s = &self.store;
@@ -1271,7 +1271,7 @@ impl Bdd {
     /// The rendering walks the diagram in variable order, so it depends
     /// only on the Boolean function — not on node ids or on how many
     /// threads built the diagram. This is what makes solve outputs
-    /// byte-identical across `--threads` settings.
+    /// byte-identical whatever else was built in a shared store.
     pub fn to_cube_string(&self) -> String {
         if self.is_true() {
             return "true".into();

@@ -8,10 +8,10 @@ use spllift_bench::harness::Harness;
 use spllift_bench::ClientAnalysis;
 use spllift_benchgen::{subject_by_name, GeneratedSpl};
 use spllift_core::{LiftedIcfg, LiftedSolution, ModelMode};
-use spllift_features::BddConstraintContext;
+use spllift_features::{default_jobs, BddConstraintContext};
 use spllift_ifds::IfdsProblem;
 use spllift_ir::ProgramIcfg;
-use spllift_spl::{a2_campaign_parallel, default_jobs, solve_a2};
+use spllift_spl::{a2_campaign_parallel, solve_a2};
 use std::hash::Hash;
 
 fn bench_subject(h: &Harness, name: &str) {

@@ -15,8 +15,8 @@
 
 use spllift_bench::{fmt_duration, measure_cell, pearson, Cell, ClientAnalysis};
 use spllift_benchgen::{subjects, GeneratedSpl};
-use spllift_features::BddConstraintContext;
-use spllift_spl::{crosscheck_parallel, default_jobs, ParallelOptions};
+use spllift_features::{default_jobs, BddConstraintContext};
+use spllift_spl::{crosscheck_parallel, ParallelOptions};
 use std::time::Duration;
 
 fn main() {

@@ -2,21 +2,19 @@
 //! regression gate.
 //!
 //! Measures the full SPLLIFT hot path (lifting + both IDE phases) per
-//! subject × analysis × thread count and writes the results as
-//! `BENCH_solver.json` (schema `spllift-bench-solver/v4`, see
-//! `spllift_bench::json`), so every PR can record before/after numbers
-//! against the same schema. Every cell records a digest of the solved
-//! solution; the validator requires the digest to be identical across
-//! an entry's thread counts, so each run re-proves that `--threads`
-//! never changes results.
+//! subject × analysis and writes the results as `BENCH_solver.json`
+//! (schema `spllift-bench-solver/v4`, see `spllift_bench::json`), so
+//! every PR can record before/after numbers against the same schema.
+//! The solver is sequential, so each entry has exactly one cell, at
+//! `threads = 1`; the cell records a digest of the solved solution.
 //!
 //! ```text
 //! cargo run --release -p spllift-bench --bin solver_bench -- \
 //!     [--samples N] [--sample-budget-ms MS] [--subjects fig1,chat,MM08,...] \
-//!     [--threads 1,2,4,8] [--out PATH|-]
+//!     [--out PATH|-]
 //! cargo run --release -p spllift-bench --bin solver_bench -- --validate PATH
 //! cargo run --release -p spllift-bench --bin solver_bench -- \
-//!     --check BASELINE [--tolerance F] [--subjects ...] [--threads ...]
+//!     --check BASELINE [--tolerance F] [--subjects ...]
 //! ```
 //!
 //! Subjects: `fig1` and `chat` (the committed `examples_data/` product
@@ -32,9 +30,9 @@
 //! the fresh run against the baseline cell by cell
 //! (`spllift_bench::regress`), failing when any cell's min wall time
 //! slows past `--tolerance` (default 0.25 = +25%). With no explicit
-//! `--subjects`/`--threads`, the matrix is replayed from the baseline's
-//! own `provenance` block; restricting either flag switches missing
-//! cells from failures to skips (CI smoke mode). `--inject-slow
+//! `--subjects`, the matrix is replayed from the baseline's own
+//! `provenance` block; restricting it switches missing cells from
+//! failures to skips (CI smoke mode). `--inject-slow
 //! <subject>:<analysis>:<ms>` adds a deterministic stall inside the
 //! measured region — CI uses it to prove the gate actually fails.
 //!
@@ -60,7 +58,6 @@ use spllift_core::{GovernorOptions, LiftedSolution, ModelMode, SolveOutcome};
 use spllift_features::{parse_feature_model, BddConstraintContext, FeatureExpr, FeatureTable};
 use spllift_frontend::parse_spl;
 use spllift_hash::FxHasher64;
-use spllift_ide::{IdeSolverOptions, IdeStats};
 use spllift_ifds::{Icfg, IfdsProblem};
 use spllift_ir::{Program, ProgramIcfg};
 use std::cell::RefCell;
@@ -70,7 +67,6 @@ use std::time::Duration;
 
 const DEFAULT_SUBJECTS: &str =
     "fig1,chat,MM08,GPL,Lampiro,BerkeleyDB,synthetic:99:12000:71:model=chain:depth=8";
-const DEFAULT_THREADS: &str = "1,2,4,8";
 const DEFAULT_OUT: &str = "BENCH_solver.json";
 const DEFAULT_SAMPLE_BUDGET_MS: u64 = 2000;
 
@@ -96,8 +92,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut samples = 3usize;
     let mut subjects = DEFAULT_SUBJECTS.to_owned();
     let mut subjects_given = false;
-    let mut threads_list = DEFAULT_THREADS.to_owned();
-    let mut threads_given = false;
     let mut out = DEFAULT_OUT.to_owned();
     let mut check: Option<String> = None;
     let mut tolerance = DEFAULT_TOLERANCE;
@@ -167,16 +161,12 @@ fn run(args: &[String]) -> Result<(), String> {
                 subjects = args_iter.next().ok_or("--subjects needs a list")?;
                 subjects_given = true;
             }
-            "--threads" => {
-                threads_list = args_iter.next().ok_or("--threads needs a list")?;
-                threads_given = true;
-            }
             "--out" => {
                 out = args_iter.next().ok_or("--out needs a path")?;
             }
             "--help" | "-h" => {
                 return Err(format!(
-                    "usage: solver_bench [--samples N] [--sample-budget-ms MS] [--subjects A,B,..] [--threads N,M,..] [--out PATH|-]\n       solver_bench --validate PATH\n       solver_bench --check BASELINE [--tolerance F] [--subjects A,..] [--threads N,..] [--inject-slow S:A:MS]\n(default subjects: {DEFAULT_SUBJECTS}; default threads: {DEFAULT_THREADS}; default out: {DEFAULT_OUT})"
+                    "usage: solver_bench [--samples N] [--sample-budget-ms MS] [--subjects A,B,..] [--out PATH|-]\n       solver_bench --validate PATH\n       solver_bench --check BASELINE [--tolerance F] [--subjects A,..] [--inject-slow S:A:MS]\n(default subjects: {DEFAULT_SUBJECTS}; default out: {DEFAULT_OUT})"
                 ));
             }
             other => return Err(format!("unexpected argument `{other}` (try --help)")),
@@ -195,29 +185,10 @@ fn run(args: &[String]) -> Result<(), String> {
             if !subjects_given {
                 subjects = prov.subjects;
             }
-            if !threads_given {
-                threads_list = prov.threads;
-            }
             Some(doc)
         }
         None => None,
     };
-
-    let mut thread_counts = Vec::new();
-    for t in threads_list.split(',').filter(|s| !s.is_empty()) {
-        let n: usize = t.parse().ok().filter(|&n| n >= 1).ok_or(format!(
-            "--threads entries must be positive integers, got `{t}`"
-        ))?;
-        if thread_counts.last().is_some_and(|&last| n <= last) {
-            return Err(format!(
-                "--threads must be strictly ascending, got `{threads_list}`"
-            ));
-        }
-        thread_counts.push(n);
-    }
-    if thread_counts.is_empty() {
-        return Err("--threads needs at least one count".into());
-    }
 
     let sample_budget = (sample_budget_ms > 0).then(|| Duration::from_millis(sample_budget_ms));
     let mut entries = Vec::new();
@@ -226,7 +197,6 @@ fn run(args: &[String]) -> Result<(), String> {
         entries.extend(measure_subject(
             &subject,
             samples,
-            &thread_counts,
             sample_budget,
             inject_slow.as_ref(),
         ));
@@ -237,7 +207,7 @@ fn run(args: &[String]) -> Result<(), String> {
         &Provenance {
             bin: "solver_bench".to_owned(),
             subjects: subjects.clone(),
-            threads: threads_list.clone(),
+            threads: "1".to_owned(),
         },
         &entries,
     );
@@ -248,7 +218,7 @@ fn run(args: &[String]) -> Result<(), String> {
     if let Some(baseline) = baseline {
         let opts = RegressOptions {
             tolerance,
-            subset: subjects_given || threads_given,
+            subset: subjects_given,
             ..RegressOptions::default()
         };
         let mut fresh = regress::solver_doc(&doc).map_err(|e| format!("fresh run: {e}"))?;
@@ -281,7 +251,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 retry_entries.extend(measure_subject(
                     &subject,
                     samples,
-                    &thread_counts,
                     sample_budget,
                     inject_slow.as_ref(),
                 ));
@@ -292,7 +261,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 &Provenance {
                     bin: "solver_bench".to_owned(),
                     subjects: retry_subjects.iter().copied().collect::<Vec<_>>().join(","),
-                    threads: threads_list.clone(),
+                    threads: "1".to_owned(),
                 },
                 &retry_entries,
             );
@@ -384,7 +353,6 @@ fn load_subject(name: &str) -> Result<Subject, String> {
 fn measure_subject(
     subject: &Subject,
     samples: usize,
-    thread_counts: &[usize],
     sample_budget: Option<Duration>,
     inject_slow: Option<&InjectSlow>,
 ) -> Vec<SolverBenchEntry> {
@@ -402,7 +370,6 @@ fn measure_subject(
                 $label,
                 &p,
                 samples,
-                thread_counts,
                 sample_budget,
                 stall,
             ));
@@ -420,8 +387,7 @@ fn measure_subject(
 /// 16 hex digits. Constraint BDDs are hashed with
 /// [`spllift_bdd::Bdd::semantic_digest`] — linear in diagram size and a
 /// pure function of the boolean function — so equal digests mean
-/// semantically identical solutions: the cross-thread determinism check
-/// the validator enforces per entry.
+/// semantically identical solutions.
 ///
 /// The digest is computed *outside* the timed region. The v3 emitter
 /// hashed `to_cube_string()` renderings inside the benched closure;
@@ -458,68 +424,44 @@ fn measure_one<'g, 'p, P, D>(
     label: &str,
     problem: &P,
     samples: usize,
-    thread_counts: &[usize],
     sample_budget: Option<Duration>,
     inject_slow: Option<Duration>,
 ) -> SolverBenchEntry
 where
-    P: for<'x> IfdsProblem<ProgramIcfg<'x>, Fact = D> + Sync,
-    D: Clone + Eq + Ord + Hash + std::fmt::Debug + Send + Sync,
+    P: for<'x> IfdsProblem<ProgramIcfg<'x>, Fact = D>,
+    D: Clone + Eq + Ord + Hash + std::fmt::Debug,
 {
-    // One manager per subject × analysis: samples and thread counts
-    // share the unique table and op caches, exactly like repeated
-    // solves in production.
+    // One manager per subject × analysis: samples share the unique
+    // table and op caches, exactly like repeated solves in production.
     let ctx = BddConstraintContext::new(&subject.table);
     let harness =
         Harness::new(format!("solver/{}", subject.name), samples).with_sink(BenchSink::Stderr);
-    let ide_stats: RefCell<IdeStats> = RefCell::new(IdeStats::default());
-    let outcome: RefCell<SolveOutcome> = RefCell::new(SolveOutcome::Complete);
-    let mut cells = Vec::with_capacity(thread_counts.len());
-    for (i, &threads) in thread_counts.iter().enumerate() {
-        // The timed closure only solves (plus any injected stall); the
-        // last solution is kept aside and digested after the clock
-        // stops.
-        let slot: RefCell<Option<LiftedSolution<'g, ProgramIcfg<'p>, D, spllift_bdd::Bdd>>> =
-            RefCell::new(None);
-        let gov = GovernorOptions {
-            solver: IdeSolverOptions {
-                threads,
-                ..IdeSolverOptions::default()
-            },
-            ..GovernorOptions::default()
-        };
-        let wall = harness.bench_adaptive(&format!("{label}@t{threads}"), sample_budget, || {
-            // The governed entry point with no limits armed, so the
-            // measured path is exactly the production server's — an
-            // unbudgeted run must record `complete`/`full`.
-            let (solution, o) = LiftedSolution::solve_governed(
-                problem,
-                icfg,
-                &ctx,
-                subject.model.as_ref(),
-                ModelMode::OnEdges,
-                gov.clone(),
-            )
-            .expect("unlimited governed solve cannot abort");
-            // IDE counters come from the first (sequential) cell only:
-            // scheduling counters are deterministic at one thread.
-            if i == 0 {
-                *ide_stats.borrow_mut() = solution.stats();
-            }
-            *outcome.borrow_mut() = o;
-            *slot.borrow_mut() = Some(solution);
-            if let Some(stall) = inject_slow {
-                std::thread::sleep(stall);
-            }
-        });
-        let solution = slot.into_inner().expect("bench ran at least once");
-        cells.push(ThreadCell {
-            threads,
-            wall,
-            results_digest: results_digest(icfg, &solution),
-        });
-    }
-    let outcome = outcome.into_inner();
+    // The timed closure only solves (plus any injected stall); the last
+    // solution is kept aside and digested after the clock stops.
+    type Solved<'g, 'p, D> = (
+        LiftedSolution<'g, ProgramIcfg<'p>, D, spllift_bdd::Bdd>,
+        SolveOutcome,
+    );
+    let slot: RefCell<Option<Solved<'g, 'p, D>>> = RefCell::new(None);
+    let wall = harness.bench_adaptive(label, sample_budget, || {
+        // The governed entry point with no limits armed, so the
+        // measured path is exactly the production server's — an
+        // unbudgeted run must record `complete`/`full`.
+        let solved = LiftedSolution::solve_governed(
+            problem,
+            icfg,
+            &ctx,
+            subject.model.as_ref(),
+            ModelMode::OnEdges,
+            GovernorOptions::default(),
+        )
+        .expect("unlimited governed solve cannot abort");
+        *slot.borrow_mut() = Some(solved);
+        if let Some(stall) = inject_slow {
+            std::thread::sleep(stall);
+        }
+    });
+    let (solution, outcome) = slot.into_inner().expect("bench ran at least once");
     SolverBenchEntry {
         subject: subject.name.clone(),
         analysis: label.to_owned(),
@@ -529,8 +471,12 @@ where
             "complete".to_owned()
         },
         rung: outcome.rung_name(),
-        ide: ide_stats.into_inner(),
+        ide: solution.stats(),
         bdd: ctx.manager().stats(),
-        threads: cells,
+        threads: vec![ThreadCell {
+            threads: 1,
+            wall,
+            results_digest: results_digest(icfg, &solution),
+        }],
     }
 }

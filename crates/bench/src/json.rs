@@ -71,6 +71,10 @@
 //! emitter sizes sampling adaptively, so each cell must say how many
 //! samples its `min` was taken over. The validator rejects v4 cells
 //! lacking any comparator field (`samples`, `wall_ns.min`).
+//!
+//! The solver has since become sequential: `solver_bench` emits one
+//! cell per entry, at `threads = 1`, and `provenance.threads` is `"1"`.
+//! A one-cell array is already valid v4, so the schema is unchanged.
 
 use crate::harness::BenchStats;
 use spllift_bdd::BddStats;
@@ -139,7 +143,7 @@ pub struct Provenance {
     pub bin: String,
     /// The `--subjects` list as given.
     pub subjects: String,
-    /// The `--threads` list as given.
+    /// The benched thread counts (`"1"`: the solver is sequential).
     pub threads: String,
 }
 
@@ -294,12 +298,13 @@ pub fn validate_server_bench(text: &str) -> Result<usize, String> {
 }
 
 /// One thread-count cell of a [`SolverBenchEntry`]: the wall-clock
-/// stats of solving with `threads` phase-1 workers, plus the digest of
-/// the canonically rendered solution (identical across an entry's
-/// cells, or the validator rejects the document).
+/// stats of the solve, plus the digest of the canonically rendered
+/// solution (identical across an entry's cells, or the validator
+/// rejects the document).
 #[derive(Debug, Clone)]
 pub struct ThreadCell {
-    /// Phase-1 worker threads this cell was benched at.
+    /// Thread count this cell was benched at (`solver_bench` emits 1:
+    /// the solver is sequential).
     pub threads: usize,
     /// Wall-clock samples of the full lifted solve at this count.
     pub wall: BenchStats,
@@ -320,8 +325,7 @@ pub struct SolverBenchEntry {
     /// Abstraction-ladder rung the numbers came from (`full`,
     /// `no-model`, `constraint-true`).
     pub rung: String,
-    /// IDE solver counters from the sequential (`threads == 1`) cell —
-    /// scheduling counters are only deterministic at one thread.
+    /// IDE solver counters.
     pub ide: IdeStats,
     /// BDD manager counters after all samples (shared manager).
     pub bdd: BddStats,

@@ -581,7 +581,7 @@ impl LatticeHints {
 
 /// Resource envelope for a governed solve. Every limit defaults to
 /// unlimited; with all limits off, [`LiftedSolution::solve_governed`] is
-/// exactly [`LiftedSolution::solve_with`] plus an `Ok(Complete)`.
+/// exactly [`LiftedSolution::solve`] plus an `Ok(Complete)`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GovernorOptions {
     /// BDD node budget per lattice-point attempt (nodes allocated since
@@ -595,9 +595,6 @@ pub struct GovernorOptions {
     /// fresh deadline — a point that burns its allowance must not
     /// starve the cheaper fallback below it).
     pub timeout: Option<Duration>,
-    /// Base solver tuning (worklist dedup etc.); the governor overrides
-    /// the `limits`/`poll_budget` fields per attempt.
-    pub solver: IdeSolverOptions,
     /// Feature-universe hints for adaptive descent; default = PR 5's
     /// hard ladder.
     pub lattice: LatticeHints,
@@ -615,7 +612,6 @@ impl GovernorOptions {
                 deadline: self.timeout.map(|t| Instant::now() + t),
             },
             poll_budget: self.arms_budget(),
-            ..self.solver
         }
     }
 }
@@ -699,78 +695,13 @@ where
         mode: ModelMode,
     ) -> Self
     where
-        P: IfdsProblem<G, Fact = D> + Sync,
-        Ctx: ConstraintContext<C = C> + Sync,
-        G: Sync,
-        G::Stmt: Send + Sync,
-        G::Method: Send + Sync,
-        D: Send + Sync,
-        C: Send + Sync,
-    {
-        Self::solve_with(problem, icfg, ctx, model, mode, IdeSolverOptions::default())
-    }
-
-    /// Like [`solve`](Self::solve), but with explicit
-    /// [`IdeSolverOptions`] — used by the invariance tests to compare
-    /// solver configurations on the same problem.
-    pub fn solve_with<P, Ctx>(
-        problem: &P,
-        icfg: &'g G,
-        ctx: &Ctx,
-        model: Option<&FeatureExpr>,
-        mode: ModelMode,
-        options: IdeSolverOptions,
-    ) -> Self
-    where
-        P: IfdsProblem<G, Fact = D> + Sync,
-        Ctx: ConstraintContext<C = C> + Sync,
-        G: Sync,
-        G::Stmt: Send + Sync,
-        G::Method: Send + Sync,
-        D: Send + Sync,
-        C: Send + Sync,
+        P: IfdsProblem<G, Fact = D>,
+        Ctx: ConstraintContext<C = C>,
     {
         let lifted_icfg = LiftedIcfg::new(icfg);
         let lifted = LiftedProblem::new(problem, icfg, ctx, model, mode);
-        let solver = IdeSolver::solve_with(&lifted, &lifted_icfg, options);
+        let solver = IdeSolver::solve(&lifted, &lifted_icfg);
         LiftedSolution { solver }
-    }
-
-    /// Incremental SPLLIFT: like [`solve_with`](Self::solve_with), but
-    /// warm-started from the `memo` of a previous solve of the same
-    /// product line. Methods for which `clean` returns `true` keep their
-    /// retained jump functions and end summaries; everything else is
-    /// re-tabulated. Returns the solution plus a fresh memo for the next
-    /// incremental round.
-    ///
-    /// The caller must pass a `clean` predicate whose complement (the
-    /// dirty set) contains every transitive *caller* of every edited
-    /// method — see [`SolverMemo`] for the closure argument. The analysis
-    /// server derives it from the call graph
-    /// (`spllift_ir::callgraph::transitive_callers`).
-    pub fn solve_memoized<P, Ctx>(
-        problem: &P,
-        icfg: &'g G,
-        ctx: &Ctx,
-        model: Option<&FeatureExpr>,
-        mode: ModelMode,
-        options: IdeSolverOptions,
-        memo: &SolverMemo<G::Method, G::Stmt, D, ConstraintEdge<C>>,
-        clean: &dyn Fn(G::Method) -> bool,
-    ) -> (Self, SolverMemo<G::Method, G::Stmt, D, ConstraintEdge<C>>)
-    where
-        P: IfdsProblem<G, Fact = D> + Sync,
-        Ctx: ConstraintContext<C = C> + Sync,
-        G: Sync,
-        G::Stmt: Send + Sync,
-        G::Method: Send + Sync,
-        D: Send + Sync,
-        C: Send + Sync,
-    {
-        let lifted_icfg = LiftedIcfg::new(icfg);
-        let lifted = LiftedProblem::new(problem, icfg, ctx, model, mode);
-        let (solver, next) = IdeSolver::solve_seeded(&lifted, &lifted_icfg, options, memo, clean);
-        (LiftedSolution { solver }, next)
     }
 
     /// SPLLIFT at an explicit lattice point, ungoverned — the
@@ -785,17 +716,12 @@ where
         point: &LatticePoint,
     ) -> Self
     where
-        P: IfdsProblem<G, Fact = D> + Sync,
-        Ctx: ConstraintContext<C = C> + Sync,
-        G: Sync,
-        G::Stmt: Send + Sync,
-        G::Method: Send + Sync,
-        D: Send + Sync,
-        C: Send + Sync,
+        P: IfdsProblem<G, Fact = D>,
+        Ctx: ConstraintContext<C = C>,
     {
         let lifted_icfg = LiftedIcfg::new(icfg);
         let (lifted, _) = LiftedProblem::abstracted(problem, icfg, ctx, model, mode, point);
-        let solver = IdeSolver::solve_with(&lifted, &lifted_icfg, IdeSolverOptions::default());
+        let solver = IdeSolver::solve(&lifted, &lifted_icfg);
         LiftedSolution { solver }
     }
 
@@ -823,13 +749,8 @@ where
         gov: GovernorOptions,
     ) -> Result<(Self, SolveOutcome), SolveAbort>
     where
-        P: IfdsProblem<G, Fact = D> + Sync,
-        Ctx: ConstraintContext<C = C> + Sync,
-        G: Sync,
-        G::Stmt: Send + Sync,
-        G::Method: Send + Sync,
-        D: Send + Sync,
-        C: Send + Sync,
+        P: IfdsProblem<G, Fact = D>,
+        Ctx: ConstraintContext<C = C>,
     {
         Self::solve_governed_memoized(
             problem,
@@ -876,13 +797,8 @@ where
         SolveAbort,
     >
     where
-        P: IfdsProblem<G, Fact = D> + Sync,
-        Ctx: ConstraintContext<C = C> + Sync,
-        G: Sync,
-        G::Stmt: Send + Sync,
-        G::Method: Send + Sync,
-        D: Send + Sync,
-        C: Send + Sync,
+        P: IfdsProblem<G, Fact = D>,
+        Ctx: ConstraintContext<C = C>,
     {
         let lifted_icfg = LiftedIcfg::new(icfg);
         let model_in_play = model.is_some() && mode != ModelMode::Ignore;

@@ -17,12 +17,12 @@ use crate::store::{mode_str, parse_mode, ChaosSpec, RenderedSolution, Store, ANA
 use crate::ServerOptions;
 use spllift_benchgen::{parse_subject_spec, GeneratedSpl, SubjectSpec};
 use spllift_core::{GovernorOptions, LatticeHints, ModelMode, SolveOutcome};
-use spllift_features::{parse_feature_model, Configuration, FeatureId, FeatureTable};
+use spllift_features::{map_shards, parse_feature_model, Configuration, FeatureId, FeatureTable};
 use spllift_frontend::parse_source;
 use spllift_ide::IdeStats;
 use spllift_ir::{MethodId, Program};
 use spllift_json::Json;
-use spllift_spl::{map_shards, FaultKind};
+use spllift_spl::FaultKind;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -449,29 +449,29 @@ impl ShardState {
 
     /// Builds this request's resource envelope: per-request knobs
     /// (`timeout_ms`, `bdd_node_budget`, `bdd_op_budget`,
-    /// `max_propagations`, `threads`) override the server-wide
-    /// defaults — the retry-after-degrade path: re-send the same
-    /// `analyze` with a bigger budget and the (uncached) degraded slot
-    /// re-solves fully. `threads` only changes how fast the solve
-    /// runs, never its bytes, so cached slots stay valid across
-    /// requests with different thread counts.
+    /// `max_propagations`) override the server-wide defaults — the
+    /// retry-after-degrade path: re-send the same `analyze` with a
+    /// bigger budget and the (uncached) degraded slot re-solves fully.
+    /// The `threads` field is still validated, because protocol
+    /// versioning is additive-only, but it has no effect: the solver is
+    /// sequential.
     fn request_governor(&self, req: &Json) -> Result<GovernorOptions, String> {
         let opts = &self.engine.opts;
-        let threads = match opt_u64(req, "threads")? {
-            None => opts.threads,
+        match opt_u64(req, "threads")? {
             Some(0) => return Err("`threads` must be >= 1".into()),
-            Some(n) => usize::try_from(n).map_err(|_| "`threads` is out of range".to_owned())?,
-        };
-        let mut gov = GovernorOptions {
+            Some(n) if usize::try_from(n).is_err() => {
+                return Err("`threads` is out of range".into());
+            }
+            _ => {}
+        }
+        Ok(GovernorOptions {
             max_bdd_nodes: governance_u64(req, "bdd_node_budget", opts.bdd_node_budget)?,
             max_bdd_ops: governance_u64(req, "bdd_op_budget", opts.bdd_op_budget)?,
             max_propagations: governance_u64(req, "max_propagations", opts.max_propagations)?,
             timeout: governance_u64(req, "timeout_ms", opts.solve_timeout_ms)?
                 .map(Duration::from_millis),
             ..GovernorOptions::default()
-        };
-        gov.solver.threads = threads;
-        Ok(gov)
+        })
     }
 
     /// Resolves this request's lattice hints: the feature universe, the

@@ -67,7 +67,8 @@ pub use engine::{Engine, LoadedSpl};
 pub use exec::{Executor, Submitted};
 pub use transport::SocketServer;
 
-use spllift_spl::{default_jobs, FaultPlan};
+use spllift_features::default_jobs;
+use spllift_spl::FaultPlan;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
@@ -111,10 +112,6 @@ pub struct ServerOptions {
     /// ordinal depends on request interleaving, but the victim
     /// session's own counter does not. Testing harness only.
     pub fault_session: Option<String>,
-    /// Default phase-1 solver threads per solve (`--threads`); a
-    /// request's `threads` field overrides it. Results are
-    /// byte-identical at every value.
-    pub threads: usize,
     /// Features every degraded solve must keep precise
     /// (`--keep-features A,B`): when budgets trip, the governor
     /// schedules feature-sparing abstractions (confound OR groups,
@@ -139,7 +136,6 @@ impl Default for ServerOptions {
             max_propagations: None,
             inject_fault: None,
             fault_session: None,
-            threads: 1,
             keep_features: None,
         }
     }

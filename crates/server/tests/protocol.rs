@@ -334,6 +334,53 @@ fn responses_are_byte_identical_for_every_jobs_value() {
     assert_eq!(one, transcript(8), "jobs=8 diverges from jobs=1");
 }
 
+/// [`analyze_req`] plus a `threads` field.
+fn analyze_threads_req(session: &str, threads: u64) -> Json {
+    obj(&[
+        ("type", Json::str("analyze")),
+        ("session", Json::str(session)),
+        ("analysis", Json::str("taint")),
+        ("threads", Json::Num(threads as f64)),
+    ])
+}
+
+#[test]
+fn analyze_threads_field_is_validated_but_has_no_effect() {
+    // Protocol versioning is additive-only: `threads` is still accepted
+    // and validated, but the solver is sequential, so the field must not
+    // change a single response byte.
+    let transcript = |analyze: &dyn Fn(&str) -> Json| -> String {
+        let mut srv = server(1);
+        let requests = [
+            load_req("t"),
+            analyze("t"),
+            edit_req("t"),
+            analyze("t"),
+            analyze("t"),
+        ];
+        let mut out = String::new();
+        for req in &requests {
+            out.push_str(&srv.handle_line(&req.render()).0);
+            out.push('\n');
+        }
+        out
+    };
+    assert_eq!(
+        transcript(&|s| analyze_threads_req(s, 4)),
+        transcript(&analyze_req)
+    );
+
+    let mut srv = server(1);
+    assert_ok(&send(&mut srv, &load_req("z")));
+    let resp = send(&mut srv, &analyze_threads_req("z", 0));
+    assert_eq!(text(&resp, "type"), "error", "response: {}", resp.render());
+    assert!(
+        text(&resp, "message").contains("`threads` must be >= 1"),
+        "response: {}",
+        resp.render()
+    );
+}
+
 #[test]
 fn malformed_requests_error_and_the_server_keeps_serving() {
     let mut srv = server(2);

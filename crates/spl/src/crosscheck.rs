@@ -65,10 +65,9 @@ pub(crate) fn check_shard<'p, P, Ctx>(
     budget: usize,
     out: &mut Vec<Mismatch>,
 ) where
-    P: IfdsProblem<ProgramIcfg<'p>> + Sync,
-    P::Fact: Ord + Hash + Send + Sync,
-    Ctx: ConstraintContext + Sync,
-    Ctx::C: Send + Sync,
+    P: IfdsProblem<ProgramIcfg<'p>>,
+    P::Fact: Ord + Hash,
+    Ctx: ConstraintContext,
 {
     // Hoist the (config-independent) lifted results out of the config
     // loop, sorted once so both directions iterate facts in `Ord` order.
@@ -155,10 +154,9 @@ pub fn crosscheck<'p, P, Ctx>(
     configs: &[Configuration],
 ) -> Vec<Mismatch>
 where
-    P: IfdsProblem<ProgramIcfg<'p>> + Sync,
-    P::Fact: Ord + Hash + Send + Sync,
-    Ctx: ConstraintContext + Sync,
-    Ctx::C: Send + Sync,
+    P: IfdsProblem<ProgramIcfg<'p>>,
+    P::Fact: Ord + Hash,
+    Ctx: ConstraintContext,
 {
     crosscheck_with(icfg, problem, ctx, model, configs, DEFAULT_MAX_MISMATCHES)
 }
@@ -177,41 +175,11 @@ pub fn crosscheck_with<'p, P, Ctx>(
     max_mismatches: usize,
 ) -> Vec<Mismatch>
 where
-    P: IfdsProblem<ProgramIcfg<'p>> + Sync,
-    P::Fact: Ord + Hash + Send + Sync,
-    Ctx: ConstraintContext + Sync,
-    Ctx::C: Send + Sync,
+    P: IfdsProblem<ProgramIcfg<'p>>,
+    P::Fact: Ord + Hash,
+    Ctx: ConstraintContext,
 {
-    crosscheck_with_options(
-        icfg,
-        problem,
-        ctx,
-        model,
-        configs,
-        max_mismatches,
-        spllift_ide::IdeSolverOptions::default(),
-    )
-}
-
-/// [`crosscheck_with`] with explicit solver options for the lifted
-/// solve under test — e.g. `threads > 1` to check the parallel phase-1
-/// worklist against the exhaustive A2 oracle.
-pub fn crosscheck_with_options<'p, P, Ctx>(
-    icfg: &ProgramIcfg<'p>,
-    problem: &P,
-    ctx: &Ctx,
-    model: Option<&FeatureExpr>,
-    configs: &[Configuration],
-    max_mismatches: usize,
-    options: spllift_ide::IdeSolverOptions,
-) -> Vec<Mismatch>
-where
-    P: IfdsProblem<ProgramIcfg<'p>> + Sync,
-    P::Fact: Ord + Hash + Send + Sync,
-    Ctx: ConstraintContext + Sync,
-    Ctx::C: Send + Sync,
-{
-    let lifted = LiftedSolution::solve_with(problem, icfg, ctx, model, ModelMode::OnEdges, options);
+    let lifted = LiftedSolution::solve(problem, icfg, ctx, model, ModelMode::OnEdges);
     let lifted_icfg = LiftedIcfg::new(icfg);
     let mut mismatches = Vec::new();
     check_shard(

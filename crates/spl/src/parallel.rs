@@ -25,17 +25,13 @@
 
 use crate::crosscheck::{check_shard, Mismatch, DEFAULT_MAX_MISMATCHES};
 use spllift_core::{LiftedIcfg, LiftedSolution, ModelMode};
-use spllift_features::{Configuration, ConstraintContext, FeatureExpr};
+use spllift_features::{
+    default_jobs, map_shards, Configuration, ConstraintContext, FeatureExpr, ShardStats,
+};
 use spllift_ifds::{Icfg, IfdsProblem};
 use spllift_ir::ProgramIcfg;
 use std::hash::Hash;
 use std::time::{Duration, Instant};
-
-// The generic shard-map engine moved down to `spllift-features` so the
-// Datalog backend can shard rule evaluation without depending on this
-// crate; re-exported here so existing `spllift_spl::parallel` users
-// keep compiling unchanged.
-pub use spllift_features::{default_jobs, map_shards, ShardStats};
 
 /// Tuning knobs of the parallel driver.
 #[derive(Debug, Clone)]

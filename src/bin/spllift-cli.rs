@@ -78,17 +78,17 @@
 use spllift::analyses::{PossibleTypes, ReachingDefs, TaintAnalysis, UninitVars};
 use spllift::benchgen::{parse_subject_spec, GeneratedSpl, SubjectSpec};
 use spllift::features::{
-    parse_feature_model, BddConstraintContext, Configuration, FeatureExpr, FeatureTable,
+    default_jobs, parse_feature_model, BddConstraintContext, Configuration, FeatureExpr,
+    FeatureTable, ShardStats,
 };
 use spllift::frontend::parse_spl;
-use spllift::ide::IdeSolverOptions;
 use spllift::ifds::IfdsProblem;
 use spllift::ir::{Program, ProgramIcfg};
 use spllift::lift::{report, LiftedIcfg, LiftedProblem, LiftedSolution, ModelMode};
 use spllift::server::{Server, ServerOptions};
 use spllift::spl::{
-    a2_campaign_parallel, crosscheck_parallel, default_jobs, fuzz_campaign, CrosscheckOutcome,
-    FaultPlan, FuzzOptions, InjectedBug, ParallelOptions, ShardStats, DEFAULT_MAX_MISMATCHES,
+    a2_campaign_parallel, crosscheck_parallel, fuzz_campaign, CrosscheckOutcome, FaultPlan,
+    FuzzOptions, InjectedBug, ParallelOptions, DEFAULT_MAX_MISMATCHES,
 };
 use std::hash::Hash;
 use std::process::ExitCode;
@@ -117,8 +117,6 @@ ANALYZE OPTIONS
   --model FILE            feature model in the spllift text format
   --format table|dot|leaks|crosscheck|a2-bench   output (default table)
   --jobs N                worker threads for crosscheck / a2-bench
-  --threads N             phase-1 solver worker threads (default 1);
-                          results are byte-identical at every N
   --max-mismatches N      stop collecting crosscheck mismatches after N
 
 SERVE OPTIONS
@@ -126,8 +124,6 @@ SERVE OPTIONS
                           127.0.0.1:7077; port 0 picks one) instead of
                           stdin/stdout; many concurrent connections
   --jobs N                worker threads for batched queries
-  --threads N             default phase-1 solver threads per solve
-                          (requests may override with \"threads\")
   --shards N              executor shards (concurrent session groups)
   --max-inflight N        per-shard in-flight request bound (default 256)
   --cache-entries N       solution-cache entry budget (default 64)
@@ -156,7 +152,7 @@ SERVE OPTIONS
   the exact lattice point. The wire contract lives in docs/PROTOCOL.md.
 
 FUZZ OPTIONS
-  --seeds A..B  --jobs N  --threads N  --nfeatures N  --nmethods N
+  --seeds A..B  --jobs N  --nfeatures N  --nmethods N
   --mutations N  --budget-secs S  --corpus-dir DIR
   --inject-bug kill-call-to-return
   --no-reduce
@@ -230,7 +226,6 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         match arg.as_str() {
             "--listen" => listen = Some(args.next().ok_or("--listen needs an address")?),
             "--jobs" => opts.jobs = positive("--jobs", args.next())?,
-            "--threads" => opts.threads = positive("--threads", args.next())?,
             "--shards" => opts.shards = positive("--shards", args.next())?,
             "--max-inflight" => opts.max_inflight = positive("--max-inflight", args.next())?,
             "--cache-entries" => opts.cache_entries = positive("--cache-entries", args.next())?,
@@ -298,7 +293,6 @@ struct Options {
     model_file: Option<String>,
     format: String,
     jobs: usize,
-    threads: usize,
     max_mismatches: usize,
 }
 
@@ -311,7 +305,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut model_file = None;
     let mut format = "table".to_owned();
     let mut jobs = default_jobs();
-    let mut threads = 1usize;
     let mut max_mismatches = DEFAULT_MAX_MISMATCHES;
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -332,14 +325,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                     .filter(|&j| j >= 1)
                     .ok_or(format!("--jobs needs a positive integer, got `{v}`"))?;
             }
-            "--threads" => {
-                let v = args.next().ok_or("--threads needs a thread count")?;
-                threads = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&t| t >= 1)
-                    .ok_or(format!("--threads needs a positive integer, got `{v}`"))?;
-            }
             "--max-mismatches" => {
                 let v = args.next().ok_or("--max-mismatches needs a count")?;
                 max_mismatches = v.parse::<usize>().ok().filter(|&m| m >= 1).ok_or(format!(
@@ -359,7 +344,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         model_file,
         format,
         jobs,
-        threads,
         max_mismatches,
     }))
 }
@@ -622,21 +606,10 @@ fn emit<P, D>(
     model: &Option<FeatureExpr>,
 ) -> Result<(), String>
 where
-    P: for<'p> IfdsProblem<ProgramIcfg<'p>, Fact = D> + Sync,
-    D: Clone + Eq + Ord + Hash + std::fmt::Debug + Send + Sync,
+    P: for<'p> IfdsProblem<ProgramIcfg<'p>, Fact = D>,
+    D: Clone + Eq + Ord + Hash + std::fmt::Debug,
 {
-    let solver_options = IdeSolverOptions {
-        threads: opts.threads,
-        ..IdeSolverOptions::default()
-    };
-    let solution = LiftedSolution::solve_with(
-        problem,
-        icfg,
-        ctx,
-        model.as_ref(),
-        ModelMode::OnEdges,
-        solver_options,
-    );
+    let solution = LiftedSolution::solve(problem, icfg, ctx, model.as_ref(), ModelMode::OnEdges);
     match opts.format.as_str() {
         "table" => {
             print!(
@@ -747,7 +720,6 @@ fn run_fuzz(args: &[String]) -> Result<(), String> {
                 (opts.seed_start, opts.seed_end) = parse_seed_range(&v)?;
             }
             "--jobs" => opts.jobs = int_flag("--jobs")?.max(1),
-            "--threads" => opts.threads = int_flag("--threads")?.max(1),
             "--nfeatures" => opts.nfeatures = int_flag("--nfeatures")?,
             "--nmethods" => opts.nmethods = int_flag("--nmethods")?,
             "--mutations" => opts.mutations = int_flag("--mutations")?,
@@ -840,7 +812,6 @@ fn run_datalog(args: &[String]) -> Result<(), String> {
         model_file,
         format: "table".to_owned(),
         jobs,
-        threads: 1,
         max_mismatches: DEFAULT_MAX_MISMATCHES,
     };
     let loaded = load(&opts)?;
@@ -1014,7 +985,7 @@ fn run_reduce(args: &[String]) -> Result<(), String> {
             // No check named: pick the first failing one. Stand-alone
             // repro files carry no campaign seed, so the abstraction
             // differential's lattice-point stream is seeded with 0.
-            let (verdicts, unpredicted) = check_program(&program, &table, &features, 0, bug, 1, 1);
+            let (verdicts, unpredicted) = check_program(&program, &table, &features, 0, bug, 1);
             if let Some(v) = verdicts.iter().find(|v| !v.mismatches.is_empty()) {
                 (v.analysis.to_owned(), false)
             } else if let Some(u) = unpredicted.first() {

@@ -111,10 +111,9 @@ fn help_lists_subcommands_formats_and_gen_syntax() {
 /// Every serve flag, exactly as the `serve` arg parser spells it. The
 /// test below keeps `help`, the README flags table, and the parser
 /// reconciled: a flag added to one place must be added to all three.
-const SERVE_FLAGS: [&str; 14] = [
+const SERVE_FLAGS: [&str; 13] = [
     "--listen",
     "--jobs",
-    "--threads",
     "--shards",
     "--max-inflight",
     "--cache-entries",
