@@ -229,6 +229,10 @@ fn stats_snapshots_are_consistent_under_concurrent_growth() {
             // happens even when the writer finishes first.
             loop {
                 let finished = done.load(Ordering::Acquire);
+                // Read the meter before the snapshot: the writer keeps
+                // interning in between, so only an earlier meter reading
+                // is bounded by the snapshot's node count.
+                let since_arm = mgr2.nodes_since_arm();
                 let st = mgr2.stats();
                 assert!(
                     st.nodes >= last_nodes,
@@ -239,7 +243,7 @@ fn stats_snapshots_are_consistent_under_concurrent_growth() {
                 assert!(st.nodes >= 2, "terminals must always be counted");
                 // Meters are saturating: no underflow panic, no wrapped
                 // astronomically-large reading.
-                assert!(mgr2.nodes_since_arm() <= st.nodes as u64);
+                assert!(since_arm <= st.nodes as u64);
                 let _ = mgr2.ops_used();
                 last_nodes = st.nodes;
                 snapshots += 1;

@@ -1213,10 +1213,10 @@ impl Bdd {
     ///
     /// Cost is **linear in the diagram size** (memoized, iterative —
     /// safe on ~100k-deep chains). This is the digest the benchmark
-    /// emitters hash solutions with: the older cube-string rendering
+    /// hashes solutions with: the older cube-string rendering
     /// ([`Bdd::to_cube_string`]) is exponential in the diagram size and
-    /// skewed `BENCH_solver.json` wall times by orders of magnitude on
-    /// subjects with rich feature models (BerkeleyDB-class).
+    /// skewed measured wall times by orders of magnitude on subjects
+    /// with rich feature models (BerkeleyDB-class).
     pub fn semantic_digest(&self) -> u64 {
         const FALSE_DIGEST: u64 = 0x9e37_79b9_7f4a_7c15;
         const TRUE_DIGEST: u64 = 0xd1b5_4a32_d192_ed03;

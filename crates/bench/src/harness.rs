@@ -6,8 +6,6 @@
 //! All four `[[bench]]` targets (`harness = false`) are plain `main`
 //! functions built on [`Harness::bench`].
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// Summary of one benchmarked closure.
@@ -35,46 +33,11 @@ impl std::fmt::Display for BenchStats {
     }
 }
 
-/// Where [`Harness::bench`] sends its human-readable summary lines.
-///
-/// The historical behavior (and the default) is one line per bench on
-/// stdout; a machine-readable emitter (see `bin/solver_bench`) instead
-/// claims stdout for itself and routes the human lines to [`Stderr`]
-/// (or drops them with [`Quiet`]).
-///
-/// [`Stderr`]: BenchSink::Stderr
-/// [`Quiet`]: BenchSink::Quiet
-#[derive(Debug, Clone, Default)]
-pub enum BenchSink {
-    /// Print each summary line to stdout (the default).
-    #[default]
-    Stdout,
-    /// Print each summary line to stderr, leaving stdout free for
-    /// machine-readable output.
-    Stderr,
-    /// Discard the summary lines.
-    Quiet,
-    /// Append each summary line to a shared buffer (for tests).
-    Collect(Rc<RefCell<Vec<String>>>),
-}
-
-impl BenchSink {
-    fn emit(&self, line: &str) {
-        match self {
-            BenchSink::Stdout => println!("{line}"),
-            BenchSink::Stderr => eprintln!("{line}"),
-            BenchSink::Quiet => {}
-            BenchSink::Collect(buf) => buf.borrow_mut().push(line.to_owned()),
-        }
-    }
-}
-
 /// Runs benches with a fixed sample count and prints one line each.
 #[derive(Debug, Clone)]
 pub struct Harness {
     group: String,
     samples: usize,
-    sink: BenchSink,
 }
 
 impl Harness {
@@ -84,15 +47,7 @@ impl Harness {
         Harness {
             group: group.into(),
             samples: samples.max(1),
-            sink: BenchSink::default(),
         }
-    }
-
-    /// The same harness with its summary lines routed to `sink`.
-    #[must_use]
-    pub fn with_sink(mut self, sink: BenchSink) -> Self {
-        self.sink = sink;
-        self
     }
 
     /// A sub-harness with `suffix` appended to the group prefix.
@@ -100,41 +55,17 @@ impl Harness {
         Harness {
             group: format!("{}/{suffix}", self.group),
             samples: self.samples,
-            sink: self.sink.clone(),
         }
     }
 
     /// Times `f`: one untimed warmup call, then `samples` timed calls.
-    /// Emits the summary line to the configured [`BenchSink`]
-    /// (stdout by default) and returns it.
-    pub fn bench<F: FnMut()>(&self, name: &str, f: F) -> BenchStats {
-        self.bench_adaptive(name, None, f)
-    }
-
-    /// Like [`bench`](Self::bench), but the warmup pass also decides the
-    /// sample count: when the warmup call takes `budget` or longer, only
-    /// one timed sample follows (slow cells would otherwise multiply a
-    /// long run by the sample count). The returned
-    /// [`BenchStats::samples`] records the count actually taken, so a
-    /// downstream document always knows how trustworthy its `min` is.
-    pub fn bench_adaptive<F: FnMut()>(
-        &self,
-        name: &str,
-        budget: Option<Duration>,
-        mut f: F,
-    ) -> BenchStats {
-        let warmup_start = Instant::now();
+    /// Prints the summary line to stdout and returns it.
+    pub fn bench<F: FnMut()>(&self, name: &str, mut f: F) -> BenchStats {
         f();
-        let warmup = warmup_start.elapsed();
-        let samples = if budget.is_some_and(|b| warmup >= b) {
-            1
-        } else {
-            self.samples
-        };
         let mut total = Duration::ZERO;
         let mut min = Duration::MAX;
         let mut max = Duration::ZERO;
-        for _ in 0..samples {
+        for _ in 0..self.samples {
             let start = Instant::now();
             f();
             let t = start.elapsed();
@@ -144,54 +75,13 @@ impl Harness {
         }
         let stats = BenchStats {
             name: format!("{}/{name}", self.group),
-            samples,
-            mean: total / samples as u32,
+            samples: self.samples,
+            mean: total / self.samples as u32,
             min,
             max,
         };
-        self.sink.emit(&stats.to_string());
+        println!("{stats}");
         stats
-    }
-}
-
-/// Nearest-rank percentile over ascending-sorted samples: the smallest
-/// value covering at least `percent` percent of them. Zero on an empty
-/// slice — callers summarizing a level that produced no successful
-/// samples get a zeroed block instead of an out-of-bounds panic.
-pub fn nearest_rank_ns(sorted: &[u128], percent: usize) -> u128 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (percent * sorted.len())
-        .div_ceil(100)
-        .clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-/// The p50/p90/p99/max latency block of a benchmark document, built
-/// with [`nearest_rank_ns`]. All-zero when there were no samples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencySummary {
-    /// Median latency, nanoseconds.
-    pub p50_ns: u128,
-    /// 90th percentile, nanoseconds.
-    pub p90_ns: u128,
-    /// 99th percentile, nanoseconds.
-    pub p99_ns: u128,
-    /// Slowest sample, nanoseconds.
-    pub max_ns: u128,
-}
-
-impl LatencySummary {
-    /// Summarizes a batch of latency samples (sorts them in place).
-    pub fn from_samples(samples: &mut [u128]) -> LatencySummary {
-        samples.sort_unstable();
-        LatencySummary {
-            p50_ns: nearest_rank_ns(samples, 50),
-            p90_ns: nearest_rank_ns(samples, 90),
-            p99_ns: nearest_rank_ns(samples, 99),
-            max_ns: samples.last().copied().unwrap_or(0),
-        }
     }
 }
 
@@ -218,122 +108,10 @@ mod tests {
     }
 
     #[test]
-    fn collect_sink_captures_lines_instead_of_printing() {
-        // Regression for the JSON emitter: `bench` must route its human
-        // summary through the configured sink, not unconditionally
-        // through stdout (pre-fix, `bench` always `println!`ed, which
-        // corrupted machine-readable output on stdout).
-        let buf = Rc::new(RefCell::new(Vec::new()));
-        let h = Harness::new("grp", 2).with_sink(BenchSink::Collect(buf.clone()));
-        let stats = h.bench("x", || {});
-        let lines = buf.borrow();
-        assert_eq!(lines.len(), 1);
-        assert_eq!(lines[0], stats.to_string());
-        assert!(lines[0].starts_with("grp/x"));
-    }
-
-    #[test]
-    fn sink_is_inherited_by_sub_groups() {
-        let buf = Rc::new(RefCell::new(Vec::new()));
-        let h = Harness::new("a", 1).with_sink(BenchSink::Collect(buf.clone()));
-        let _ = h.group("b").bench("c", || {});
-        assert_eq!(buf.borrow().len(), 1);
-        assert!(buf.borrow()[0].starts_with("a/b/c"));
-    }
-
-    #[test]
-    fn quiet_sink_still_returns_stats() {
-        let h = Harness::new("q", 1).with_sink(BenchSink::Quiet);
-        let stats = h.bench("x", || {});
-        assert_eq!(stats.name, "q/x");
-    }
-
-    #[test]
     fn zero_samples_clamps_to_one() {
         let h = Harness::new("t", 0);
         let mut calls = 0;
         let _ = h.bench("x", || calls += 1);
         assert_eq!(calls, 2);
-    }
-
-    #[test]
-    fn adaptive_budget_cuts_slow_cells_to_one_sample() {
-        let h = Harness::new("t", 5).with_sink(BenchSink::Quiet);
-        // Warmup slower than the budget: 1 warmup + 1 sample.
-        let mut calls = 0;
-        let stats = h.bench_adaptive("slow", Some(Duration::ZERO), || calls += 1);
-        assert_eq!(calls, 2);
-        assert_eq!(stats.samples, 1);
-        // A budget no warmup can exceed: the full sample count.
-        let mut calls = 0;
-        let stats = h.bench_adaptive("fast", Some(Duration::from_secs(3600)), || calls += 1);
-        assert_eq!(calls, 6);
-        assert_eq!(stats.samples, 5);
-    }
-
-    #[test]
-    fn nearest_rank_of_single_sample_is_that_sample() {
-        let one = [42u128];
-        for p in [0, 1, 50, 90, 99, 100] {
-            assert_eq!(nearest_rank_ns(&one, p), 42, "p{p}");
-        }
-    }
-
-    #[test]
-    fn nearest_rank_of_empty_is_zero_not_a_panic() {
-        // Regression for the all-error `server_bench` level: an empty
-        // sample set must summarize to a zeroed block, not index out of
-        // bounds (the old inline closure computed `clamp(1, 0)`, which
-        // panics with `min > max`).
-        for p in [0, 50, 99, 100] {
-            assert_eq!(nearest_rank_ns(&[], p), 0, "p{p}");
-        }
-        assert_eq!(
-            LatencySummary::from_samples(&mut []),
-            LatencySummary {
-                p50_ns: 0,
-                p90_ns: 0,
-                p99_ns: 0,
-                max_ns: 0
-            }
-        );
-    }
-
-    #[test]
-    fn nearest_rank_at_the_rank_boundaries() {
-        // 100 samples 1..=100: rank arithmetic is exact — pN is the
-        // N-th smallest.
-        let hundred: Vec<u128> = (1..=100).collect();
-        assert_eq!(nearest_rank_ns(&hundred, 50), 50);
-        assert_eq!(nearest_rank_ns(&hundred, 90), 90);
-        assert_eq!(nearest_rank_ns(&hundred, 99), 99);
-        assert_eq!(nearest_rank_ns(&hundred, 100), 100);
-        // 99 samples: ceil(p·99/100) — p50 → 50th, p99 → 99th (= max).
-        let ninety_nine: Vec<u128> = (1..=99).collect();
-        assert_eq!(nearest_rank_ns(&ninety_nine, 50), 50);
-        assert_eq!(nearest_rank_ns(&ninety_nine, 99), 99);
-        assert_eq!(nearest_rank_ns(&ninety_nine, 100), 99);
-        // 101 samples: ceil(50·101/100) = 51 — the true median.
-        let hundred_one: Vec<u128> = (1..=101).collect();
-        assert_eq!(nearest_rank_ns(&hundred_one, 50), 51);
-        assert_eq!(nearest_rank_ns(&hundred_one, 99), 100);
-        assert_eq!(nearest_rank_ns(&hundred_one, 100), 101);
-        // p0 clamps to the first sample, never below.
-        assert_eq!(nearest_rank_ns(&hundred_one, 0), 1);
-    }
-
-    #[test]
-    fn latency_summary_is_monotone() {
-        // Deterministic scrambled sample sets of several sizes: the
-        // summary must always order p50 ≤ p90 ≤ p99 ≤ max.
-        for n in [1usize, 2, 7, 99, 100, 101, 1000] {
-            let mut samples: Vec<u128> = (0..n).map(|i| ((i * 7919 + 13) % 1000) as u128).collect();
-            let s = LatencySummary::from_samples(&mut samples);
-            assert!(
-                s.p50_ns <= s.p90_ns && s.p90_ns <= s.p99_ns && s.p99_ns <= s.max_ns,
-                "n={n}: {s:?}"
-            );
-            assert_eq!(s.max_ns, samples.iter().copied().max().unwrap());
-        }
     }
 }

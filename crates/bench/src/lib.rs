@@ -3,8 +3,6 @@
 
 #![warn(missing_docs)]
 pub mod harness;
-pub mod json;
-pub mod regress;
 
 use spllift_benchgen::GeneratedSpl;
 use spllift_core::{LiftedIcfg, LiftedSolution, ModelMode};

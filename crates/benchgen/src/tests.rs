@@ -198,8 +198,8 @@ fn subject_grammar_round_trips_and_rejects() {
 
 #[test]
 fn committed_scale_subject_is_paper_scale() {
-    // The scaled subject in the committed BENCH_solver.json baseline
-    // (see its provenance block): ~99 features at >10k statements —
+    // The paper-scale subject that the governed-solve smoke in
+    // scripts/ci.sh runs: ~99 features at >10k statements —
     // BerkeleyDB-magnitude feature count on a program an order of
     // magnitude larger than the Table 1 subjects. The chain model keeps
     // the valid-config count enumerable (exactly n+1 = 100) and the

@@ -474,13 +474,6 @@ impl SolveOutcome {
         }
     }
 
-    /// Stable machine-readable name of [`point`](Self::point) — the
-    /// `rung` field of server responses and bench JSON. The PR 5 rungs
-    /// keep their exact names (`full`, `no-model`, `constraint-true`).
-    pub fn rung_name(&self) -> String {
-        self.point().name()
-    }
-
     /// `true` iff the solution is degraded (not from the top point).
     pub fn is_degraded(&self) -> bool {
         matches!(self, SolveOutcome::Degraded { .. })

@@ -225,11 +225,11 @@ impl LatticePoint {
     }
 
     /// Stable machine-readable name. The three canonical points render
-    /// exactly as PR 5's rung names — `full`, `no-model`,
-    /// `constraint-true` — so existing clients, goldens, and bench
-    /// documents keep their vocabulary; composite points render their
-    /// steps joined by `+`, e.g. `confound(Base)+project(F,G)` or
-    /// `no-model+project(F,G)`.
+    /// exactly as the rung names of the old three-rung degradation
+    /// ladder — `full`, `no-model`, `constraint-true` — so existing
+    /// clients and goldens keep their vocabulary; composite points
+    /// render their steps joined by `+`, e.g.
+    /// `confound(Base)+project(F,G)` or `no-model+project(F,G)`.
     pub fn name(&self) -> String {
         if self.collapse {
             return "constraint-true".to_string();

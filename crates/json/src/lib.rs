@@ -2,9 +2,9 @@
 //!
 //! The workspace builds offline with zero registry dependencies (see
 //! DESIGN.md §5), so there is no serde anywhere. This crate is the one
-//! hand-rolled JSON implementation in-tree: the bench crate's
-//! `BENCH_solver.json` emitter/validator and the analysis server's
-//! line-delimited request/response protocol are both built on it.
+//! hand-rolled JSON implementation in-tree: the analysis server's
+//! line-delimited request/response protocol is built on it, and the
+//! benchmark's TCP clients build requests and read responses with it.
 //!
 //! The parser is a ~150-line recursive descent over the JSON subset the
 //! in-tree emitters produce (objects, arrays, strings, finite numbers,

@@ -74,7 +74,7 @@ pub struct Executor {
     accepting: AtomicBool,
 }
 
-fn error_line(message: String) -> String {
+pub(crate) fn error_line(message: String) -> String {
     obj(vec![
         ("type", Json::str("error")),
         ("message", Json::str(message)),

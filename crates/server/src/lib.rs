@@ -176,18 +176,50 @@ impl Server {
     /// Propagates I/O errors on the two streams; protocol-level failures
     /// become `{"type":"error",...}` responses instead.
     pub fn run(&mut self, input: impl BufRead, mut output: impl Write) -> std::io::Result<()> {
-        for line in input.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let (resp, shutdown) = self.handle_line(&line);
+        for_each_request(input, |request| {
+            let (resp, shutdown) = match request {
+                Ok(line) => self.handle_line(line),
+                Err(resp) => (resp, false),
+            };
             writeln!(output, "{resp}")?;
             output.flush()?;
-            if shutdown {
-                break;
+            Ok(!shutdown)
+        })
+    }
+}
+
+/// The request framing both transports share (docs/PROTOCOL.md
+/// §Framing). Reads `\n`-terminated lines from `input` into one reused
+/// buffer, strips the `\n` or `\r\n` terminator, skips blank lines,
+/// and hands each request to `handle` until EOF or until `handle`
+/// returns `false`. A line that is not valid UTF-8 reaches `handle` as
+/// `Err` carrying the error response that answers it, so one bad line
+/// never closes the stream.
+pub(crate) fn for_each_request(
+    mut input: impl BufRead,
+    mut handle: impl FnMut(Result<&str, String>) -> std::io::Result<bool>,
+) -> std::io::Result<()> {
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        if input.read_until(b'\n', &mut buf)? == 0 {
+            return Ok(());
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
             }
         }
-        Ok(())
+        let request = match std::str::from_utf8(&buf) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => Ok(line),
+            Err(_) => Err(exec::error_line(
+                "request line is not valid UTF-8".to_owned(),
+            )),
+        };
+        if !handle(request)? {
+            return Ok(());
+        }
     }
 }

@@ -27,7 +27,7 @@
 
 use crate::exec::{internal_error, Executor, Submitted};
 use crate::ServerOptions;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -145,13 +145,13 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 fn handle_connection(stream: TcpStream, shared: Arc<Shared>) -> std::io::Result<()> {
     let reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
+    crate::for_each_request(reader, |request| {
         shared.begin_request();
-        match shared.exec.submit(&line) {
+        let submitted = match request {
+            Ok(line) => shared.exec.submit(line),
+            Err(resp) => Submitted::Ready(resp),
+        };
+        match submitted {
             Submitted::Ready(resp) => {
                 let done = writeln!(writer, "{resp}").and_then(|()| writer.flush());
                 shared.end_request();
@@ -170,9 +170,9 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) -> std::io::Result<
                 writeln!(writer, "{resp}")?;
                 writer.flush()?;
                 shared.wake_accept();
-                return Ok(());
+                return Ok(false);
             }
         }
-    }
-    Ok(())
+        Ok(true)
+    })
 }

@@ -1,7 +1,8 @@
 //! Acceptance tests for the resident analysis server: warm-path cache
 //! hits with zero propagations, incremental re-analysis strictly below
 //! a cold solve with bit-identical results, jobs-invariant responses,
-//! and malformed-input resilience.
+//! and malformed-input resilience (down to request lines that are not
+//! valid UTF-8).
 
 use spllift_json::{parse_json, Json};
 use spllift_server::{Server, ServerOptions};
@@ -442,6 +443,25 @@ fn malformed_requests_error_and_the_server_keeps_serving() {
         text(&still, "solve"),
         "cached",
         "edit must have rolled back"
+    );
+}
+
+/// docs/PROTOCOL.md §Framing: every request line gets exactly one
+/// response and a bad line never closes the stream — including a line
+/// that is not valid UTF-8, fed as raw bytes through the stdio
+/// transport. `\r\n` terminators and blank lines frame as before.
+#[test]
+fn non_utf8_line_is_answered_and_the_stdio_stream_keeps_serving() {
+    let input: &[u8] = b"{\"type\":\"evict\"}\n\xff\xfe\r\n\n{\"type\":\"evict\"}\r\n";
+    let mut out = Vec::new();
+    server(1)
+        .run(input, &mut out)
+        .expect("a bad request line is not an I/O error");
+    assert_eq!(
+        String::from_utf8(out).expect("utf-8 responses"),
+        "{\"type\":\"ok\",\"request\":\"evict\",\"evicted\":0}\n\
+         {\"type\":\"error\",\"message\":\"request line is not valid UTF-8\"}\n\
+         {\"type\":\"ok\",\"request\":\"evict\",\"evicted\":0}\n"
     );
 }
 

@@ -14,8 +14,13 @@ cargo fmt --check
 echo "== cargo build --release --offline --workspace =="
 # --workspace matters: a plain `cargo build` only covers the root facade
 # package and its dependencies, which silently skips the bench crate's
-# binaries (solver_bench below would run stale).
+# `report` and `figures` binaries.
 cargo build --release --offline --workspace
+
+echo "== bench targets compile (table2, table3, ablation_repr, ablation_model) =="
+# Neither the build nor the test step above compiles `[[bench]]`
+# targets, so a harness change could break them unnoticed.
+cargo bench --no-run -q --offline -p spllift-bench
 
 echo "== cargo test -q --offline --workspace =="
 cargo test -q --offline --workspace
@@ -52,48 +57,14 @@ for subject in gen:MM08 gen:GPL; do
     grep -q "SPLLIFT and Datalog agree" "$SMOKE_DL1"
 done
 
-echo "== solver bench smoke (emit + validate) =="
-# Emits a fresh benchmark document (schema `spllift-bench-solver/v4`)
-# on the small subjects — to a scratch path, never over the committed
-# baseline — and schema-validates it, so the emitter, the parser, and
-# the measured hot path all stay wired. The committed baseline is
-# refreshed manually with the default arguments instead (see
-# EXPERIMENTS.md §BENCH).
-SMOKE_BENCH="$(mktemp -t solver-bench-smoke.XXXXXX.json)"
-trap 'rm -f "$SMOKE_BENCH" "$SMOKE_DL1" "$SMOKE_DL2"' EXIT
-./target/release/solver_bench --samples 1 --subjects fig1,chat,MM08 \
-    --out "$SMOKE_BENCH"
-./target/release/solver_bench --validate "$SMOKE_BENCH"
-
-echo "== committed solver baseline (validate + regression gate) =="
-# The committed baseline must always be a valid v4 document...
-./target/release/solver_bench --validate BENCH_solver.json
-# ...and the regression gate must actually run against it. Smoke mode:
-# re-measure a small sub-matrix (restricting --subjects turns baseline
-# cells we skip into non-failures), a few samples, and a loose
-# tolerance — CI machines are noisy and 1-sample minima are not; the
-# full-matrix gate (`solver_bench --check BENCH_solver.json`) is the
-# pre-baseline-refresh workflow, not a CI step.
-./target/release/solver_bench --check BENCH_solver.json \
-    --subjects fig1,chat,MM08 --samples 3 --tolerance 3.0
-
-echo "== regression gate negative test (injected slowdown must fail) =="
-# A gate that cannot fail is decoration. Stall one cell far past any
-# plausible tolerance and require the exit code to flip.
-if ./target/release/solver_bench --check BENCH_solver.json \
-    --subjects fig1 --samples 1 --tolerance 3.0 \
-    --inject-slow fig1:Taint:2000 2>/dev/null; then
-    echo "ci: regression gate FAILED to catch an injected 2s slowdown" >&2
-    exit 1
-fi
-echo "ci: injected slowdown caught as expected"
-
 echo "== serve smoke (golden transcript, jobs-invariant) =="
 # Replays the committed request transcript through the resident analysis
 # server and diffs the responses byte-exactly — at two --jobs values, so
 # both the protocol itself and its jobs-invariance stay pinned. The
 # transcript covers a cache hit (zero propagations) and an incremental
-# re-analysis after an edit (same digest as the cold solve).
+# re-analysis after an edit (same digest as the cold solve). The socket
+# transport's goldens (`tests/serve/socket-client*`) are replayed
+# concurrently by `tests/serve_socket.rs` in the test step.
 for jobs in 2 1; do
     ./target/release/spllift-cli serve --jobs "$jobs" \
         < tests/serve/transcript.requests \
@@ -152,24 +123,4 @@ echo "$bottom" | grep -Eq '"attempts":\[\{"rung":"full"[^]]*\{"rung":"no-model"'
     || { echo "ci: default descent is not the full -> no-model ladder: $bottom" >&2; exit 1; }
 echo "ci: governed smoke landed on a keep-sparing lattice point"
 
-echo "== socket smoke (3 concurrent clients, golden transcripts) =="
-# Serves the protocol over TCP (`--listen`-style in-process server) and
-# replays three scripted clients concurrently — each on its own
-# connection and session. Every client's response stream must be
-# byte-identical to its committed golden, which pins the documented
-# per-session determinism of the sharded executor under real
-# concurrency (docs/PROTOCOL.md, DESIGN.md §9).
-./target/release/server_bench --smoke tests/serve
-
-echo "== server bench document (BENCH_server.json schema) =="
-# Schema-validates the committed concurrent-load benchmark document
-# (schema `spllift-bench-server/v2`): machine block, at least three
-# concurrency levels, zero protocol errors, monotone latency
-# percentiles. Regenerating the numbers is a manual step (see
-# EXPERIMENTS.md §BENCH server) — CI only proves the committed document
-# and the validator stay wired. The server regression gate
-# (`server_bench --check BENCH_server.json`) replays all committed
-# levels (~256 concurrent connections at the top) and is part of the
-# manual baseline-refresh workflow, not a CI step.
-./target/release/server_bench --validate BENCH_server.json
 echo "ci: all green"

@@ -242,7 +242,7 @@ fn blowup_subject_completes_under_node_budget_via_the_ladder() {
         gov,
     )
     .expect("bottom point needs no constraint nodes and must complete");
-    assert_eq!(outcome.rung_name(), "constraint-true");
+    assert_eq!(outcome.point().name(), "constraint-true");
     assert!(outcome.point().is_collapsed());
     let SolveOutcome::Degraded { attempts, .. } = &outcome else {
         panic!("expected a degraded outcome, got {outcome:?}");

@@ -1,11 +1,12 @@
 //! Socket-transport tests for the multi-client server: per-session
 //! determinism (each session's response stream is byte-identical to the
 //! single-client stdio server, at any shard count and under
-//! concurrency), fault isolation between co-resident sessions, and
-//! admission control.
+//! concurrency), fault isolation between co-resident sessions,
+//! admission control, and request framing.
 //!
-//! The committed fixtures `tests/serve/socket-client{1,2,3}.*` are the
-//! same ones the CI smoke (`server_bench --smoke tests/serve`) replays.
+//! The committed fixtures `tests/serve/socket-client{1,2,3}.*` are three
+//! scripted clients: the first test below replays them concurrently at
+//! 1, 2 and 4 shards and checks that their goldens are not stale.
 
 use spllift::server::{Server, ServerOptions, SocketServer};
 use spllift_spl::FaultPlan;
@@ -230,6 +231,35 @@ fn admission_control_refuses_requests_beyond_the_inflight_bound() {
         "exactly one analyze must complete and the other bounce:\n\
          first:  {first}\
          second: {second}"
+    );
+    shut_down(addr, server);
+}
+
+/// docs/PROTOCOL.md §Framing over TCP: a request line that is not valid
+/// UTF-8 is answered with a message-only error and the connection keeps
+/// serving the requests behind it.
+#[test]
+fn non_utf8_line_is_answered_and_the_connection_keeps_serving() {
+    let server = SocketServer::spawn(ServerOptions::default(), "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    writer
+        .write_all(b"\xff\xfe\n{\"type\":\"evict\"}\n")
+        .expect("write");
+    writer.flush().expect("flush");
+    let mut got = String::new();
+    for _ in 0..2 {
+        assert!(
+            reader.read_line(&mut got).expect("read") > 0,
+            "server closed the connection after: {got:?}"
+        );
+    }
+    assert_eq!(
+        got,
+        "{\"type\":\"error\",\"message\":\"request line is not valid UTF-8\"}\n\
+         {\"type\":\"ok\",\"request\":\"evict\",\"evicted\":0}\n"
     );
     shut_down(addr, server);
 }
