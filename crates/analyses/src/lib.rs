@@ -23,9 +23,14 @@
 //!
 //! * [`LinearConstants`] — inter-procedural linear constant propagation,
 //!   the IDE framework's original motivating analysis (§2.4).
+//!
+//! The first four are the clients the front ends offer by name:
+//! [`AnalysisKind`] names them and [`with_analysis!`] turns a kind into
+//! its problem.
 
 #![warn(missing_docs)]
 mod common;
+mod kind;
 mod linear_const;
 mod possible_types;
 mod reaching_defs;
@@ -34,6 +39,7 @@ mod typestate;
 mod uninit;
 
 pub use common::{arg_bindings, result_local, returned_local};
+pub use kind::AnalysisKind;
 pub use linear_const::{CpFact, CpValue, LinearConstants, LinearEdge};
 pub use possible_types::{PossibleTypes, TypeFact};
 pub use reaching_defs::{DefFact, ReachingDefs};

@@ -926,3 +926,50 @@ mod linear_const {
         );
     }
 }
+
+mod registry {
+    use super::*;
+
+    #[test]
+    fn every_name_parses_back_to_its_kind() {
+        for k in AnalysisKind::ALL {
+            assert_eq!(AnalysisKind::parse(k.name()), Ok(k));
+        }
+        let mut names: Vec<&str> = AnalysisKind::ALL.iter().map(|k| k.name()).collect();
+        names.sort();
+        names.dedup();
+        assert_eq!(names.len(), AnalysisKind::ALL.len(), "names must be unique");
+    }
+
+    #[test]
+    fn unknown_name_lists_every_valid_name() {
+        let err = AnalysisKind::parse("reaching").unwrap_err();
+        assert!(err.starts_with("unknown analysis `reaching`"), "{err}");
+        for k in AnalysisKind::ALL {
+            assert!(err.contains(k.name()), "{err} misses {}", k.name());
+        }
+    }
+
+    #[test]
+    fn paper_three_carry_the_papers_labels() {
+        let labels: Vec<&str> = AnalysisKind::PAPER_THREE
+            .iter()
+            .map(|k| k.label())
+            .collect();
+        assert_eq!(labels, ["P. Types", "R. Def.", "U. Var."]);
+    }
+
+    fn fact_type<P: for<'p> spllift_ifds::IfdsProblem<ProgramIcfg<'p>>>(_: &P) -> &'static str {
+        std::any::type_name::<<P as spllift_ifds::IfdsProblem<ProgramIcfg<'static>>>::Fact>()
+    }
+
+    #[test]
+    fn with_analysis_binds_the_kinds_problem() {
+        // The bound problem's fact type tells the four arms apart.
+        let of = |k: AnalysisKind| with_analysis!(k, |p| fact_type(p));
+        assert!(of(AnalysisKind::Taint).ends_with("TaintFact"));
+        assert!(of(AnalysisKind::Types).ends_with("TypeFact"));
+        assert!(of(AnalysisKind::ReachingDefs).ends_with("DefFact"));
+        assert!(of(AnalysisKind::Uninit).ends_with("UninitFact"));
+    }
+}

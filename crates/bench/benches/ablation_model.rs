@@ -8,27 +8,12 @@
 //!   leads to early termination in the propagation phase");
 //! * `ignore` — no model at all (baseline for both).
 
-use spllift_analyses::{ReachingDefs, UninitVars};
+use spllift_analyses::{with_analysis, AnalysisKind};
 use spllift_bench::harness::Harness;
 use spllift_benchgen::{subject_by_name, GeneratedSpl};
 use spllift_core::{LiftedSolution, ModelMode};
 use spllift_features::BddConstraintContext;
-use spllift_ifds::IfdsProblem;
 use spllift_ir::ProgramIcfg;
-use std::hash::Hash;
-
-fn run<P, D>(
-    problem: &P,
-    icfg: &ProgramIcfg<'_>,
-    ctx: &BddConstraintContext,
-    model: Option<&spllift_features::FeatureExpr>,
-    mode: ModelMode,
-) where
-    P: for<'p> IfdsProblem<ProgramIcfg<'p>, Fact = D>,
-    D: Clone + Eq + Hash + std::fmt::Debug,
-{
-    let _ = LiftedSolution::solve(problem, icfg, ctx, model, mode);
-}
 
 fn bench_subject(h: &Harness, name: &str) {
     let spl = GeneratedSpl::generate(subject_by_name(name).unwrap());
@@ -37,22 +22,21 @@ fn bench_subject(h: &Harness, name: &str) {
     let model = spl.model_expr();
     let h = h.group(name);
 
-    macro_rules! modes {
-        ($label:expr, $p:expr) => {{
-            let p = $p;
-            h.bench(&format!("on-edges/{}", $label), || {
-                run(&p, &icfg, &ctx, Some(&model), ModelMode::OnEdges)
+    for kind in [AnalysisKind::ReachingDefs, AnalysisKind::Uninit] {
+        let label = kind.label();
+        with_analysis!(kind, |p| {
+            h.bench(&format!("on-edges/{label}"), || {
+                let _ = LiftedSolution::solve(p, &icfg, &ctx, Some(&model), ModelMode::OnEdges);
             });
-            h.bench(&format!("start-value/{}", $label), || {
-                run(&p, &icfg, &ctx, Some(&model), ModelMode::AtStartValue)
+            h.bench(&format!("start-value/{label}"), || {
+                let _ =
+                    LiftedSolution::solve(p, &icfg, &ctx, Some(&model), ModelMode::AtStartValue);
             });
-            h.bench(&format!("ignore/{}", $label), || {
-                run(&p, &icfg, &ctx, None, ModelMode::Ignore)
+            h.bench(&format!("ignore/{label}"), || {
+                let _ = LiftedSolution::solve(p, &icfg, &ctx, None, ModelMode::Ignore);
             });
-        }};
+        });
     }
-    modes!("R. Def.", ReachingDefs::new());
-    modes!("U. Var.", UninitVars::new());
 }
 
 fn main() {

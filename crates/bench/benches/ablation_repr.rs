@@ -6,7 +6,7 @@
 //! that comparison by instantiating the *same* lifting with either
 //! constraint context.
 
-use spllift_analyses::{ReachingDefs, TaintAnalysis, UninitVars};
+use spllift_analyses::{with_analysis, AnalysisKind, TaintAnalysis};
 use spllift_bench::harness::Harness;
 use spllift_benchgen::{subject_by_name, GeneratedSpl};
 use spllift_core::{LiftedSolution, ModelMode};
@@ -35,20 +35,17 @@ fn bench_mm08(h: &Harness) {
     let bctx = BddConstraintContext::new(&spl.table);
     let dctx = DnfConstraintContext::new(&spl.table);
     let h = h.group("MM08");
-    let rd = ReachingDefs::new();
-    let uv = UninitVars::new();
-    h.bench("bdd/R. Def.", || {
-        let _ = LiftedSolution::solve(&rd, &icfg, &bctx, None, ModelMode::Ignore);
-    });
-    h.bench("dnf/R. Def.", || {
-        let _ = LiftedSolution::solve(&rd, &icfg, &dctx, None, ModelMode::Ignore);
-    });
-    h.bench("bdd/U. Var.", || {
-        let _ = LiftedSolution::solve(&uv, &icfg, &bctx, None, ModelMode::Ignore);
-    });
-    h.bench("dnf/U. Var.", || {
-        let _ = LiftedSolution::solve(&uv, &icfg, &dctx, None, ModelMode::Ignore);
-    });
+    for kind in [AnalysisKind::ReachingDefs, AnalysisKind::Uninit] {
+        let label = kind.label();
+        with_analysis!(kind, |p| {
+            h.bench(&format!("bdd/{label}"), || {
+                let _ = LiftedSolution::solve(p, &icfg, &bctx, None, ModelMode::Ignore);
+            });
+            h.bench(&format!("dnf/{label}"), || {
+                let _ = LiftedSolution::solve(p, &icfg, &dctx, None, ModelMode::Ignore);
+            });
+        });
+    }
 }
 
 fn main() {

@@ -3,16 +3,13 @@
 //! full brute-force campaign sharded across worker threads (the
 //! `report` binary does the complete cutoff-and-extrapolate version).
 
-use spllift_analyses::{PossibleTypes, ReachingDefs, UninitVars};
+use spllift_analyses::{with_analysis, AnalysisKind, ReachingDefs};
 use spllift_bench::harness::Harness;
-use spllift_bench::ClientAnalysis;
 use spllift_benchgen::{subject_by_name, GeneratedSpl};
 use spllift_core::{LiftedIcfg, LiftedSolution, ModelMode};
 use spllift_features::{default_jobs, BddConstraintContext};
-use spllift_ifds::IfdsProblem;
 use spllift_ir::ProgramIcfg;
 use spllift_spl::{a2_campaign_parallel, solve_a2};
-use std::hash::Hash;
 
 fn bench_subject(h: &Harness, name: &str) {
     let spl = GeneratedSpl::generate(subject_by_name(name).unwrap());
@@ -23,26 +20,16 @@ fn bench_subject(h: &Harness, name: &str) {
     let lifted_icfg = LiftedIcfg::new(&icfg);
     let h = h.group(name);
 
-    macro_rules! cells {
-        ($label:expr, $problem:expr) => {{
-            let p = $problem;
-            h.bench(&format!("spllift/{}", $label), || {
-                run_spllift(&p, &icfg, &ctx, &model);
+    for analysis in AnalysisKind::PAPER_THREE {
+        let label = analysis.label();
+        with_analysis!(analysis, |p| {
+            h.bench(&format!("spllift/{label}"), || {
+                let _ = LiftedSolution::solve(p, &icfg, &ctx, Some(&model), ModelMode::OnEdges);
             });
-            h.bench(&format!("a2-one-config/{}", $label), || {
-                let _ = solve_a2(&p, &lifted_icfg, &full);
+            h.bench(&format!("a2-one-config/{label}"), || {
+                let _ = solve_a2(p, &lifted_icfg, &full);
             });
-        }};
-    }
-    for analysis in ClientAnalysis::PAPER_THREE {
-        match analysis {
-            ClientAnalysis::PossibleTypes => {
-                cells!(analysis.label(), PossibleTypes::new())
-            }
-            ClientAnalysis::ReachingDefs => cells!(analysis.label(), ReachingDefs::new()),
-            ClientAnalysis::UninitVars => cells!(analysis.label(), UninitVars::new()),
-            ClientAnalysis::Taint => unreachable!(),
-        }
+        });
     }
 
     // The brute-force arm: the whole A2 campaign, sequential vs. sharded
@@ -70,18 +57,6 @@ fn bench_subject(h: &Harness, name: &str) {
             seq.mean.as_secs_f64() / par.mean.as_secs_f64().max(1e-9),
         );
     }
-}
-
-fn run_spllift<P, D>(
-    problem: &P,
-    icfg: &ProgramIcfg<'_>,
-    ctx: &BddConstraintContext,
-    model: &spllift_features::FeatureExpr,
-) where
-    P: for<'p> IfdsProblem<ProgramIcfg<'p>, Fact = D>,
-    D: Clone + Eq + Hash + std::fmt::Debug,
-{
-    let _ = LiftedSolution::solve(problem, icfg, ctx, Some(model), ModelMode::OnEdges);
 }
 
 fn main() {

@@ -1,15 +1,12 @@
 //! Benches behind Table 3: the cost of regarding the feature model
 //! (edge conjunction) vs. ignoring it, per subject × analysis.
 
-use spllift_analyses::{PossibleTypes, ReachingDefs, UninitVars};
+use spllift_analyses::{with_analysis, AnalysisKind};
 use spllift_bench::harness::Harness;
-use spllift_bench::ClientAnalysis;
 use spllift_benchgen::{subject_by_name, GeneratedSpl};
 use spllift_core::{LiftedSolution, ModelMode};
 use spllift_features::BddConstraintContext;
-use spllift_ifds::IfdsProblem;
 use spllift_ir::ProgramIcfg;
-use std::hash::Hash;
 
 fn bench_subject(h: &Harness, name: &str) {
     let spl = GeneratedSpl::generate(subject_by_name(name).unwrap());
@@ -18,35 +15,17 @@ fn bench_subject(h: &Harness, name: &str) {
     let model = spl.model_expr();
     let h = h.group(name);
 
-    macro_rules! modes {
-        ($label:expr, $problem:expr) => {{
-            let p = $problem;
-            h.bench(&format!("regarded/{}", $label), || {
-                let _ = LiftedSolution::solve(&p, &icfg, &ctx, Some(&model), ModelMode::OnEdges);
+    for analysis in AnalysisKind::PAPER_THREE {
+        let label = analysis.label();
+        with_analysis!(analysis, |p| {
+            h.bench(&format!("regarded/{label}"), || {
+                let _ = LiftedSolution::solve(p, &icfg, &ctx, Some(&model), ModelMode::OnEdges);
             });
-            h.bench(&format!("ignored/{}", $label), || {
-                run_ignored(&p, &icfg, &ctx);
+            h.bench(&format!("ignored/{label}"), || {
+                let _ = LiftedSolution::solve(p, &icfg, &ctx, None, ModelMode::Ignore);
             });
-        }};
+        });
     }
-    for analysis in ClientAnalysis::PAPER_THREE {
-        match analysis {
-            ClientAnalysis::PossibleTypes => {
-                modes!(analysis.label(), PossibleTypes::new())
-            }
-            ClientAnalysis::ReachingDefs => modes!(analysis.label(), ReachingDefs::new()),
-            ClientAnalysis::UninitVars => modes!(analysis.label(), UninitVars::new()),
-            ClientAnalysis::Taint => unreachable!(),
-        }
-    }
-}
-
-fn run_ignored<P, D>(problem: &P, icfg: &ProgramIcfg<'_>, ctx: &BddConstraintContext)
-where
-    P: for<'p> IfdsProblem<ProgramIcfg<'p>, Fact = D>,
-    D: Clone + Eq + Hash + std::fmt::Debug,
-{
-    let _ = LiftedSolution::solve(problem, icfg, ctx, None, ModelMode::Ignore);
 }
 
 fn main() {

@@ -13,7 +13,8 @@
 //! arms (the A2 brute-force campaigns and the RQ1 cross-check); it
 //! defaults to the machine's available parallelism.
 
-use spllift_bench::{fmt_duration, measure_cell, pearson, Cell, ClientAnalysis};
+use spllift_analyses::{with_analysis, AnalysisKind};
+use spllift_bench::{fmt_duration, measure_cell, pearson, Cell};
 use spllift_benchgen::{subjects, GeneratedSpl};
 use spllift_features::{default_jobs, BddConstraintContext};
 use spllift_spl::{crosscheck_parallel, ParallelOptions};
@@ -110,7 +111,7 @@ fn measure_all(cutoff: Duration, jobs: usize) -> Vec<Cell> {
     let mut cells = Vec::new();
     for spl in generate_all() {
         eprintln!("measuring {} ...", spl.spec.name);
-        for analysis in ClientAnalysis::PAPER_THREE {
+        for analysis in AnalysisKind::PAPER_THREE {
             cells.push(measure_cell(&spl, analysis, cutoff, jobs));
         }
     }
@@ -424,35 +425,11 @@ fn rq1(sample: usize, jobs: usize) {
         let model = spl.model_expr();
         let opts = ParallelOptions::with_jobs(jobs);
         let mut total = 0usize;
-        for analysis in ClientAnalysis::PAPER_THREE {
+        for analysis in AnalysisKind::PAPER_THREE {
             let make_ctx = || BddConstraintContext::new(&spl.table);
-            let outcome = match analysis {
-                ClientAnalysis::PossibleTypes => crosscheck_parallel(
-                    &icfg,
-                    &spllift_analyses::PossibleTypes::new(),
-                    make_ctx,
-                    Some(&model),
-                    &configs,
-                    &opts,
-                ),
-                ClientAnalysis::ReachingDefs => crosscheck_parallel(
-                    &icfg,
-                    &spllift_analyses::ReachingDefs::new(),
-                    make_ctx,
-                    Some(&model),
-                    &configs,
-                    &opts,
-                ),
-                ClientAnalysis::UninitVars => crosscheck_parallel(
-                    &icfg,
-                    &spllift_analyses::UninitVars::new(),
-                    make_ctx,
-                    Some(&model),
-                    &configs,
-                    &opts,
-                ),
-                ClientAnalysis::Taint => unreachable!(),
-            };
+            let outcome = with_analysis!(analysis, |p| {
+                crosscheck_parallel(&icfg, p, make_ctx, Some(&model), &configs, &opts)
+            });
             for m in outcome.mismatches.iter().take(3) {
                 eprintln!("  MISMATCH: {m}");
             }

@@ -4,6 +4,7 @@
 #![warn(missing_docs)]
 pub mod harness;
 
+use spllift_analyses::{with_analysis, AnalysisKind};
 use spllift_benchgen::GeneratedSpl;
 use spllift_core::{LiftedIcfg, LiftedSolution, ModelMode};
 use spllift_features::BddConstraintContext;
@@ -13,39 +14,6 @@ use spllift_ir::ProgramIcfg;
 use spllift_spl::a2_campaign_parallel;
 use std::hash::Hash;
 use std::time::{Duration, Instant};
-
-/// The three client analyses of the paper's evaluation (§6.2), plus the
-/// taint analysis of the running example.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClientAnalysis {
-    /// "Possible Types".
-    PossibleTypes,
-    /// "Reaching Definitions".
-    ReachingDefs,
-    /// "Uninitialized Variables".
-    UninitVars,
-    /// The intro's taint analysis.
-    Taint,
-}
-
-impl ClientAnalysis {
-    /// The three analyses of Tables 2 and 3, in paper order.
-    pub const PAPER_THREE: [ClientAnalysis; 3] = [
-        ClientAnalysis::PossibleTypes,
-        ClientAnalysis::ReachingDefs,
-        ClientAnalysis::UninitVars,
-    ];
-
-    /// The column label used in the paper's tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            ClientAnalysis::PossibleTypes => "P. Types",
-            ClientAnalysis::ReachingDefs => "R. Def.",
-            ClientAnalysis::UninitVars => "U. Var.",
-            ClientAnalysis::Taint => "Taint",
-        }
-    }
-}
 
 /// Measured SPLLIFT run.
 #[derive(Debug, Clone, Copy)]
@@ -244,30 +212,19 @@ pub struct Cell {
 /// across `jobs` worker threads.
 pub fn measure_cell(
     spl: &GeneratedSpl,
-    analysis: ClientAnalysis,
+    analysis: AnalysisKind,
     cutoff: Duration,
     jobs: usize,
 ) -> Cell {
     let (cg_time, icfg) = time_icfg(spl);
-    macro_rules! go {
-        ($problem:expr) => {{
-            let p = $problem;
-            Cell {
-                subject: spl.spec.name,
-                analysis: analysis.label(),
-                cg_time,
-                spllift_regarded: time_spllift(spl, &icfg, &p, ModelMode::OnEdges),
-                spllift_ignored: time_spllift(spl, &icfg, &p, ModelMode::Ignore),
-                a2: time_a2_all(spl, &icfg, &p, cutoff, jobs),
-            }
-        }};
-    }
-    match analysis {
-        ClientAnalysis::PossibleTypes => go!(spllift_analyses::PossibleTypes::new()),
-        ClientAnalysis::ReachingDefs => go!(spllift_analyses::ReachingDefs::new()),
-        ClientAnalysis::UninitVars => go!(spllift_analyses::UninitVars::new()),
-        ClientAnalysis::Taint => go!(spllift_analyses::TaintAnalysis::secret_to_print()),
-    }
+    with_analysis!(analysis, |p| Cell {
+        subject: spl.spec.name,
+        analysis: analysis.label(),
+        cg_time,
+        spllift_regarded: time_spllift(spl, &icfg, p, ModelMode::OnEdges),
+        spllift_ignored: time_spllift(spl, &icfg, p, ModelMode::Ignore),
+        a2: time_a2_all(spl, &icfg, p, cutoff, jobs),
+    })
 }
 
 /// Pretty-prints a duration the way the paper does (`4s`, `2m06s`,
@@ -316,7 +273,7 @@ mod tests {
     #[test]
     fn measure_cell_smoke_mm08() {
         let spl = GeneratedSpl::generate(subject_by_name("MM08").unwrap());
-        let cell = measure_cell(&spl, ClientAnalysis::UninitVars, Duration::from_secs(20), 2);
+        let cell = measure_cell(&spl, AnalysisKind::Uninit, Duration::from_secs(20), 2);
         assert_eq!(cell.subject, "MM08");
         assert!(cell.spllift_regarded.stats.jump_fn_constructions > 0);
         match cell.a2 {
@@ -331,12 +288,7 @@ mod tests {
         // faster than 26 A2 runs. jobs = 1 so the comparison matches
         // the paper's single-threaded campaign.
         let spl = GeneratedSpl::generate(subject_by_name("MM08").unwrap());
-        let cell = measure_cell(
-            &spl,
-            ClientAnalysis::ReachingDefs,
-            Duration::from_secs(60),
-            1,
-        );
+        let cell = measure_cell(&spl, AnalysisKind::ReachingDefs, Duration::from_secs(60), 1);
         assert!(
             cell.spllift_regarded.time.as_secs_f64() < cell.a2.total_secs(),
             "SPLLIFT {}s vs A2 {}s",

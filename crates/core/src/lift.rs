@@ -721,7 +721,7 @@ where
     /// Resource-governed SPLLIFT: solves under the `gov` envelope,
     /// descending the variability-abstraction lattice on exhaustion.
     ///
-    /// The attempt order is [`LatticeHints::schedule`]'s descent: the
+    /// The attempt order is the `LatticeHints::schedule` descent: the
     /// full-precision top first, then — when `gov.lattice.keep` names
     /// the features the pending query cares about — progressively
     /// coarser points that spare exactly those features (confound

@@ -36,7 +36,7 @@ use spllift_hash::{FastMap, FastSet};
 use std::fmt;
 
 /// A ground tuple: one `u64` per column. Statement- and method-valued
-/// columns use the encodings in [`crate::analyses`].
+/// columns use the encodings of the `analyses` module.
 pub type Tuple = Vec<u64>;
 
 /// Handle to a declared relation (index into the program's declarations).

@@ -1,6 +1,6 @@
 //! A plain-text round-trippable program format for fuzzing repros.
 //!
-//! The fuzz campaign ([`spllift_spl::fuzz`] in the `spl` crate) shrinks
+//! The fuzz campaign (`spllift_spl::fuzz` in the `spl` crate) shrinks
 //! failing random programs with delta debugging and commits the result to
 //! `tests/corpus/` as a *repro file*. Repro files must be (a) readable in
 //! a code review and (b) parseable back into the exact same [`Program`],
@@ -33,8 +33,9 @@
 //!
 //! Feature annotations use the `#ifdef` expression syntax of
 //! [`FeatureExpr::parse`], appended to a statement after ` @ `. The
-//! `features` header fixes the [`FeatureId`] order, so configurations
-//! enumerated over the parsed table line up with the original program.
+//! `features` header fixes the [`FeatureId`](spllift_features::FeatureId)
+//! order, so configurations enumerated over the parsed table line up
+//! with the original program.
 
 use crate::types::*;
 use spllift_features::{FeatureExpr, FeatureTable};

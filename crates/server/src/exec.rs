@@ -12,7 +12,7 @@
 //! * **session-scoped requests** (`load`/`analyze`/`query`/`edit`) hash
 //!   the session name to pick a shard and enqueue the job there.
 //!
-//! One shard is one worker thread owning the [`ShardState`] (sessions'
+//! One shard is one worker thread owning the `ShardState` (sessions'
 //! slots, memos, and dirty sets) of every session that hashes to it. A
 //! session's requests execute on its shard in submission order, so each
 //! session's response stream is deterministic — byte-identical to a

@@ -13,8 +13,9 @@
 //! quarantines only the session the panicking request addressed.
 
 use crate::engine::{Engine, LoadedSpl};
-use crate::store::{mode_str, parse_mode, ChaosSpec, RenderedSolution, Store, ANALYSES};
+use crate::store::{mode_str, parse_mode, ChaosSpec, RenderedSolution, Store};
 use crate::ServerOptions;
+use spllift_analyses::AnalysisKind;
 use spllift_benchgen::{parse_subject_spec, GeneratedSpl, SubjectSpec};
 use spllift_core::{GovernorOptions, LatticeHints, ModelMode, SolveOutcome};
 use spllift_features::{map_shards, parse_feature_model, Configuration, FeatureId, FeatureTable};
@@ -438,11 +439,7 @@ impl ShardState {
 
     fn analysis_and_mode(req: &Json) -> Result<(&str, ModelMode), String> {
         let analysis = opt_str(req, "analysis")?.unwrap_or("taint");
-        if !ANALYSES.contains(&analysis) {
-            return Err(format!(
-                "unknown analysis `{analysis}` (taint|types|reaching-defs|uninit)"
-            ));
-        }
+        AnalysisKind::parse(analysis)?;
         let mode = parse_mode(opt_str(req, "mode")?.unwrap_or("on-edges"))?;
         Ok((analysis, mode))
     }

@@ -17,7 +17,7 @@
 //! Worker threads outside the shard only ever see [`RenderedSolution`]
 //! — plain strings and [`FeatureExpr`]s.
 //!
-//! Each `(analysis, model-mode)` pair owns an [`AnalysisSlot`] with the
+//! Each `(analysis, model-mode)` pair owns a slot with the
 //! [`SolverMemo`] of its most recent solve. An `edit` records the edited
 //! method as a dirty root in every slot; the next `analyze` of a slot
 //! derives the dirty *set* as the transitive-caller closure of the
@@ -25,10 +25,7 @@
 //! incrementally, reusing the memo entries of every clean method.
 
 use crate::engine::LoadedSpl;
-use spllift_analyses::{
-    DefFact, PossibleTypes, ReachingDefs, TaintAnalysis, TaintFact, TypeFact, UninitFact,
-    UninitVars,
-};
+use spllift_analyses::{with_analysis, AnalysisKind};
 use spllift_bdd::Bdd;
 use spllift_core::{
     ConstraintEdge, GovernorOptions, LatticePoint, LiftedSolution, ModelMode, SolveOutcome,
@@ -41,6 +38,7 @@ use spllift_ifds::{Icfg, IfdsProblem};
 use spllift_ir::text::parse_body_edit;
 use spllift_ir::{transitive_callers, MethodId, Program, ProgramIcfg};
 use spllift_spl::{ChaosWrapper, FaultKind};
+use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -197,27 +195,22 @@ where
     }
 }
 
+/// The incremental solver memo of an analysis with fact type `D`.
+type Memo<D> = SolverMemo<MethodId, spllift_ir::StmtRef, D, ConstraintEdge<Bdd>>;
+
 /// Per-`(analysis, mode)` incremental solver state.
-pub struct SolvedState<D> {
-    memo: SolverMemo<MethodId, spllift_ir::StmtRef, D, ConstraintEdge<Bdd>>,
-    /// Fingerprint of the program state `memo` was computed on.
-    memo_fingerprint: Option<u64>,
+#[derive(Default)]
+struct Slot {
+    /// The last full-precision solve's [`Memo`], with the fingerprint of
+    /// the program state it was computed on. Type-erased: the slot key
+    /// fixes the analysis, hence the fact type `analyze_generic`
+    /// downcasts it to.
+    memo: Option<(u64, Box<dyn Any + Send>)>,
     /// Methods edited since `memo` was computed.
     dirty_roots: BTreeSet<MethodId>,
     /// The most recent solution for this slot, with the fingerprint it
     /// belongs to.
     last: Option<(u64, Arc<RenderedSolution>)>,
-}
-
-impl<D> Default for SolvedState<D> {
-    fn default() -> Self {
-        SolvedState {
-            memo: SolverMemo::default(),
-            memo_fingerprint: None,
-            dirty_roots: BTreeSet::new(),
-            last: None,
-        }
-    }
 }
 
 /// The outcome of one `analyze`.
@@ -253,38 +246,38 @@ fn analyze_generic<P, D>(
     fp: u64,
     gov: GovernorOptions,
     chaos: Option<&ChaosSpec>,
-    state: &mut SolvedState<D>,
+    slot: &mut Slot,
 ) -> Result<AnalyzeOutcome, String>
 where
     P: for<'p> IfdsProblem<ProgramIcfg<'p>, Fact = D>,
-    D: Clone + Eq + Ord + Hash + std::fmt::Debug,
+    D: Clone + Eq + Ord + Hash + std::fmt::Debug + Send + 'static,
 {
     let icfg = ProgramIcfg::new(program);
+    // The downcast cannot fail (the slot key fixes the fact type); if it
+    // did, the solve would merely run cold.
+    let memo = slot
+        .memo
+        .as_ref()
+        .and_then(|(mfp, m)| Some((*mfp, m.downcast_ref::<Memo<D>>()?)));
     // Pick the clean set. The memo's soundness contract (SolverMemo)
     // requires the dirty set to contain every transitive caller of every
     // edited method. Computing the closure on the *current* program is
     // sound because an edit can only replace a method body — signatures,
     // classes, and the hierarchy are fixed — so call edges out of
     // unchanged bodies are identical before and after the edit.
-    let (kind, clean): (&'static str, Box<dyn Fn(MethodId) -> bool>) = match state.memo_fingerprint
-    {
-        Some(mfp) if mfp == fp => ("incremental", Box::new(|_| true)),
-        Some(_) if !state.dirty_roots.is_empty() => {
-            let dirty = transitive_callers(program, icfg.hierarchy(), &state.dirty_roots);
+    let (kind, clean): (&'static str, Box<dyn Fn(MethodId) -> bool>) = match memo {
+        Some((mfp, _)) if mfp == fp => ("incremental", Box::new(|_| true)),
+        Some(_) if !slot.dirty_roots.is_empty() => {
+            let dirty = transitive_callers(program, icfg.hierarchy(), &slot.dirty_roots);
             ("incremental", Box::new(move |m| !dirty.contains(&m)))
         }
         _ => ("cold", Box::new(|_| false)),
     };
+    let empty = Memo::default();
+    let memo = memo.map_or(&empty, |(_, m)| m);
     let result = match chaos {
         None => LiftedSolution::solve_governed_memoized(
-            problem,
-            &icfg,
-            ctx,
-            model,
-            mode,
-            gov,
-            &state.memo,
-            &*clean,
+            problem, &icfg, ctx, model, mode, gov, memo, &*clean,
         ),
         Some(spec) => {
             let wrapped = ChaosWrapper::new(
@@ -295,14 +288,7 @@ where
                 Box::new(|| ctx.manager().charge_ops(u64::MAX)),
             );
             LiftedSolution::solve_governed_memoized(
-                &wrapped,
-                &icfg,
-                ctx,
-                model,
-                mode,
-                gov,
-                &state.memo,
-                &*clean,
+                &wrapped, &icfg, ctx, model, mode, gov, memo, &*clean,
             )
         }
     };
@@ -310,83 +296,18 @@ where
         result.map_err(|abort| format!("solve aborted at every ladder rung: {abort}"))?;
     let stats = solution.stats();
     let rendered = Arc::new(render_solution(&solution, &icfg, ctx, &outcome.point()));
-    if outcome.is_degraded() {
-        // A degraded solve's jump functions are weaker than full
-        // precision; keeping them would leak the degradation into the
-        // next (possibly re-budgeted) round. Start that round cold.
-        state.memo = SolverMemo::default();
-        state.memo_fingerprint = None;
-    } else {
-        state.memo = next_memo;
-        state.memo_fingerprint = Some(fp);
-    }
-    state.dirty_roots.clear();
-    state.last = Some((fp, Arc::clone(&rendered)));
+    // A degraded solve's jump functions are weaker than full precision;
+    // keeping them would leak the degradation into the next (possibly
+    // re-budgeted) round. Start that round cold.
+    slot.memo = (!outcome.is_degraded()).then(|| (fp, Box::new(next_memo) as Box<dyn Any + Send>));
+    slot.dirty_roots.clear();
+    slot.last = Some((fp, Arc::clone(&rendered)));
     Ok(AnalyzeOutcome {
         solve: kind,
         stats,
         outcome,
         solution: rendered,
     })
-}
-
-/// One analysis slot: the incremental state of a single `(analysis,
-/// mode)` pair, monomorphized per fact domain.
-pub enum AnalysisSlot {
-    /// Taint analysis state.
-    Taint(SolvedState<TaintFact>),
-    /// Possible-types analysis state.
-    Types(SolvedState<TypeFact>),
-    /// Reaching-definitions analysis state.
-    Defs(SolvedState<DefFact>),
-    /// Uninitialized-variables analysis state.
-    Uninit(SolvedState<UninitFact>),
-}
-
-/// The analysis names `analyze`/`query` accept.
-pub const ANALYSES: [&str; 4] = ["taint", "types", "reaching-defs", "uninit"];
-
-impl AnalysisSlot {
-    fn new(analysis: &str) -> Result<AnalysisSlot, String> {
-        Ok(match analysis {
-            "taint" => AnalysisSlot::Taint(SolvedState::default()),
-            "types" => AnalysisSlot::Types(SolvedState::default()),
-            "reaching-defs" => AnalysisSlot::Defs(SolvedState::default()),
-            "uninit" => AnalysisSlot::Uninit(SolvedState::default()),
-            other => {
-                return Err(format!(
-                    "unknown analysis `{other}` (taint|types|reaching-defs|uninit)"
-                ))
-            }
-        })
-    }
-
-    fn mark_dirty(&mut self, m: MethodId) {
-        match self {
-            AnalysisSlot::Taint(s) => s.dirty_roots.insert(m),
-            AnalysisSlot::Types(s) => s.dirty_roots.insert(m),
-            AnalysisSlot::Defs(s) => s.dirty_roots.insert(m),
-            AnalysisSlot::Uninit(s) => s.dirty_roots.insert(m),
-        };
-    }
-
-    fn set_last(&mut self, fp: u64, solution: Arc<RenderedSolution>) {
-        match self {
-            AnalysisSlot::Taint(s) => s.last = Some((fp, solution)),
-            AnalysisSlot::Types(s) => s.last = Some((fp, solution)),
-            AnalysisSlot::Defs(s) => s.last = Some((fp, solution)),
-            AnalysisSlot::Uninit(s) => s.last = Some((fp, solution)),
-        }
-    }
-
-    fn last(&self) -> Option<&(u64, Arc<RenderedSolution>)> {
-        match self {
-            AnalysisSlot::Taint(s) => s.last.as_ref(),
-            AnalysisSlot::Types(s) => s.last.as_ref(),
-            AnalysisSlot::Defs(s) => s.last.as_ref(),
-            AnalysisSlot::Uninit(s) => s.last.as_ref(),
-        }
-    }
 }
 
 /// Parses a protocol model-mode string.
@@ -428,7 +349,7 @@ pub struct Store {
     /// `analyze` requests this session has served — the per-session
     /// fault trigger sequence (`--inject-fault-session`).
     pub analyze_seq: u64,
-    slots: BTreeMap<String, AnalysisSlot>,
+    slots: BTreeMap<String, Slot>,
 }
 
 impl Store {
@@ -488,7 +409,7 @@ impl Store {
         }
         spl.refresh_fingerprint();
         for slot in self.slots.values_mut() {
-            slot.mark_dirty(mid);
+            slot.dirty_roots.insert(mid);
         }
         Ok((mid, self.spl.program.body(mid).stmts.len()))
     }
@@ -504,8 +425,8 @@ impl Store {
         gov: GovernorOptions,
         chaos: Option<&ChaosSpec>,
     ) -> Result<AnalyzeOutcome, String> {
-        let fresh = AnalysisSlot::new(analysis)?;
-        let slot = self.slots.entry(slot_key(analysis, mode)).or_insert(fresh);
+        let kind = AnalysisKind::parse(analysis)?;
+        let slot = self.slots.entry(slot_key(analysis, mode)).or_default();
         let fp = self.spl.fingerprint;
         let spl = &self.spl;
         let model = spl.model.as_ref();
@@ -523,52 +444,17 @@ impl Store {
             .solve_lock
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        match slot {
-            AnalysisSlot::Taint(state) => analyze_generic(
-                &TaintAnalysis::secret_to_print(),
-                &spl.program,
-                &self.ctx,
-                model,
-                mode,
-                fp,
-                gov,
-                chaos,
-                state,
-            ),
-            AnalysisSlot::Types(state) => analyze_generic(
-                &PossibleTypes::new(),
-                &spl.program,
-                &self.ctx,
-                model,
-                mode,
-                fp,
-                gov,
-                chaos,
-                state,
-            ),
-            AnalysisSlot::Defs(state) => analyze_generic(
-                &ReachingDefs::new(),
-                &spl.program,
-                &self.ctx,
-                model,
-                mode,
-                fp,
-                gov,
-                chaos,
-                state,
-            ),
-            AnalysisSlot::Uninit(state) => analyze_generic(
-                &UninitVars::new(),
-                &spl.program,
-                &self.ctx,
-                model,
-                mode,
-                fp,
-                gov,
-                chaos,
-                state,
-            ),
-        }
+        with_analysis!(kind, |p| analyze_generic(
+            p,
+            &spl.program,
+            &self.ctx,
+            model,
+            mode,
+            fp,
+            gov,
+            chaos,
+            slot
+        ))
     }
 
     /// Installs a cache-hit solution as the slot's current one (so
@@ -579,9 +465,9 @@ impl Store {
         mode: ModelMode,
         solution: Arc<RenderedSolution>,
     ) -> Result<(), String> {
-        let fresh = AnalysisSlot::new(analysis)?;
-        let slot = self.slots.entry(slot_key(analysis, mode)).or_insert(fresh);
-        slot.set_last(self.spl.fingerprint, solution);
+        AnalysisKind::parse(analysis)?;
+        let slot = self.slots.entry(slot_key(analysis, mode)).or_default();
+        slot.last = Some((self.spl.fingerprint, solution));
         Ok(())
     }
 
@@ -592,7 +478,7 @@ impl Store {
         analysis: &str,
         mode: ModelMode,
     ) -> Option<&Arc<RenderedSolution>> {
-        let (fp, rc) = self.slots.get(&slot_key(analysis, mode))?.last()?;
+        let (fp, rc) = self.slots.get(&slot_key(analysis, mode))?.last.as_ref()?;
         (*fp == self.spl.fingerprint).then_some(rc)
     }
 }

@@ -446,6 +446,28 @@ fn malformed_requests_error_and_the_server_keeps_serving() {
     );
 }
 
+#[test]
+fn unknown_analysis_is_a_message_only_error_and_the_session_keeps_serving() {
+    let mut srv = server(1);
+    assert_ok(&send(&mut srv, &load_req("u")));
+    assert_ok(&send(&mut srv, &analyze_req("u")));
+    for request in ["analyze", "query"] {
+        let bogus = obj(&[
+            ("type", Json::str(request)),
+            ("session", Json::str("u")),
+            ("analysis", Json::str("bogus")),
+            ("queries", Json::Arr(vec![])),
+        ]);
+        let (resp, shutdown) = srv.handle_line(&bogus.render());
+        assert!(!shutdown);
+        let names = ["taint", "types", "reaching-defs", "uninit"].join("|");
+        let want = format!(r#"{{"type":"error","message":"unknown analysis `bogus` ({names})"}}"#);
+        assert_eq!(resp, want, "{request}");
+    }
+    // The session's slot survived: the same analyze is still a cache hit.
+    assert_eq!(text(&send(&mut srv, &analyze_req("u")), "solve"), "cached");
+}
+
 /// docs/PROTOCOL.md §Framing: every request line gets exactly one
 /// response and a bad line never closes the stream — including a line
 /// that is not valid UTF-8, fed as raw bytes through the stdio

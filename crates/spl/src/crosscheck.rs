@@ -1,7 +1,12 @@
-//! RQ1: the bidirectional SPLLIFT ↔ A2 correctness cross-check (§6.1).
+//! RQ1: the bidirectional SPLLIFT ↔ A2 correctness cross-check (§6.1),
+//! and the configuration-free SPLLIFT ↔ Datalog comparison
+//! ([`compare_datalog`]).
 
 use crate::a2::solve_a2;
+use spllift_analyses::DefFact;
+use spllift_bdd::Bdd;
 use spllift_core::{LiftedIcfg, LiftedSolution, ModelMode};
+use spllift_datalog::DatalogSolution;
 use spllift_features::{Configuration, Constraint, ConstraintContext, FeatureExpr};
 use spllift_ifds::{Icfg, IfdsProblem};
 use spllift_ir::{ProgramIcfg, StmtRef};
@@ -193,4 +198,91 @@ where
         &mut mismatches,
     );
     mismatches
+}
+
+/// Compares reaching definitions solved by the IDE lifting (`ide`)
+/// against the lifted Datalog backend (`datalog`), constraint for
+/// constraint in both directions plus the reachability (Zero-fact)
+/// projection. Both solutions must come from one
+/// [`spllift_features::BddConstraintContext`], so semantically equal
+/// constraints are equal nodes. The comparison is configuration-free:
+/// every [`Mismatch::config`] is the empty configuration.
+///
+/// Returns the number of facts compared and the mismatches, collection
+/// stopping once `cap` are found. Statements come in ICFG order, facts
+/// in `Ord` order with shared facts before Datalog-only ones — the same
+/// deterministic-output contract as the A2 cross-check.
+pub fn compare_datalog<'p>(
+    icfg: &ProgramIcfg<'p>,
+    ide: &LiftedSolution<'_, ProgramIcfg<'p>, DefFact, Bdd>,
+    datalog: &DatalogSolution,
+    cap: usize,
+) -> (usize, Vec<Mismatch>) {
+    let mut facts = 0;
+    let mut out = Vec::new();
+    for m in icfg.methods() {
+        for s in icfg.stmts_of(m) {
+            if out.len() >= cap {
+                return (facts, out);
+            }
+            let want = ide.results_at(s);
+            let mut shared: Vec<_> = want.iter().collect();
+            shared.sort_by(|a, b| a.0.cmp(b.0));
+            for (fact, c) in shared {
+                if out.len() >= cap {
+                    return (facts, out);
+                }
+                facts += 1;
+                let dc = datalog.reaching_constraint(s, fact);
+                if dc != Some(c) {
+                    out.push(Mismatch {
+                        config: Configuration::empty(),
+                        stmt: s,
+                        fact: format!(
+                            "{fact:?}: SPLLIFT has {}, Datalog has {}",
+                            c.to_cube_string(),
+                            dc.map_or_else(|| "no fact".to_string(), |x| x.to_cube_string()),
+                        ),
+                        missing_in_lifted: false,
+                    });
+                }
+            }
+            for (fact, c) in datalog.reaching_at(s) {
+                if out.len() >= cap {
+                    return (facts, out);
+                }
+                if !want.contains_key(&fact) {
+                    facts += 1;
+                    out.push(Mismatch {
+                        config: Configuration::empty(),
+                        stmt: s,
+                        fact: format!(
+                            "{fact:?}: Datalog has {}, SPLLIFT has no fact",
+                            c.to_cube_string()
+                        ),
+                        missing_in_lifted: true,
+                    });
+                }
+            }
+            let ide_reach = ide.reachability_of(s);
+            let dl_reach = datalog.reachability_of(s);
+            let agrees = match dl_reach {
+                Some(c) => *c == ide_reach,
+                None => ide_reach.is_false(),
+            };
+            if !agrees {
+                out.push(Mismatch {
+                    config: Configuration::empty(),
+                    stmt: s,
+                    fact: format!(
+                        "reachability: SPLLIFT has {}, Datalog has {}",
+                        ide_reach.to_cube_string(),
+                        dl_reach.map_or_else(|| "no fact".to_string(), |x| x.to_cube_string()),
+                    ),
+                    missing_in_lifted: ide_reach.is_false(),
+                });
+            }
+        }
+    }
+    (facts, out)
 }

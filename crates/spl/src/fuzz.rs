@@ -4,7 +4,7 @@
 //!
 //! For each seed the driver generates a random annotated program
 //! ([`spllift_benchgen::random_spl`]), optionally applies structural
-//! mutations ([`spllift_benchgen::mutate`]), and then checks:
+//! mutations ([`spllift_benchgen::mutate()`]), and then checks:
 //!
 //! 1. **SPLLIFT ↔ A2, both directions** (§6.1) for all five liftable
 //!    client analyses — every A2 fact's constraint must allow the
@@ -35,7 +35,7 @@
 //! rendered report.
 //!
 //! Failures are minimized *after* the merge, sequentially and in seed
-//! order, by the delta-debugging reducer ([`spllift_benchgen::reduce`]);
+//! order, by the delta-debugging reducer ([`spllift_benchgen::reduce()`]);
 //! each failure carries a pretty-printed repro in the
 //! [`spllift_ir::text`] format, ready to be committed to
 //! `tests/corpus/`.
@@ -49,9 +49,10 @@
 //! disagreements. It is a test/demo hook; production campaigns run with
 //! [`InjectedBug::None`].
 
-use crate::crosscheck::{check_shard, Mismatch, DEFAULT_MAX_MISMATCHES};
+use crate::crosscheck::{check_shard, compare_datalog, Mismatch, DEFAULT_MAX_MISMATCHES};
 use spllift_analyses::{
-    PossibleTypes, ReachingDefs, TaintAnalysis, TaintFact, Typestate, UninitFact, UninitVars,
+    with_analysis, AnalysisKind, ReachingDefs, TaintAnalysis, TaintFact, Typestate, UninitFact,
+    UninitVars,
 };
 use spllift_benchgen::{mutate, random_spl, reduce, RandomSpl, ReduceOptions, ReduceOutcome};
 use spllift_core::{LiftedIcfg, LiftedSolution, ModelMode};
@@ -221,16 +222,17 @@ impl Default for FuzzOptions {
 }
 
 /// The campaign checks, by name: the five liftable client analyses
-/// (each cross-checked against A2), the Datalog-backend differential
+/// (each cross-checked against A2; the first four are the
+/// [`AnalysisKind::ALL`] names), the Datalog-backend differential
 /// (`"datalog-reaching"`, reaching definitions re-solved by the
 /// independent lifted Datalog engine), and the variability-abstraction
 /// differential (`"abstraction"`, the full-precision solve's
 /// constraints must entail a random lattice point's).
 pub const ANALYSES: [&str; 7] = [
-    "taint",
-    "types",
-    "reaching",
-    "uninit",
+    AnalysisKind::Taint.name(),
+    AnalysisKind::Types.name(),
+    AnalysisKind::ReachingDefs.name(),
+    AnalysisKind::Uninit.name(),
     "typestate",
     "datalog-reaching",
     "abstraction",
@@ -428,13 +430,9 @@ where
 
 /// Cross-checks the Datalog backend on one program: reaching
 /// definitions solved by SPLLIFT (with the bug wrapper applied) against
-/// the independent lifted Datalog engine, constraint-for-constraint in
-/// both directions plus the reachability (Zero-fact) projection. The
+/// the independent lifted Datalog engine ([`compare_datalog`]). The
 /// Datalog side is never wrapped, so an injected bug surfaces as a
-/// backend disagreement. The comparison is configuration-free — both
-/// backends share one BDD manager, so semantically equal constraints
-/// are pointer-equal nodes — and [`Mismatch::config`] is the empty
-/// configuration.
+/// backend disagreement.
 ///
 /// The Datalog evaluation also runs sharded at [`DATALOG_SHARDED_JOBS`]
 /// and its relation dump must be byte-identical to the sequential
@@ -460,73 +458,7 @@ fn crosscheck_datalog(
         DumpDoc::from_solution(&sharded, &ctx, table).render(),
         "sharded datalog evaluation (jobs = {DATALOG_SHARDED_JOBS}) diverged from the sequential one"
     );
-    // Statements in ICFG order, facts in `Ord` order with shared facts
-    // before Datalog-only ones — the same deterministic-output contract
-    // as `check_shard`.
-    let mut out = Vec::new();
-    for m in icfg.methods() {
-        for s in icfg.stmts_of(m) {
-            if out.len() >= cap {
-                return out;
-            }
-            let want = lifted.results_at(s);
-            let mut shared: Vec<_> = want.iter().collect();
-            shared.sort_by(|a, b| a.0.cmp(b.0));
-            for (fact, c) in shared {
-                if out.len() >= cap {
-                    return out;
-                }
-                let dc = dl.reaching_constraint(s, fact);
-                if dc != Some(c) {
-                    out.push(Mismatch {
-                        config: Configuration::empty(),
-                        stmt: s,
-                        fact: format!(
-                            "{fact:?}: SPLLIFT has {}, Datalog has {}",
-                            c.to_cube_string(),
-                            dc.map_or_else(|| "no fact".to_string(), |x| x.to_cube_string()),
-                        ),
-                        missing_in_lifted: false,
-                    });
-                }
-            }
-            for (fact, c) in dl.reaching_at(s) {
-                if out.len() >= cap {
-                    return out;
-                }
-                if !want.contains_key(&fact) {
-                    out.push(Mismatch {
-                        config: Configuration::empty(),
-                        stmt: s,
-                        fact: format!(
-                            "{fact:?}: Datalog has {}, SPLLIFT has no fact",
-                            c.to_cube_string()
-                        ),
-                        missing_in_lifted: true,
-                    });
-                }
-            }
-            let ide_reach = lifted.reachability_of(s);
-            let dl_reach = dl.reachability_of(s);
-            let agrees = match dl_reach {
-                Some(c) => *c == ide_reach,
-                None => ide_reach.is_false(),
-            };
-            if !agrees {
-                out.push(Mismatch {
-                    config: Configuration::empty(),
-                    stmt: s,
-                    fact: format!(
-                        "reachability: SPLLIFT has {}, Datalog has {}",
-                        ide_reach.to_cube_string(),
-                        dl_reach.map_or_else(|| "no fact".to_string(), |x| x.to_cube_string()),
-                    ),
-                    missing_in_lifted: ide_reach.is_false(),
-                });
-            }
-        }
-    }
-    out
+    compare_datalog(icfg, &lifted, &dl, cap).1
 }
 
 /// Draws a random non-trivial lattice point over `features` from the
@@ -665,30 +597,16 @@ fn crosscheck_all<'p>(
     // pipeline (zero facts, identity edges, model conjunction) still
     // runs and must agree with A2.
     let typestate = Typestate::new(ClassId(0), ["open"], ["close"], ["read"]);
-    vec![
-        AnalysisVerdict {
-            analysis: ANALYSES[0],
-            mismatches: crosscheck_analysis(
-                icfg,
-                &TaintAnalysis::secret_to_print(),
-                table,
-                configs,
-                bug,
-                cap,
-            ),
-        },
-        AnalysisVerdict {
-            analysis: ANALYSES[1],
-            mismatches: crosscheck_analysis(icfg, &PossibleTypes::new(), table, configs, bug, cap),
-        },
-        AnalysisVerdict {
-            analysis: ANALYSES[2],
-            mismatches: crosscheck_analysis(icfg, &ReachingDefs::new(), table, configs, bug, cap),
-        },
-        AnalysisVerdict {
-            analysis: ANALYSES[3],
-            mismatches: crosscheck_analysis(icfg, &UninitVars::new(), table, configs, bug, cap),
-        },
+    let mut verdicts: Vec<AnalysisVerdict> = AnalysisKind::ALL
+        .into_iter()
+        .map(|kind| AnalysisVerdict {
+            analysis: kind.name(),
+            mismatches: with_analysis!(kind, |p| {
+                crosscheck_analysis(icfg, p, table, configs, bug, cap)
+            }),
+        })
+        .collect();
+    verdicts.extend([
         AnalysisVerdict {
             analysis: ANALYSES[4],
             mismatches: crosscheck_analysis(icfg, &typestate, table, configs, bug, cap),
@@ -701,7 +619,8 @@ fn crosscheck_all<'p>(
             analysis: ANALYSES[6],
             mismatches: crosscheck_abstraction(icfg, table, features, seed, bug, cap),
         },
-    ]
+    ]);
+    verdicts
 }
 
 /// The interpreter-soundness direction: run every derived product
@@ -747,7 +666,7 @@ fn interp_soundness(
                     });
                     if !covered {
                         out.push(UnpredictedEvent {
-                            analysis: "taint",
+                            analysis: AnalysisKind::Taint.name(),
                             config: config.clone(),
                             event: format!("leak at {call}"),
                         });
@@ -756,7 +675,7 @@ fn interp_soundness(
                 Event::UninitRead(stmt, local) => {
                     if !uninit.holds_in(&ctx, *stmt, &UninitFact::Local(*local), config) {
                         out.push(UnpredictedEvent {
-                            analysis: "uninit",
+                            analysis: AnalysisKind::Uninit.name(),
                             config: config.clone(),
                             event: format!("uninit read of {local} at {stmt}"),
                         });

@@ -17,6 +17,11 @@ echo "== cargo build --release --offline --workspace =="
 # `report` and `figures` binaries.
 cargo build --release --offline --workspace
 
+echo "== rustdoc (warnings are errors) =="
+# Doc comments link to public items by path; a deleted or renamed item
+# would otherwise leave a dangling link that no other step notices.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== bench targets compile (table2, table3, ablation_repr, ablation_model) =="
 # Neither the build nor the test step above compiles `[[bench]]`
 # targets, so a harness change could break them unnoticed.

@@ -12,7 +12,7 @@
 //!                    [--no-reduce]
 //!
 //! spllift-cli reduce gen:<seed>:<nfeatures>:<nmethods> [--mutations N]
-//! spllift-cli reduce <FILE.repro> [--check <analysis>|interp-taint|interp-uninit]
+//! spllift-cli reduce <FILE.repro> [--check CHECK] [--mutations N]
 //!                    [--inject-bug kill-call-to-return]
 //!
 //! spllift-cli datalog <INPUT> [--jobs N] [--model FILE]
@@ -23,6 +23,10 @@
 //!
 //!   gen:MM08 | gen:GPL | gen:Lampiro | gen:BerkeleyDB
 //!   gen:synthetic:<features>:<loc>:<seed>
+//!
+//! The `--analysis` names are those of `spllift::analyses::AnalysisKind`,
+//! the one analysis registry the server and the fuzz campaign share.
+//! Every flag is validated before the input is read.
 //!
 //! `--format leaks` (taint only) prints one line per possible
 //! source-to-sink flow with the feature constraint it happens under.
@@ -52,7 +56,10 @@
 //! The `reduce` subcommand either prints the repro text of a generated
 //! subject (`reduce gen:<seed>:<nfeatures>:<nmethods>`, for seeding
 //! `tests/corpus/`), or minimizes a failing `.repro` file against a
-//! named check.
+//! named check: one of the campaign's seven (`taint`, `types`,
+//! `reaching-defs`, `uninit`, `typestate`, `datalog-reaching`,
+//! `abstraction`) or an interpreter sweep (`interp-taint`,
+//! `interp-uninit`). Without `--check` it takes the first failing one.
 //!
 //! The `datalog` subcommand runs the lifted Datalog backend's reaching
 //! definitions (plus statement/method reachability) on the subject.
@@ -75,7 +82,7 @@
 //! cargo run --release --bin spllift-cli -- gen:synthetic:6:400:42 --format a2-bench
 //! ```
 
-use spllift::analyses::{PossibleTypes, ReachingDefs, TaintAnalysis, UninitVars};
+use spllift::analyses::{with_analysis, AnalysisKind, ReachingDefs, TaintAnalysis};
 use spllift::benchgen::{parse_subject_spec, GeneratedSpl, SubjectSpec};
 use spllift::features::{
     default_jobs, parse_feature_model, BddConstraintContext, Configuration, FeatureExpr,
@@ -87,11 +94,12 @@ use spllift::ir::{Program, ProgramIcfg};
 use spllift::lift::{report, LiftedIcfg, LiftedProblem, LiftedSolution, ModelMode};
 use spllift::server::{Server, ServerOptions};
 use spllift::spl::{
-    a2_campaign_parallel, crosscheck_parallel, fuzz_campaign, CrosscheckOutcome, FaultPlan,
-    FuzzOptions, InjectedBug, ParallelOptions, DEFAULT_MAX_MISMATCHES,
+    a2_campaign_parallel, crosscheck_parallel, fuzz_campaign, FaultPlan, FuzzOptions, InjectedBug,
+    ParallelOptions, ANALYSES, DEFAULT_MAX_MISMATCHES,
 };
 use std::hash::Hash;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 /// Printed by `spllift-cli help` (and `--help`/`-h`), and to stderr on
 /// an unknown subcommand.
@@ -160,6 +168,8 @@ FUZZ OPTIONS
 REDUCE
   reduce gen:<seed>:<nfeatures>:<nmethods>        print the repro text
   reduce FILE.repro [--check CHECK] [--mutations N] [--inject-bug ...]
+  CHECK: taint | types | reaching-defs | uninit | typestate |
+         datalog-reaching | abstraction | interp-taint | interp-uninit
 
 DATALOG OPTIONS
   --jobs N                rule-evaluation worker threads; stdout is
@@ -208,20 +218,6 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     let mut opts = ServerOptions::default();
     let mut listen: Option<String> = None;
     let mut args = args.iter().cloned();
-    let positive = |flag: &str, v: Option<String>| -> Result<usize, String> {
-        let v = v.ok_or(format!("{flag} needs a value"))?;
-        v.parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or(format!("{flag} needs a positive integer, got `{v}`"))
-    };
-    let positive_u64 = |flag: &str, v: Option<String>| -> Result<u64, String> {
-        let v = v.ok_or(format!("{flag} needs a value"))?;
-        v.parse::<u64>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or(format!("{flag} needs a positive integer, got `{v}`"))
-    };
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--listen" => listen = Some(args.next().ok_or("--listen needs an address")?),
@@ -231,16 +227,16 @@ fn run_serve(args: &[String]) -> Result<(), String> {
             "--cache-entries" => opts.cache_entries = positive("--cache-entries", args.next())?,
             "--cache-bytes" => opts.cache_bytes = positive("--cache-bytes", args.next())?,
             "--solve-timeout-ms" => {
-                opts.solve_timeout_ms = Some(positive_u64("--solve-timeout-ms", args.next())?)
+                opts.solve_timeout_ms = Some(positive("--solve-timeout-ms", args.next())?)
             }
             "--bdd-node-budget" => {
-                opts.bdd_node_budget = Some(positive_u64("--bdd-node-budget", args.next())?)
+                opts.bdd_node_budget = Some(positive("--bdd-node-budget", args.next())?)
             }
             "--bdd-op-budget" => {
-                opts.bdd_op_budget = Some(positive_u64("--bdd-op-budget", args.next())?)
+                opts.bdd_op_budget = Some(positive("--bdd-op-budget", args.next())?)
             }
             "--max-propagations" => {
-                opts.max_propagations = Some(positive_u64("--max-propagations", args.next())?)
+                opts.max_propagations = Some(positive("--max-propagations", args.next())?)
             }
             "--inject-fault" => {
                 let v = args.next().ok_or("--inject-fault needs a value")?;
@@ -287,56 +283,92 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("serve: {e}"))
 }
 
+/// The value of an integer flag (`Ok` for `0` too).
+fn int_flag<T: FromStr>(flag: &str, v: Option<String>) -> Result<T, String> {
+    let v = v.ok_or(format!("{flag} needs a value"))?;
+    v.parse()
+        .map_err(|_| format!("{flag} needs an integer, got `{v}`"))
+}
+
+/// The value of a positive-integer flag: counts, budgets and thread
+/// numbers, for every subcommand.
+fn positive<T: FromStr + Default + PartialOrd>(flag: &str, v: Option<String>) -> Result<T, String> {
+    let v = v.ok_or(format!("{flag} needs a value"))?;
+    v.parse::<T>()
+        .ok()
+        .filter(|n| *n > T::default())
+        .ok_or(format!("{flag} needs a positive integer, got `{v}`"))
+}
+
+/// The analyze-mode `--format` values.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Format {
+    Table,
+    Dot,
+    Leaks,
+    Crosscheck,
+    A2Bench,
+}
+
+impl Format {
+    fn parse(v: &str) -> Result<Format, String> {
+        Ok(match v {
+            "table" => Format::Table,
+            "dot" => Format::Dot,
+            "leaks" => Format::Leaks,
+            "crosscheck" => Format::Crosscheck,
+            "a2-bench" => Format::A2Bench,
+            other => {
+                return Err(format!(
+                    "unknown format `{other}` (table|dot|leaks|crosscheck|a2-bench)"
+                ))
+            }
+        })
+    }
+}
+
 struct Options {
     file: String,
-    analysis: String,
+    analysis: AnalysisKind,
     model_file: Option<String>,
-    format: String,
+    format: Format,
     jobs: usize,
     max_mismatches: usize,
 }
 
-/// Parses the analyze-mode arguments; `Ok(None)` means `--help` was
-/// requested (the caller prints [`HELP`] and exits successfully).
+/// Parses and validates the analyze-mode arguments before any input is
+/// read; `Ok(None)` means `--help` was requested (the caller prints
+/// [`HELP`] and exits successfully).
 fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut args = args.iter().cloned();
     let mut file = None;
-    let mut analysis = "taint".to_owned();
+    let mut analysis = AnalysisKind::Taint;
     let mut model_file = None;
-    let mut format = "table".to_owned();
+    let mut format = Format::Table;
     let mut jobs = default_jobs();
     let mut max_mismatches = DEFAULT_MAX_MISMATCHES;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--analysis" => {
-                analysis = args.next().ok_or("--analysis needs a value")?;
+                analysis = AnalysisKind::parse(&args.next().ok_or("--analysis needs a value")?)?;
             }
             "--model" => {
                 model_file = Some(args.next().ok_or("--model needs a file")?);
             }
             "--format" => {
-                format = args.next().ok_or("--format needs a value")?;
+                format = Format::parse(&args.next().ok_or("--format needs a value")?)?;
             }
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs needs a thread count")?;
-                jobs = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&j| j >= 1)
-                    .ok_or(format!("--jobs needs a positive integer, got `{v}`"))?;
-            }
-            "--max-mismatches" => {
-                let v = args.next().ok_or("--max-mismatches needs a count")?;
-                max_mismatches = v.parse::<usize>().ok().filter(|&m| m >= 1).ok_or(format!(
-                    "--max-mismatches needs a positive integer, got `{v}`"
-                ))?;
-            }
+            "--jobs" => jobs = positive("--jobs", args.next())?,
+            "--max-mismatches" => max_mismatches = positive("--max-mismatches", args.next())?,
             "--help" | "-h" => return Ok(None),
             other if !other.starts_with('-') && file.is_none() => {
                 file = Some(other.to_owned());
             }
             other => return Err(format!("unexpected argument `{other}`")),
         }
+    }
+    if format == Format::Leaks && analysis != AnalysisKind::Taint {
+        return Err("--format leaks requires --analysis taint".into());
     }
     Ok(Some(Options {
         file: file.ok_or("missing input file (try `spllift-cli help`)")?,
@@ -364,9 +396,9 @@ fn parse_gen_spec(s: &str) -> Result<SubjectSpec, String> {
     parse_subject_spec(s)
 }
 
-fn load(opts: &Options) -> Result<Loaded, String> {
-    if let Some(spec) = opts.file.strip_prefix("gen:") {
-        if opts.model_file.is_some() {
+fn load(file: &str, model_file: Option<&str>) -> Result<Loaded, String> {
+    if let Some(spec) = file.strip_prefix("gen:") {
+        if model_file.is_some() {
             return Err(
                 "--model cannot be combined with gen: inputs (the generated feature model is used)"
                     .into(),
@@ -383,11 +415,10 @@ fn load(opts: &Options) -> Result<Loaded, String> {
             configs,
         });
     }
-    let source = std::fs::read_to_string(&opts.file)
-        .map_err(|e| format!("cannot read {}: {e}", opts.file))?;
+    let source = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
     let mut table = FeatureTable::new();
-    let program = parse_spl(&source, &mut table).map_err(|e| format!("{}: {e}", opts.file))?;
-    let model: Option<FeatureExpr> = match &opts.model_file {
+    let program = parse_spl(&source, &mut table).map_err(|e| format!("{file}: {e}"))?;
+    let model: Option<FeatureExpr> = match model_file {
         None => None,
         Some(path) => {
             let text =
@@ -431,34 +462,20 @@ fn run(args: &[String]) -> Result<(), String> {
         print!("{HELP}");
         return Ok(());
     };
-    let loaded = load(&opts)?;
+    let loaded = load(&opts.file, opts.model_file.as_deref())?;
     if loaded.program.entry_points().is_empty() {
         return Err("no entry point: declare a method named `main`".into());
     }
     let icfg = ProgramIcfg::new(&loaded.program);
-
-    match opts.format.as_str() {
-        "crosscheck" => return run_crosscheck(&opts, &icfg, &loaded),
-        "a2-bench" => return run_a2_bench(&opts, &icfg, &loaded),
-        _ => {}
-    }
-
-    let ctx = BddConstraintContext::new(&loaded.table);
     let model = &loaded.model;
-    if opts.format == "leaks" {
-        if opts.analysis != "taint" {
-            return Err("--format leaks requires --analysis taint".into());
+    match opts.format {
+        Format::Crosscheck => run_crosscheck(&opts, &icfg, &loaded),
+        Format::A2Bench => run_a2_bench(&opts, &icfg, &loaded),
+        Format::Leaks => emit_leaks(&icfg, &BddConstraintContext::new(&loaded.table), model),
+        Format::Table | Format::Dot => {
+            let ctx = BddConstraintContext::new(&loaded.table);
+            with_analysis!(opts.analysis, |p| emit(opts.format, &icfg, &ctx, p, model))
         }
-        return emit_leaks(&icfg, &ctx, model);
-    }
-    match opts.analysis.as_str() {
-        "taint" => emit(&opts, &icfg, &ctx, &TaintAnalysis::secret_to_print(), model),
-        "types" => emit(&opts, &icfg, &ctx, &PossibleTypes::new(), model),
-        "reaching-defs" => emit(&opts, &icfg, &ctx, &ReachingDefs::new(), model),
-        "uninit" => emit(&opts, &icfg, &ctx, &UninitVars::new(), model),
-        other => Err(format!(
-            "unknown analysis `{other}` (taint|types|reaching-defs|uninit)"
-        )),
     }
 }
 
@@ -483,40 +500,9 @@ fn run_crosscheck(opts: &Options, icfg: &ProgramIcfg<'_>, loaded: &Loaded) -> Re
     };
     let model = loaded.model.as_ref();
     let make_ctx = || BddConstraintContext::new(&loaded.table);
-    let outcome: CrosscheckOutcome = match opts.analysis.as_str() {
-        "taint" => crosscheck_parallel(
-            icfg,
-            &TaintAnalysis::secret_to_print(),
-            make_ctx,
-            model,
-            &configs,
-            &popts,
-        ),
-        "types" => crosscheck_parallel(
-            icfg,
-            &PossibleTypes::new(),
-            make_ctx,
-            model,
-            &configs,
-            &popts,
-        ),
-        "reaching-defs" => crosscheck_parallel(
-            icfg,
-            &ReachingDefs::new(),
-            make_ctx,
-            model,
-            &configs,
-            &popts,
-        ),
-        "uninit" => {
-            crosscheck_parallel(icfg, &UninitVars::new(), make_ctx, model, &configs, &popts)
-        }
-        other => {
-            return Err(format!(
-                "unknown analysis `{other}` (taint|types|reaching-defs|uninit)"
-            ))
-        }
-    };
+    let outcome = with_analysis!(opts.analysis, |p| {
+        crosscheck_parallel(icfg, p, make_ctx, model, &configs, &popts)
+    });
     eprintln!(
         "crosscheck: {} configurations across {} worker thread(s), wall {:.3?}",
         configs.len(),
@@ -526,7 +512,7 @@ fn run_crosscheck(opts: &Options, icfg: &ProgramIcfg<'_>, loaded: &Loaded) -> Re
     print_shards("crosscheck", &outcome.shards);
     println!(
         "crosscheck: {} analysis over {} valid configurations",
-        opts.analysis,
+        opts.analysis.name(),
         configs.len()
     );
     if outcome.mismatches.is_empty() {
@@ -555,25 +541,10 @@ fn run_crosscheck(opts: &Options, icfg: &ProgramIcfg<'_>, loaded: &Loaded) -> Re
 /// the order-independent fact checksum, which are `--jobs`-invariant.
 fn run_a2_bench(opts: &Options, icfg: &ProgramIcfg<'_>, loaded: &Loaded) -> Result<(), String> {
     let configs = configurations(loaded)?;
-    macro_rules! campaign {
-        ($p:expr) => {{
-            let p = $p;
-            (a2_campaign_parallel(icfg, &p, &configs, 1), {
-                a2_campaign_parallel(icfg, &p, &configs, opts.jobs)
-            })
-        }};
-    }
-    let (seq, par) = match opts.analysis.as_str() {
-        "taint" => campaign!(TaintAnalysis::secret_to_print()),
-        "types" => campaign!(PossibleTypes::new()),
-        "reaching-defs" => campaign!(ReachingDefs::new()),
-        "uninit" => campaign!(UninitVars::new()),
-        other => {
-            return Err(format!(
-                "unknown analysis `{other}` (taint|types|reaching-defs|uninit)"
-            ))
-        }
-    };
+    let (seq, par) = with_analysis!(opts.analysis, |p| (
+        a2_campaign_parallel(icfg, p, &configs, 1),
+        a2_campaign_parallel(icfg, p, &configs, opts.jobs)
+    ));
     if seq.facts != par.facts {
         return Err(format!(
             "a2-bench determinism violation: sequential checksum {} != parallel checksum {}",
@@ -591,15 +562,17 @@ fn run_a2_bench(opts: &Options, icfg: &ProgramIcfg<'_>, loaded: &Loaded) -> Resu
     );
     println!(
         "a2-bench: {} analysis, {} valid configurations, facts checksum {}",
-        opts.analysis,
+        opts.analysis.name(),
         configs.len(),
         par.facts
     );
     Ok(())
 }
 
+/// `--format table|dot`: one lifted solve, printed as the per-statement
+/// constraint table or the constraint-labeled exploded supergraph.
 fn emit<P, D>(
-    opts: &Options,
+    format: Format,
     icfg: &ProgramIcfg<'_>,
     ctx: &BddConstraintContext,
     problem: &P,
@@ -610,32 +583,25 @@ where
     D: Clone + Eq + Ord + Hash + std::fmt::Debug,
 {
     let solution = LiftedSolution::solve(problem, icfg, ctx, model.as_ref(), ModelMode::OnEdges);
-    match opts.format.as_str() {
-        "table" => {
-            print!(
-                "{}",
-                report::constraints_table(&solution, icfg, |c| c.to_cube_string())
-            );
-            Ok(())
-        }
-        "dot" => {
-            let lifted_icfg = LiftedIcfg::new(icfg);
-            let lifted = LiftedProblem::new(problem, icfg, ctx, model.as_ref(), ModelMode::OnEdges);
-            println!(
-                "{}",
-                report::lifted_supergraph_dot(
-                    &lifted,
-                    &lifted_icfg,
-                    |s| solution.results_at(s).into_keys().collect(),
-                    |c| c.to_cube_string(),
-                )
-            );
-            Ok(())
-        }
-        other => Err(format!(
-            "unknown format `{other}` (table|dot|leaks|crosscheck|a2-bench)"
-        )),
+    if format == Format::Dot {
+        let lifted_icfg = LiftedIcfg::new(icfg);
+        let lifted = LiftedProblem::new(problem, icfg, ctx, model.as_ref(), ModelMode::OnEdges);
+        println!(
+            "{}",
+            report::lifted_supergraph_dot(
+                &lifted,
+                &lifted_icfg,
+                |s| solution.results_at(s).into_keys().collect(),
+                |c| c.to_cube_string(),
+            )
+        );
+    } else {
+        print!(
+            "{}",
+            report::constraints_table(&solution, icfg, |c| c.to_cube_string())
+        );
     }
+    Ok(())
 }
 
 /// Prints each sink call whose argument may be tainted, with the exact
@@ -709,25 +675,21 @@ fn run_fuzz(args: &[String]) -> Result<(), String> {
     let mut corpus_dir: Option<String> = None;
     let mut args = args.iter().cloned();
     while let Some(arg) = args.next() {
-        let mut int_flag = |what: &str| -> Result<usize, String> {
-            let v = args.next().ok_or(format!("{what} needs a value"))?;
-            v.parse::<usize>()
-                .map_err(|_| format!("{what} needs an integer, got `{v}`"))
-        };
         match arg.as_str() {
             "--seeds" => {
                 let v = args.next().ok_or("--seeds needs a range A..B")?;
                 (opts.seed_start, opts.seed_end) = parse_seed_range(&v)?;
             }
-            "--jobs" => opts.jobs = int_flag("--jobs")?.max(1),
-            "--nfeatures" => opts.nfeatures = int_flag("--nfeatures")?,
-            "--nmethods" => opts.nmethods = int_flag("--nmethods")?,
-            "--mutations" => opts.mutations = int_flag("--mutations")?,
-            "--max-mismatches" => opts.max_mismatches = int_flag("--max-mismatches")?.max(1),
+            "--jobs" => opts.jobs = positive("--jobs", args.next())?,
+            "--nfeatures" => opts.nfeatures = int_flag("--nfeatures", args.next())?,
+            "--nmethods" => opts.nmethods = int_flag("--nmethods", args.next())?,
+            "--mutations" => opts.mutations = int_flag("--mutations", args.next())?,
+            "--max-mismatches" => opts.max_mismatches = positive("--max-mismatches", args.next())?,
             "--budget-secs" => {
-                opts.budget = Some(std::time::Duration::from_secs(
-                    int_flag("--budget-secs")? as u64
-                ));
+                opts.budget = Some(std::time::Duration::from_secs(int_flag(
+                    "--budget-secs",
+                    args.next(),
+                )?));
             }
             "--inject-bug" => {
                 let v = args.next().ok_or("--inject-bug needs a value")?;
@@ -778,6 +740,7 @@ fn run_fuzz(args: &[String]) -> Result<(), String> {
 fn run_datalog(args: &[String]) -> Result<(), String> {
     use spllift::datalog::{solve_reaching_defs, DumpDoc, EvalOptions, RelId};
     use spllift::ifds::Icfg as _;
+    use spllift::spl::compare_datalog;
 
     let mut file: Option<String> = None;
     let mut model_file: Option<String> = None;
@@ -787,14 +750,7 @@ fn run_datalog(args: &[String]) -> Result<(), String> {
     let mut args = args.iter().cloned();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs needs a thread count")?;
-                jobs = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&j| j >= 1)
-                    .ok_or(format!("--jobs needs a positive integer, got `{v}`"))?;
-            }
+            "--jobs" => jobs = positive("--jobs", args.next())?,
             "--model" => model_file = Some(args.next().ok_or("--model needs a file")?),
             "--dump-relations" => dump_relations = true,
             "--crosscheck" => crosscheck = true,
@@ -806,15 +762,8 @@ fn run_datalog(args: &[String]) -> Result<(), String> {
             }
         }
     }
-    let opts = Options {
-        file: file.ok_or("datalog needs an input (try `spllift-cli help`)")?,
-        analysis: "reaching-defs".to_owned(),
-        model_file,
-        format: "table".to_owned(),
-        jobs,
-        max_mismatches: DEFAULT_MAX_MISMATCHES,
-    };
-    let loaded = load(&opts)?;
+    let file = file.ok_or("datalog needs an input (try `spllift-cli help`)")?;
+    let loaded = load(&file, model_file.as_deref())?;
     if loaded.program.entry_points().is_empty() {
         return Err("no entry point: declare a method named `main`".into());
     }
@@ -861,58 +810,33 @@ fn run_datalog(args: &[String]) -> Result<(), String> {
         ModelMode::Ignore
     };
     let ide = LiftedSolution::solve(&ReachingDefs::new(), &icfg, &ctx, model, mode);
-    let mut facts = 0usize;
-    let mut mismatches = 0usize;
-    for m in icfg.methods() {
-        for s in icfg.stmts_of(m) {
-            let want = ide.results_at(s);
-            let got = sol.reaching_at(s);
-            let mut keys: Vec<_> = want
-                .keys()
-                .copied()
-                .chain(got.iter().map(|(f, _)| *f))
-                .collect();
-            keys.sort();
-            keys.dedup();
-            for fact in keys {
-                facts += 1;
-                let ide_digest = want.get(&fact).map(|c| c.semantic_digest());
-                let dl_digest = sol
-                    .reaching_constraint(s, &fact)
-                    .map(|c| c.semantic_digest());
-                if ide_digest != dl_digest {
-                    mismatches += 1;
-                    println!(
-                        "MISMATCH at [{}] fact {:?}: ide={:?} datalog={:?}",
-                        icfg.stmt_label(s),
-                        fact,
-                        ide_digest,
-                        dl_digest
-                    );
-                }
-            }
-            let ide_reach = ide.reachability_of(s);
-            let dl_reach_digest = sol.reachability_of(s).map(|c| c.semantic_digest());
-            let ide_reach_digest = (!ide_reach.is_false()).then(|| ide_reach.semantic_digest());
-            if dl_reach_digest != ide_reach_digest {
-                mismatches += 1;
-                println!(
-                    "MISMATCH at [{}] reachability: ide={:?} datalog={:?}",
-                    icfg.stmt_label(s),
-                    ide_reach_digest,
-                    dl_reach_digest
-                );
-            }
-        }
-    }
-    if mismatches == 0 {
+    let (facts, mismatches) = compare_datalog(&icfg, &ide, &sol, usize::MAX);
+    if mismatches.is_empty() {
         println!("crosscheck: SPLLIFT and Datalog agree on all {facts} fact constraints");
-        Ok(())
-    } else {
-        println!("crosscheck: {mismatches} mismatch(es) over {facts} fact constraints");
-        Err(format!(
-            "datalog crosscheck found {mismatches} mismatch(es)"
-        ))
+        return Ok(());
+    }
+    for m in &mismatches {
+        println!("MISMATCH at [{}] {}", icfg.stmt_label(m.stmt), m.fact);
+    }
+    let n = mismatches.len();
+    println!("crosscheck: {n} mismatch(es) over {facts} fact constraints");
+    Err(format!("datalog crosscheck found {n} mismatch(es)"))
+}
+
+/// A `reduce --check` name: a campaign check ([`ANALYSES`]), or
+/// `interp-taint` / `interp-uninit` for the interpreter-soundness sweep.
+/// Returns the campaign name and whether the check is the dynamic one.
+fn parse_check(name: &str) -> Result<(&'static str, bool), String> {
+    if let Some(check) = ANALYSES.into_iter().find(|a| *a == name) {
+        return Ok((check, false));
+    }
+    match name {
+        "interp-taint" => Ok((AnalysisKind::Taint.name(), true)),
+        "interp-uninit" => Ok((AnalysisKind::Uninit.name(), true)),
+        other => Err(format!(
+            "unknown check `{other}` ({}|interp-taint|interp-uninit)",
+            ANALYSES.join("|")
+        )),
     }
 }
 
@@ -924,19 +848,16 @@ fn run_reduce(args: &[String]) -> Result<(), String> {
     use spllift::spl::{check_program, failure_persists, subject_for_seed};
 
     let mut input: Option<String> = None;
-    let mut check: Option<String> = None;
+    let mut check = None;
     let mut mutations = 0usize;
     let mut bug = InjectedBug::None;
     let mut args = args.iter().cloned();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--check" => check = Some(args.next().ok_or("--check needs a value")?),
-            "--mutations" => {
-                let v = args.next().ok_or("--mutations needs a value")?;
-                mutations = v
-                    .parse()
-                    .map_err(|_| format!("--mutations needs an integer, got `{v}`"))?;
+            "--check" => {
+                check = Some(parse_check(&args.next().ok_or("--check needs a value")?)?);
             }
+            "--mutations" => mutations = int_flag("--mutations", args.next())?,
             "--inject-bug" => {
                 let v = args.next().ok_or("--inject-bug needs a value")?;
                 bug = parse_injected_bug(&v)?;
@@ -977,19 +898,17 @@ fn run_reduce(args: &[String]) -> Result<(), String> {
     let text = std::fs::read_to_string(&input).map_err(|e| format!("cannot read {input}: {e}"))?;
     let (program, table) = parse_repro(&text).map_err(|e| format!("{input}: {e}"))?;
     let features: Vec<_> = table.iter().map(|(f, _)| f).collect();
-    let (analysis, dynamic) = match check.as_deref() {
-        Some("interp-taint") => ("taint".to_owned(), true),
-        Some("interp-uninit") => ("uninit".to_owned(), true),
-        Some(name) => (name.to_owned(), false),
+    let (analysis, dynamic) = match check {
+        Some(check) => check,
         None => {
             // No check named: pick the first failing one. Stand-alone
             // repro files carry no campaign seed, so the abstraction
             // differential's lattice-point stream is seeded with 0.
             let (verdicts, unpredicted) = check_program(&program, &table, &features, 0, bug, 1);
             if let Some(v) = verdicts.iter().find(|v| !v.mismatches.is_empty()) {
-                (v.analysis.to_owned(), false)
+                (v.analysis, false)
             } else if let Some(u) = unpredicted.first() {
-                (u.analysis.to_owned(), true)
+                (u.analysis, true)
             } else {
                 return Err(format!(
                     "{input} passes every check; nothing to reduce (name one with --check, or use --inject-bug)"
@@ -997,13 +916,13 @@ fn run_reduce(args: &[String]) -> Result<(), String> {
             }
         }
     };
-    if !failure_persists(&program, &table, &features, 0, bug, &analysis, dynamic) {
+    if !failure_persists(&program, &table, &features, 0, bug, analysis, dynamic) {
         return Err(format!(
             "{input} does not fail the `{analysis}` check; nothing to reduce"
         ));
     }
     let mut oracle = |p: &spllift::ir::Program, feats: &[spllift::features::FeatureId]| {
-        failure_persists(p, &table, feats, 0, bug, &analysis, dynamic)
+        failure_persists(p, &table, feats, 0, bug, analysis, dynamic)
     };
     let out = reduce(
         &program,

@@ -83,6 +83,74 @@ fn errors_are_reported() {
 }
 
 #[test]
+fn bad_flags_are_reported_before_the_input_is_read() {
+    for (flag, value, needle) in [
+        ("--format", "nope", "unknown format `nope`"),
+        ("--analysis", "nope", "unknown analysis `nope`"),
+    ] {
+        let out = cli()
+            .args(["does-not-exist.minijava", flag, value])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(needle), "{flag} {value}: {stderr}");
+    }
+    // Every subcommand rejects a zero count the same way.
+    for flag in ["--jobs", "--max-mismatches"] {
+        let out = cli()
+            .args(["fuzz", "--seeds", "0..1", flag, "0"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "fuzz {flag} 0");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("needs a positive integer"), "{stderr}");
+    }
+}
+
+#[test]
+fn help_and_fuzz_checks_name_every_registered_analysis() {
+    use spllift::analyses::AnalysisKind;
+    let out = cli().args(["help"]).output().unwrap();
+    let help = String::from_utf8_lossy(&out.stdout);
+    for kind in AnalysisKind::ALL {
+        assert!(help.contains(kind.name()), "help misses `{}`", kind.name());
+    }
+    let names: Vec<&str> = AnalysisKind::ALL.iter().map(|k| k.name()).collect();
+    assert_eq!(spllift::spl::ANALYSES[..4], names[..]);
+}
+
+#[test]
+fn reduce_check_takes_the_registry_names_and_rejects_unknown_ones() {
+    let reduce = |check: &str| {
+        cli()
+            .args([
+                "reduce",
+                "tests/corpus/fuzz-seed0-taint.repro",
+                "--check",
+                check,
+                "--inject-bug",
+                "kill-call-to-return",
+            ])
+            .output()
+            .unwrap()
+    };
+    let out = reduce("reaching-defs");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("# spllift repro v1"));
+    let out = reduce("bogus");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown check `bogus`"), "{stderr}");
+    assert!(stderr.contains("interp-uninit"), "{stderr}");
+}
+
+#[test]
 fn help_lists_subcommands_formats_and_gen_syntax() {
     for invocation in [&["help"][..], &["--help"], &["-h"]] {
         let out = cli().args(invocation).output().unwrap();
