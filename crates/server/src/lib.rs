@@ -69,7 +69,7 @@ pub use transport::SocketServer;
 
 use spllift_features::default_jobs;
 use spllift_spl::FaultPlan;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::sync::Arc;
 
 /// Every request `type` the router accepts, in the order the protocol
@@ -181,20 +181,36 @@ impl Server {
                 Ok(line) => self.handle_line(line),
                 Err(resp) => (resp, false),
             };
-            writeln!(output, "{resp}")?;
-            output.flush()?;
+            write_response(&mut output, resp)?;
             Ok(!shutdown)
         })
     }
+}
+
+/// The longest request line either transport accepts, in bytes, not
+/// counting its `\n` terminator (docs/PROTOCOL.md §Framing). It bounds
+/// the memory one connection's framing buffer can take.
+pub const MAX_REQUEST_LINE: usize = 16 << 20;
+
+/// Writes one response line — `resp` and its `\n` — in a single
+/// `write_all`, then flushes. Both transports answer through it. With
+/// the terminator in a separate write, a socket sends it as a second
+/// segment: one more packet per response and, without `TCP_NODELAY`,
+/// one that Nagle's algorithm holds until the peer's delayed ACK.
+pub(crate) fn write_response(output: &mut impl Write, mut resp: String) -> std::io::Result<()> {
+    resp.push('\n');
+    output.write_all(resp.as_bytes())?;
+    output.flush()
 }
 
 /// The request framing both transports share (docs/PROTOCOL.md
 /// §Framing). Reads `\n`-terminated lines from `input` into one reused
 /// buffer, strips the `\n` or `\r\n` terminator, skips blank lines,
 /// and hands each request to `handle` until EOF or until `handle`
-/// returns `false`. A line that is not valid UTF-8 reaches `handle` as
-/// `Err` carrying the error response that answers it, so one bad line
-/// never closes the stream.
+/// returns `false`. A line that is not valid UTF-8, or longer than
+/// [`MAX_REQUEST_LINE`], reaches `handle` as `Err` carrying the error
+/// response that answers it, so one bad line never closes the stream.
+/// The part of an overlong line past the cap is discarded unbuffered.
 pub(crate) fn for_each_request(
     mut input: impl BufRead,
     mut handle: impl FnMut(Result<&str, String>) -> std::io::Result<bool>,
@@ -202,7 +218,10 @@ pub(crate) fn for_each_request(
     let mut buf = Vec::new();
     loop {
         buf.clear();
-        if input.read_until(b'\n', &mut buf)? == 0 {
+        // One byte past the cap tells an overlong line from one that
+        // ends at EOF without its `\n`.
+        let cap = MAX_REQUEST_LINE as u64 + 1;
+        if (&mut input).take(cap).read_until(b'\n', &mut buf)? == 0 {
             return Ok(());
         }
         if buf.last() == Some(&b'\n') {
@@ -211,12 +230,19 @@ pub(crate) fn for_each_request(
                 buf.pop();
             }
         }
-        let request = match std::str::from_utf8(&buf) {
-            Ok(line) if line.trim().is_empty() => continue,
-            Ok(line) => Ok(line),
-            Err(_) => Err(exec::error_line(
-                "request line is not valid UTF-8".to_owned(),
-            )),
+        let request = if buf.len() > MAX_REQUEST_LINE {
+            input.skip_until(b'\n')?;
+            Err(exec::error_line(format!(
+                "request line exceeds {MAX_REQUEST_LINE} bytes"
+            )))
+        } else {
+            match std::str::from_utf8(&buf) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => Ok(line),
+                Err(_) => Err(exec::error_line(
+                    "request line is not valid UTF-8".to_owned(),
+                )),
+            }
         };
         if !handle(request)? {
             return Ok(());

@@ -26,8 +26,8 @@
 //! drained.
 
 use crate::exec::{internal_error, Executor, Submitted};
-use crate::ServerOptions;
-use std::io::{BufReader, Write};
+use crate::{write_response, ServerOptions};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -143,6 +143,10 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 }
 
 fn handle_connection(stream: TcpStream, shared: Arc<Shared>) -> std::io::Result<()> {
+    // With Nagle's algorithm on, a small response written while an
+    // earlier one is still unacknowledged (pipelined requests) waits
+    // for the peer's ACK, which a delayed ACK holds back for ~40 ms.
+    stream.set_nodelay(true)?;
     let reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     crate::for_each_request(reader, |request| {
@@ -151,28 +155,21 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) -> std::io::Result<
             Ok(line) => shared.exec.submit(line),
             Err(resp) => Submitted::Ready(resp),
         };
-        match submitted {
-            Submitted::Ready(resp) => {
-                let done = writeln!(writer, "{resp}").and_then(|()| writer.flush());
-                shared.end_request();
-                done?;
-            }
-            Submitted::Pending(rx) => {
-                let resp = rx.recv().unwrap_or_else(|_| internal_error());
-                let done = writeln!(writer, "{resp}").and_then(|()| writer.flush());
-                shared.end_request();
-                done?;
-            }
+        let resp = match submitted {
+            Submitted::Ready(resp) => resp,
+            Submitted::Pending(rx) => rx.recv().unwrap_or_else(|_| internal_error()),
             Submitted::Shutdown(resp) => {
                 // Our own slot must not hold up the drain.
                 shared.end_request();
                 shared.drain();
-                writeln!(writer, "{resp}")?;
-                writer.flush()?;
+                write_response(&mut writer, resp)?;
                 shared.wake_accept();
                 return Ok(false);
             }
-        }
+        };
+        let done = write_response(&mut writer, resp);
+        shared.end_request();
+        done?;
         Ok(true)
     })
 }

@@ -1,11 +1,12 @@
 //! Acceptance tests for the resident analysis server: warm-path cache
 //! hits with zero propagations, incremental re-analysis strictly below
 //! a cold solve with bit-identical results, jobs-invariant responses,
-//! and malformed-input resilience (down to request lines that are not
-//! valid UTF-8).
+//! malformed-input resilience (down to request lines that are not
+//! valid UTF-8 or exceed the line cap), and one write per response
+//! line.
 
 use spllift_json::{parse_json, Json};
-use spllift_server::{Server, ServerOptions};
+use spllift_server::{Server, ServerOptions, MAX_REQUEST_LINE};
 
 /// A taint subject in the repro text format (so statement indices are
 /// pinned): `main` calls `secret` → `h2` → `h1` and `h3`; the `y = 0`
@@ -484,6 +485,80 @@ fn non_utf8_line_is_answered_and_the_stdio_stream_keeps_serving() {
         "{\"type\":\"ok\",\"request\":\"evict\",\"evicted\":0}\n\
          {\"type\":\"error\",\"message\":\"request line is not valid UTF-8\"}\n\
          {\"type\":\"ok\",\"request\":\"evict\",\"evicted\":0}\n"
+    );
+}
+
+/// A `Write` that records every `write` call it receives.
+#[derive(Default)]
+struct WriteLog(Vec<Vec<u8>>);
+
+impl std::io::Write for WriteLog {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.push(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// docs/PROTOCOL.md §Framing: each response line — payload and `\n` —
+/// leaves in one write. A terminator written on its own becomes a
+/// second TCP segment that Nagle's algorithm can hold for a delayed-ACK
+/// interval.
+#[test]
+fn each_response_line_is_one_write() {
+    let input = concat!(
+        r#"{"type":"load","session":"w","gen":"synthetic:3:40:5"}"#,
+        "\n",
+        r#"{"type":"analyze","session":"w"}"#,
+        "\n",
+        r#"{"type":"stats"}"#,
+        "\n",
+        "{\"type\":\"loa\n",
+    );
+    let mut log = WriteLog::default();
+    server(1)
+        .run(input.as_bytes(), &mut log)
+        .expect("in-memory serve");
+    let kinds = ["load", "analyze", "stats", "json parse error"];
+    assert_eq!(log.0.len(), kinds.len(), "one write per response");
+    for (write, kind) in log.0.iter().zip(kinds) {
+        let line = std::str::from_utf8(write).expect("utf-8 response");
+        assert!(
+            line.ends_with('\n') && line.matches('\n').count() == 1,
+            "a write must be exactly one response line: {line:?}"
+        );
+        assert!(line.contains(kind), "expected a {kind} response: {line}");
+    }
+}
+
+/// docs/PROTOCOL.md §Framing: a request line longer than
+/// `MAX_REQUEST_LINE` bytes is answered with one message-only error,
+/// its remainder is discarded, and the stream keeps serving. A line of
+/// exactly the cap is still a request.
+#[test]
+fn overlong_request_line_is_answered_and_the_stream_keeps_serving() {
+    const EVICT: &str = r#"{"type":"evict"}"#;
+    let padded = |len: usize| format!("{EVICT}{}\n", " ".repeat(len - EVICT.len()));
+    let input = format!(
+        "{}{}{EVICT}\n",
+        padded(MAX_REQUEST_LINE),
+        padded(MAX_REQUEST_LINE + 1)
+    );
+    let mut out = Vec::new();
+    server(1)
+        .run(input.as_bytes(), &mut out)
+        .expect("an overlong request line is not an I/O error");
+    let evicted = "{\"type\":\"ok\",\"request\":\"evict\",\"evicted\":0}\n";
+    assert_eq!(
+        String::from_utf8(out).expect("utf-8 responses"),
+        format!(
+            "{evicted}\
+             {{\"type\":\"error\",\"message\":\"request line exceeds 16777216 bytes\"}}\n\
+             {evicted}"
+        )
     );
 }
 

@@ -76,6 +76,35 @@ for jobs in 2 1; do
         | diff -u tests/serve/transcript.expected -
 done
 
+echo "== serve --listen smoke (golden transcript over TCP) =="
+# The same transcript through the CLI's TCP transport, end to end:
+# start `serve --listen` on an ephemeral port, read the bound address
+# from its stderr, replay the requests one at a time over bash's
+# /dev/tcp, and diff the responses once `shutdown` has stopped the
+# server. The Rust tests bound the round-trip times; this step only
+# checks the bytes.
+SMOKE_TCP_ERR="$(mktemp -t serve-tcp-err.XXXXXX.txt)"
+SMOKE_TCP_OUT="$(mktemp -t serve-tcp-out.XXXXXX.txt)"
+trap 'rm -f "$SMOKE_DL1" "$SMOKE_DL2" "$SMOKE_TCP_ERR" "$SMOKE_TCP_OUT"' EXIT
+./target/release/spllift-cli serve --jobs 1 --listen 127.0.0.1:0 2> "$SMOKE_TCP_ERR" &
+serve_pid=$!
+addr=""
+for _ in $(seq 100); do
+    addr="$(sed -n 's/^serve: listening on //p' "$SMOKE_TCP_ERR")"
+    [ -n "$addr" ] && break
+    sleep 0.1
+done
+[ -n "$addr" ] || { echo "ci: serve --listen did not report its address" >&2; kill "$serve_pid"; exit 1; }
+exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
+while IFS= read -r req; do
+    printf '%s\n' "$req" >&3
+    IFS= read -r resp <&3
+    printf '%s\n' "$resp"
+done < tests/serve/transcript.requests > "$SMOKE_TCP_OUT"
+exec 3<&-
+wait "$serve_pid"
+diff -u tests/serve/transcript.expected "$SMOKE_TCP_OUT"
+
 echo "== chaos smoke (fault injection, golden per fault class) =="
 # Replays the two-session chaos transcript with each deterministic
 # injected fault class and diffs the full response stream against the

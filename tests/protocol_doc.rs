@@ -1,10 +1,10 @@
 //! Conformance between the router and `docs/PROTOCOL.md`: every
 //! request type the server accepts is documented, and the document
 //! describes no request type the server does not accept. Also pins the
-//! documented error kinds and budget-override fields to the
-//! implementation's strings, so the spec cannot rot silently.
+//! documented error kinds, budget-override fields and request-line cap
+//! to the implementation, so the spec cannot rot silently.
 
-use spllift::server::REQUEST_TYPES;
+use spllift::server::{MAX_REQUEST_LINE, REQUEST_TYPES};
 
 fn protocol_doc() -> String {
     std::fs::read_to_string("docs/PROTOCOL.md").expect("docs/PROTOCOL.md exists")
@@ -82,6 +82,20 @@ fn documented_error_kinds_and_budget_fields_match_the_implementation() {
         assert!(
             doc.contains(needle),
             "`{needle}` missing from docs/PROTOCOL.md"
+        );
+    }
+}
+
+#[test]
+fn documented_request_line_cap_is_the_implementation_constant() {
+    let doc = protocol_doc();
+    for needle in [
+        format!("at most {MAX_REQUEST_LINE} bytes"),
+        format!("`request line exceeds {MAX_REQUEST_LINE} bytes`"),
+    ] {
+        assert!(
+            doc.contains(&needle),
+            "`{needle}` missing from docs/PROTOCOL.md §Framing"
         );
     }
 }

@@ -2,7 +2,8 @@
 //! determinism (each session's response stream is byte-identical to the
 //! single-client stdio server, at any shard count and under
 //! concurrency), fault isolation between co-resident sessions,
-//! admission control, and request framing.
+//! admission control, request framing, and round trips free of the
+//! delayed-ACK stall.
 //!
 //! The committed fixtures `tests/serve/socket-client{1,2,3}.*` are three
 //! scripted clients: the first test below replays them concurrently at
@@ -10,29 +11,42 @@
 
 use spllift::server::{Server, ServerOptions, SocketServer};
 use spllift_spl::FaultPlan;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 fn fixture(name: &str) -> String {
     std::fs::read_to_string(format!("tests/serve/{name}")).expect("fixture file")
 }
 
+/// Opens a connection with Nagle's algorithm off on the client side.
+/// Every client here writes a request line in one `write_all`, so a
+/// request leaves at once and only the server can stall a round trip.
+fn connect(addr: SocketAddr) -> (BufReader<TcpStream>, TcpStream) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("set TCP_NODELAY");
+    (BufReader::new(stream.try_clone().expect("clone")), stream)
+}
+
+fn read_response(reader: &mut BufReader<TcpStream>) -> String {
+    let mut resp = String::new();
+    assert!(
+        reader.read_line(&mut resp).expect("read") > 0,
+        "server closed the connection mid-script"
+    );
+    resp
+}
+
 /// Replays `requests` over one fresh connection, one response per
 /// request, and returns the newline-terminated response stream.
 fn replay(addr: SocketAddr, requests: &str) -> String {
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = stream;
+    let (mut reader, mut writer) = connect(addr);
     let mut got = String::new();
     for req in requests.lines().filter(|l| !l.trim().is_empty()) {
-        writeln!(writer, "{req}").expect("write");
-        writer.flush().expect("flush");
-        let mut resp = String::new();
-        assert!(
-            reader.read_line(&mut resp).expect("read") > 0,
-            "server closed the connection mid-script"
-        );
-        got.push_str(&resp);
+        writer
+            .write_all(format!("{req}\n").as_bytes())
+            .expect("write");
+        got.push_str(&read_response(&mut reader));
     }
     got
 }
@@ -242,24 +256,127 @@ fn admission_control_refuses_requests_beyond_the_inflight_bound() {
 fn non_utf8_line_is_answered_and_the_connection_keeps_serving() {
     let server = SocketServer::spawn(ServerOptions::default(), "127.0.0.1:0").expect("bind");
     let addr = server.addr();
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = stream;
+    let (mut reader, mut writer) = connect(addr);
     writer
         .write_all(b"\xff\xfe\n{\"type\":\"evict\"}\n")
         .expect("write");
-    writer.flush().expect("flush");
-    let mut got = String::new();
-    for _ in 0..2 {
-        assert!(
-            reader.read_line(&mut got).expect("read") > 0,
-            "server closed the connection after: {got:?}"
-        );
-    }
+    let got = read_response(&mut reader) + &read_response(&mut reader);
     assert_eq!(
         got,
         "{\"type\":\"error\",\"message\":\"request line is not valid UTF-8\"}\n\
          {\"type\":\"ok\",\"request\":\"evict\",\"evicted\":0}\n"
+    );
+    shut_down(addr, server);
+}
+
+/// docs/PROTOCOL.md §Framing over TCP: requests are framed by their
+/// newlines, not by the writes that carry them. A line split across
+/// three writes is answered once, after its newline; three lines in one
+/// write are answered in order, one response line each.
+#[test]
+fn requests_are_framed_by_newlines_not_by_writes() {
+    const LOAD: &str = r#"{"type":"load","session":"f","gen":"synthetic:3:40:5"}"#;
+    const PIPELINED: &str = concat!(
+        r#"{"type":"analyze","session":"f"}"#,
+        "\n",
+        r#"{"type":"bogus"}"#,
+        "\n",
+        r#"{"type":"evict"}"#,
+        "\n",
+    );
+    let server = SocketServer::spawn(ServerOptions::default(), "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+    let (mut reader, mut writer) = connect(addr);
+
+    let (head, rest) = LOAD.split_at(10);
+    let (middle, tail) = rest.split_at(20);
+    let pause = Some(Duration::from_millis(50));
+    reader.get_ref().set_read_timeout(pause).expect("timeout");
+    for part in [head, middle] {
+        writer.write_all(part.as_bytes()).expect("write");
+        let mut early = String::new();
+        let err = reader
+            .read_line(&mut early)
+            .expect_err("no response before the newline");
+        assert!(
+            matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+            "{err}: {early:?}"
+        );
+    }
+    reader.get_ref().set_read_timeout(None).expect("timeout");
+    writer
+        .write_all(format!("{tail}\n").as_bytes())
+        .expect("write");
+    let mut got = read_response(&mut reader);
+
+    writer.write_all(PIPELINED.as_bytes()).expect("write");
+    for _ in 0..3 {
+        got.push_str(&read_response(&mut reader));
+    }
+    assert_eq!(got, stdio_reference(&format!("{LOAD}\n{PIPELINED}")));
+    shut_down(addr, server);
+}
+
+const STATS: &str = "{\"type\":\"stats\"}\n";
+
+fn median(mut samples: Vec<Duration>) -> Duration {
+    samples.sort();
+    samples[samples.len() / 2]
+}
+
+/// Sends `count` `stats` requests in one write on `writer` and reads
+/// their responses; returns the time from the write to the last one.
+fn stats_batch(
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut TcpStream,
+    count: usize,
+) -> Duration {
+    let start = Instant::now();
+    writer
+        .write_all(STATS.repeat(count).as_bytes())
+        .expect("write");
+    for _ in 0..count {
+        let resp = read_response(reader);
+        assert!(resp.contains("\"request\":\"stats\""), "{resp}");
+    }
+    start.elapsed()
+}
+
+/// A small response is not held back for a delayed-ACK interval
+/// (at least 40 ms on Linux): sequential `stats` round trips on one
+/// connection, after a warm-up, take well under that.
+#[test]
+fn sequential_round_trips_have_no_delayed_ack_floor() {
+    let server = SocketServer::spawn(ServerOptions::default(), "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+    let (mut reader, mut writer) = connect(addr);
+    stats_batch(&mut reader, &mut writer, 1);
+    let trips = (0..20)
+        .map(|_| stats_batch(&mut reader, &mut writer, 1))
+        .collect();
+    let median = median(trips);
+    assert!(
+        median < Duration::from_millis(15),
+        "median sequential stats round trip {median:?}: a response waited for a delayed ACK"
+    );
+    shut_down(addr, server);
+}
+
+/// Pipelined requests: 20 `stats` sent in one write are answered
+/// without a response waiting for the client to acknowledge the one
+/// before it (the stall `TCP_NODELAY` on the server side removes).
+#[test]
+fn pipelined_responses_have_no_delayed_ack_floor() {
+    let server = SocketServer::spawn(ServerOptions::default(), "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+    let (mut reader, mut writer) = connect(addr);
+    let batches = (0..5)
+        .map(|_| stats_batch(&mut reader, &mut writer, 20))
+        .collect();
+    let median = median(batches);
+    assert!(
+        median < Duration::from_millis(20),
+        "median time for 20 pipelined stats {median:?}: a response waited for a delayed ACK"
     );
     shut_down(addr, server);
 }
