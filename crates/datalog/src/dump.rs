@@ -25,7 +25,9 @@
 use std::fmt;
 
 use crate::analyses::DatalogSolution;
+use spllift_bdd::Bdd;
 use spllift_features::{BddConstraintContext, FeatureExpr, FeatureTable};
+use spllift_hash::FastMap;
 
 /// First line of every dump.
 pub const DUMP_HEADER: &str = "# spllift datalog dump v1";
@@ -117,6 +119,12 @@ impl DumpDoc {
     ) -> DumpDoc {
         let program = sol.program();
         let kinds = sol.relations().column_kinds(program);
+        // Most tuples share a handful of constraints, and each `to_expr`
+        // re-expands its BDD: render every distinct constraint once. (A
+        // `Bdd` hashes by its node id, which never changes; the shared
+        // store it points into is what clippy sees as mutable.)
+        #[allow(clippy::mutable_key_type)]
+        let mut exprs: FastMap<&Bdd, FeatureExpr> = FastMap::default();
         let relations = (0..program.relation_count())
             .map(|r| {
                 let rel = crate::engine::RelId(r);
@@ -135,7 +143,8 @@ impl DumpDoc {
                                 },
                             })
                             .collect();
-                        (values, ctx.to_expr(c))
+                        let expr = exprs.entry(c).or_insert_with(|| ctx.to_expr(c));
+                        (values, expr.clone())
                     })
                     .collect();
                 DumpRelation {

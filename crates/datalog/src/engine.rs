@@ -19,9 +19,12 @@
 //! Evaluation is stratum-by-stratum semi-naive: round 0 of a stratum
 //! evaluates every rule naively against the seeded database; each later
 //! round rewrites one positive in-stratum body literal to the previous
-//! round's delta (tuples whose constraint changed, carried with their
+//! round's delta (the rows whose constraint changed, read with their
 //! *full* updated constraint — sound because all constraint operators in
-//! a stratum are monotone). Rule-evaluation tasks are sharded over
+//! a stratum are monotone). Each task runs a nested-loop join whose plan
+//! is fixed per rule and delta position — bound literals first — and
+//! probes hash indexes that only catch up on the rows appended since the
+//! previous round. Rule-evaluation tasks are sharded over
 //! [`map_shards`] and their derivations merged **in task order**, so the
 //! database's tuple insertion order — and hence every rendered output —
 //! is byte-identical for every `jobs` value.
@@ -100,7 +103,8 @@ pub struct Rule {
     pub name: String,
     /// The derived atom.
     pub head: Atom,
-    /// Body literals, joined left to right (negations evaluated last).
+    /// Body literals. The engine joins the positive ones bound-first,
+    /// not in written order, and evaluates negations last.
     pub body: Vec<Literal>,
 }
 
@@ -330,7 +334,9 @@ impl fmt::Display for DatalogError {
 impl std::error::Error for DatalogError {}
 
 /// One relation's contents: tuples in insertion order, each paired with
-/// its feature constraint.
+/// its feature constraint. Rows are append-only: a constraint update
+/// rewrites its row in place, so a row number names the same tuple for
+/// the whole evaluation.
 #[derive(Default)]
 struct RelationData {
     tuples: Vec<(Tuple, Bdd)>,
@@ -338,27 +344,28 @@ struct RelationData {
 }
 
 impl RelationData {
-    /// ORs `c` into the stored constraint for `tuple`. Returns `true`
-    /// iff the stored constraint changed (canonical-equality
+    /// ORs `c` into the stored constraint for `tuple`. Returns the row
+    /// number iff the stored constraint changed (canonical-equality
     /// subsumption: re-deriving under an entailed constraint is a
     /// no-op). Tuples with an unsatisfiable constraint never
     /// materialize.
-    fn insert(&mut self, tuple: Tuple, c: Bdd) -> bool {
+    fn insert(&mut self, tuple: Tuple, c: Bdd) -> Option<usize> {
         if c.is_false() {
-            return false;
+            return None;
         }
         if let Some(&i) = self.index.get(&tuple) {
             let old = &self.tuples[i].1;
             let joined = old.or(&c);
             if joined == *old {
-                return false;
+                return None;
             }
             self.tuples[i].1 = joined;
-            true
+            Some(i)
         } else {
-            self.index.insert(tuple.clone(), self.tuples.len());
+            let row = self.tuples.len();
+            self.index.insert(tuple.clone(), row);
             self.tuples.push((tuple, c));
-            true
+            Some(row)
         }
     }
 }
@@ -382,7 +389,7 @@ impl Database {
     /// Seeds or derives a fact; ORs into an existing constraint with
     /// subsumption. Returns `true` iff the stored constraint changed.
     pub fn insert(&mut self, rel: RelId, tuple: Tuple, c: Bdd) -> bool {
-        self.relations[rel.0].insert(tuple, c)
+        self.relations[rel.0].insert(tuple, c).is_some()
     }
 
     /// Number of tuples currently in `rel`.
@@ -442,31 +449,58 @@ pub struct EvalStats {
     pub tuples: usize,
 }
 
-/// A rule-evaluation task: rule index plus the body position rewritten
-/// to the delta (`None` = naive round-0 evaluation).
-type Task = (usize, Option<usize>);
+/// How a plan step finds the rows that may match its literal.
+#[derive(Debug, Clone, Copy)]
+enum Access {
+    /// The rows that changed last round: the semi-naive delta literal.
+    Delta,
+    /// Every row: no column is bound yet.
+    Scan,
+    /// One lookup of the whole tuple: every column is bound.
+    Lookup,
+    /// The join index in this [`Indexes`] slot, keyed by the bound
+    /// columns.
+    Index(usize),
+}
 
-/// The join plan of one task: positive literals in evaluation order
-/// (delta literal first), then negated literals.
+/// One positive literal of a join plan.
+struct Step {
+    /// Body position of the literal.
+    lit: usize,
+    access: Access,
+    /// The columns bound when the step runs (constants, or variables
+    /// bound by earlier steps), ascending: the lookup or index key.
+    key_cols: Vec<usize>,
+    /// The variables this step binds, reset after every matched row.
+    binds: Vec<usize>,
+}
+
+/// The join plan of one rule-evaluation task: positive literals in
+/// evaluation order, then the negated ones, which are checked once
+/// every variable is bound.
 struct Plan {
-    positives: Vec<usize>,
+    rule: usize,
+    steps: Vec<Step>,
     negatives: Vec<usize>,
     nvars: usize,
 }
 
-fn plan_for(rule: &Rule, dpos: Option<usize>) -> Plan {
-    let mut positives = Vec::new();
-    if let Some(d) = dpos {
-        positives.push(d);
-    }
-    for (i, lit) in rule.body.iter().enumerate() {
-        if !lit.negated && Some(i) != dpos {
-            positives.push(i);
-        }
-    }
-    let negatives = (0..rule.body.len())
-        .filter(|&i| rule.body[i].negated)
-        .collect();
+/// Plans rule `rule_idx` with the body literal at `dpos` rewritten to
+/// the delta (`None`: round 0's naive evaluation).
+///
+/// The delta literal runs first, which keeps the semi-naive invariant.
+/// Each later step takes the remaining positive literal whose columns
+/// are all bound (a direct lookup); failing that, the one with the most
+/// bound columns, counting constants; ties go to body order. The plan
+/// depends on the rule and the delta position alone, never on the data,
+/// so every `jobs` value runs the same nested loops.
+fn plan_for(
+    program: &DatalogProgram,
+    rule_idx: usize,
+    dpos: Option<usize>,
+    indexes: &mut Indexes,
+) -> Plan {
+    let rule = &program.rules[rule_idx];
     let nvars = rule
         .head
         .terms
@@ -478,270 +512,226 @@ fn plan_for(rule: &Rule, dpos: Option<usize>) -> Plan {
         })
         .max()
         .unwrap_or(0);
+    let mut bound = vec![false; nvars];
+    let is_bound = |t: &Term, bound: &[bool]| match *t {
+        Term::Const(_) => true,
+        Term::Var(v) => bound[v],
+    };
+    let mut rest: Vec<usize> = (0..rule.body.len())
+        .filter(|&i| !rule.body[i].negated && Some(i) != dpos)
+        .collect();
+    let mut steps = Vec::new();
+    let mut lead = dpos;
+    while lead.is_some() || !rest.is_empty() {
+        let lit = lead.take().unwrap_or_else(|| {
+            let at = (0..rest.len())
+                .min_by_key(|&k| {
+                    let terms = &rule.body[rest[k]].atom.terms;
+                    let n = terms.iter().filter(|t| is_bound(t, &bound)).count();
+                    (n < terms.len(), std::cmp::Reverse(n))
+                })
+                .expect("a positive literal remains");
+            rest.remove(at)
+        });
+        let atom = &rule.body[lit].atom;
+        let key_cols: Vec<usize> = (0..atom.terms.len())
+            .filter(|&c| is_bound(&atom.terms[c], &bound))
+            .collect();
+        let access = if Some(lit) == dpos {
+            Access::Delta
+        } else if key_cols.is_empty() {
+            Access::Scan
+        } else if key_cols.len() == atom.terms.len() {
+            Access::Lookup
+        } else {
+            Access::Index(indexes.slot(atom.relation.0, key_cols.clone()))
+        };
+        let mut binds = Vec::new();
+        for t in &atom.terms {
+            if let Term::Var(v) = *t {
+                if !bound[v] {
+                    bound[v] = true;
+                    binds.push(v);
+                }
+            }
+        }
+        steps.push(Step {
+            lit,
+            access,
+            key_cols,
+            binds,
+        });
+    }
     Plan {
-        positives,
-        negatives,
+        rule: rule_idx,
+        steps,
+        negatives: (0..rule.body.len())
+            .filter(|&i| rule.body[i].negated)
+            .collect(),
         nvars,
     }
 }
 
-/// Which columns of the literal at `pos` are bound (constant, or a
-/// variable bound by an earlier positive literal of the plan)?
-fn bound_cols(rule: &Rule, plan: &Plan, step: usize) -> Vec<usize> {
-    let mut bound: FastSet<usize> = FastSet::default();
-    for &p in &plan.positives[..step] {
-        for t in &rule.body[p].atom.terms {
-            if let Term::Var(v) = t {
-                bound.insert(*v);
-            }
-        }
-    }
-    let lit = &rule.body[plan.positives[step]];
-    (0..lit.atom.terms.len())
-        .filter(|&i| match lit.atom.terms[i] {
-            Term::Const(_) => true,
-            Term::Var(v) => bound.contains(&v),
-        })
-        .collect()
+/// A hash index of one relation on fixed columns: key values → row
+/// numbers, ascending.
+struct JoinIndex {
+    rel: usize,
+    cols: Vec<usize>,
+    /// Rows `0..indexed` are in `buckets`.
+    indexed: usize,
+    buckets: FastMap<Vec<u64>, Vec<usize>>,
 }
 
-type JoinIndex = FastMap<Vec<u64>, Vec<usize>>;
+/// The join indexes of one evaluation, one per (relation, bound
+/// columns) signature that some plan probes.
+///
+/// Rows are append-only and row numbers never change, so an index
+/// stays exact by hashing only the rows appended since it last caught
+/// up. Each bucket then lists its rows in ascending order, exactly as a
+/// rebuild from a full scan would.
+#[derive(Default)]
+struct Indexes(Vec<JoinIndex>);
 
-/// Hash indexes over the round-start database snapshot, keyed by
-/// (relation, bound-column set). Shared read-only across shards.
-struct Indexes {
-    by_sig: FastMap<(usize, Vec<usize>), JoinIndex>,
-}
-
-fn build_indexes(program: &DatalogProgram, db: &Database, tasks: &[Task]) -> Indexes {
-    let mut by_sig: FastMap<(usize, Vec<usize>), JoinIndex> = FastMap::default();
-    for &(rule_idx, dpos) in tasks {
-        let rule = &program.rules[rule_idx];
-        let plan = plan_for(rule, dpos);
-        // Step 0 iterates its source exhaustively; later steps use an
-        // index unless fully bound (direct lookup) or fully unbound
-        // (scan).
-        for step in 1..plan.positives.len() {
-            let lit = &rule.body[plan.positives[step]];
-            let cols = bound_cols(rule, &plan, step);
-            if cols.is_empty() || cols.len() == lit.atom.terms.len() {
-                continue;
-            }
-            let sig = (lit.atom.relation.0, cols);
-            if by_sig.contains_key(&sig) {
-                continue;
-            }
-            let mut index: JoinIndex = FastMap::default();
-            for (i, (tuple, _)) in db.relations[sig.0].tuples.iter().enumerate() {
-                let key: Vec<u64> = sig.1.iter().map(|&c| tuple[c]).collect();
-                index.entry(key).or_default().push(i);
-            }
-            by_sig.insert(sig, index);
+impl Indexes {
+    /// The slot of the index of `rel` on `cols`, registered on first
+    /// use (empty until [`Indexes::catch_up`]).
+    fn slot(&mut self, rel: usize, cols: Vec<usize>) -> usize {
+        if let Some(i) = self.0.iter().position(|x| x.rel == rel && x.cols == cols) {
+            return i;
         }
-    }
-    Indexes { by_sig }
-}
-
-/// Evaluates one task against the round-start snapshot, appending
-/// derivations (head relation, tuple, constraint) in deterministic
-/// order.
-#[allow(clippy::too_many_arguments)]
-fn eval_task(
-    program: &DatalogProgram,
-    db: &Database,
-    indexes: &Indexes,
-    delta: &[Vec<(Tuple, Bdd)>],
-    rule_idx: usize,
-    dpos: Option<usize>,
-    out: &mut Vec<(RelId, Tuple, Bdd)>,
-) {
-    let rule = &program.rules[rule_idx];
-    let plan = plan_for(rule, dpos);
-    let mut bindings: Vec<Option<u64>> = vec![None; plan.nvars];
-
-    fn unify(terms: &[Term], tuple: &[u64], bindings: &mut [Option<u64>]) -> Option<Vec<usize>> {
-        let mut newly = Vec::new();
-        for (t, &v) in terms.iter().zip(tuple) {
-            match *t {
-                Term::Const(c) => {
-                    if c != v {
-                        for &u in &newly {
-                            bindings[u] = None;
-                        }
-                        return None;
-                    }
-                }
-                Term::Var(x) => match bindings[x] {
-                    Some(b) if b == v => {}
-                    Some(_) => {
-                        for &u in &newly {
-                            bindings[u] = None;
-                        }
-                        return None;
-                    }
-                    None => {
-                        bindings[x] = Some(v);
-                        newly.push(x);
-                    }
-                },
-            }
-        }
-        Some(newly)
+        self.0.push(JoinIndex {
+            rel,
+            cols,
+            indexed: 0,
+            buckets: FastMap::default(),
+        });
+        self.0.len() - 1
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn descend(
-        db: &Database,
-        indexes: &Indexes,
-        delta: &[Vec<(Tuple, Bdd)>],
-        rule: &Rule,
-        plan: &Plan,
-        use_delta: bool,
-        step: usize,
-        acc: Option<&Bdd>,
-        bindings: &mut Vec<Option<u64>>,
-        out: &mut Vec<(RelId, Tuple, Bdd)>,
-    ) {
-        if step == plan.positives.len() {
-            // All positives matched: apply negations, then the head.
-            let mut c = acc.expect("positive join yields a constraint").clone();
-            for &n in &plan.negatives {
-                let atom = &rule.body[n].atom;
-                let tuple: Tuple = atom
-                    .terms
-                    .iter()
-                    .map(|t| match *t {
-                        Term::Const(k) => k,
-                        Term::Var(v) => bindings[v].expect("validated: negated vars bound"),
-                    })
-                    .collect();
-                if let Some(nc) = db.constraint_of(atom.relation, &tuple) {
-                    c = c.and(&nc.not());
-                    if c.is_false() {
-                        return;
-                    }
-                }
-            }
-            let head: Tuple = rule
-                .head
-                .terms
-                .iter()
-                .map(|t| match *t {
-                    Term::Const(k) => k,
-                    Term::Var(v) => bindings[v].expect("validated: head vars bound"),
-                })
-                .collect();
-            out.push((rule.head.relation, head, c));
+    /// Indexes the rows appended to the slot's relation since its last
+    /// catch-up.
+    fn catch_up(&mut self, slot: usize, db: &Database) {
+        let index = &mut self.0[slot];
+        let rows = &db.relations[index.rel].tuples;
+        for (row, (tuple, _)) in rows.iter().enumerate().skip(index.indexed) {
+            let key = index.cols.iter().map(|&c| tuple[c]).collect();
+            index.buckets.entry(key).or_default().push(row);
+        }
+        index.indexed = rows.len();
+    }
+}
+
+/// Matches `terms` against `tuple`, binding unbound variables. On a
+/// mismatch some variables may be left bound; the caller resets the
+/// step's `binds` either way.
+fn unify(terms: &[Term], tuple: &[u64], bindings: &mut [Option<u64>]) -> bool {
+    terms.iter().zip(tuple).all(|(t, &v)| match *t {
+        Term::Const(c) => c == v,
+        Term::Var(x) => *bindings[x].get_or_insert(v) == v,
+    })
+}
+
+/// One task's nested-loop join over the round-start snapshot.
+struct Join<'a> {
+    db: &'a Database,
+    indexes: &'a Indexes,
+    delta: &'a [Vec<usize>],
+    rule: &'a Rule,
+    plan: &'a Plan,
+    bindings: Vec<Option<u64>>,
+    /// Scratch buffer for lookup and index keys.
+    key: Vec<u64>,
+    /// Derivations (head relation, tuple, constraint) in deterministic
+    /// order.
+    out: &'a mut Vec<(RelId, Tuple, Bdd)>,
+}
+
+impl Join<'_> {
+    /// The values of `terms` under the current bindings, in the key
+    /// buffer.
+    fn key<'t>(&mut self, terms: impl Iterator<Item = &'t Term>) -> &[u64] {
+        self.key.clear();
+        self.key.extend(terms.map(|t| match *t {
+            Term::Const(k) => k,
+            Term::Var(v) => self.bindings[v].expect("planned: variable bound"),
+        }));
+        &self.key
+    }
+
+    /// Runs plan step `step` (and, per matching row, the rest of the
+    /// plan) under the conjunction `acc` of the rows matched so far.
+    fn descend(&mut self, step: usize, acc: Option<&Bdd>) {
+        let (db, indexes, plan) = (self.db, self.indexes, self.plan);
+        let Some(st) = plan.steps.get(step) else {
+            self.emit(acc.expect("validated: a positive literal"));
             return;
-        }
-        let pos = plan.positives[step];
-        let atom = &rule.body[pos].atom;
-        // Gather this step's candidate rows first (they borrow the
-        // database immutably), then unify/recurse with the mutable
-        // binding environment. Step 0 scans the delta (semi-naive) or
-        // the full relation; later steps use a direct lookup when fully
-        // bound, a prebuilt index when partially bound, a scan otherwise.
-        let candidates: Vec<(&[u64], &Bdd)> = if step == 0 && use_delta {
-            delta[atom.relation.0]
-                .iter()
-                .map(|(t, c)| (t.as_slice(), c))
-                .collect()
-        } else {
-            let rel = &db.relations[atom.relation.0];
-            if step == 0 {
-                rel.tuples.iter().map(|(t, c)| (t.as_slice(), c)).collect()
-            } else {
-                let cols: Vec<usize> = (0..atom.terms.len())
-                    .filter(|&i| match atom.terms[i] {
-                        Term::Const(_) => true,
-                        Term::Var(v) => bindings[v].is_some(),
-                    })
-                    .collect();
-                if cols.len() == atom.terms.len() {
-                    let key: Tuple = atom
-                        .terms
-                        .iter()
-                        .map(|t| match *t {
-                            Term::Const(k) => k,
-                            Term::Var(v) => bindings[v].expect("bound"),
-                        })
-                        .collect();
-                    rel.index
-                        .get(&key)
-                        .map(|&i| {
-                            let (tuple, tc) = &rel.tuples[i];
-                            vec![(tuple.as_slice(), tc)]
-                        })
-                        .unwrap_or_default()
-                } else if cols.is_empty() {
-                    rel.tuples.iter().map(|(t, c)| (t.as_slice(), c)).collect()
-                } else {
-                    let key: Vec<u64> = cols
-                        .iter()
-                        .map(|&i| match atom.terms[i] {
-                            Term::Const(k) => k,
-                            Term::Var(v) => bindings[v].expect("bound"),
-                        })
-                        .collect();
-                    let sig = (atom.relation.0, cols);
-                    let index = indexes
-                        .by_sig
-                        .get(&sig)
-                        .expect("index prebuilt for every partially bound step");
-                    index
-                        .get(&key)
-                        .map(|rows| {
-                            rows.iter()
-                                .map(|&i| {
-                                    let (tuple, tc) = &rel.tuples[i];
-                                    (tuple.as_slice(), tc)
-                                })
-                                .collect()
-                        })
-                        .unwrap_or_default()
+        };
+        let atom = &self.rule.body[st.lit].atom;
+        let rel = atom.relation.0;
+        let key_terms = st.key_cols.iter().map(|&c| &atom.terms[c]);
+        match st.access {
+            Access::Delta => {
+                for &row in &self.delta[rel] {
+                    self.visit(step, row, acc);
                 }
             }
-        };
-        for (tuple, tc) in candidates {
-            let Some(newly) = unify(&atom.terms, tuple, bindings) else {
-                continue;
-            };
+            Access::Scan => {
+                for row in 0..db.relations[rel].tuples.len() {
+                    self.visit(step, row, acc);
+                }
+            }
+            Access::Lookup => {
+                if let Some(&row) = db.relations[rel].index.get(self.key(key_terms)) {
+                    self.visit(step, row, acc);
+                }
+            }
+            Access::Index(slot) => {
+                if let Some(rows) = indexes.0[slot].buckets.get(self.key(key_terms)) {
+                    for &row in rows {
+                        self.visit(step, row, acc);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Matches row `row` at plan step `step` and, if it unifies with a
+    /// satisfiable joined constraint, descends to the next step.
+    fn visit(&mut self, step: usize, row: usize, acc: Option<&Bdd>) {
+        let st = &self.plan.steps[step];
+        let atom = &self.rule.body[st.lit].atom;
+        let (tuple, c) = &self.db.relations[atom.relation.0].tuples[row];
+        if unify(&atom.terms, tuple, &mut self.bindings) {
             let joined = match acc {
-                None => tc.clone(),
-                Some(a) => a.and(tc),
+                None => c.clone(),
+                Some(a) => a.and(c),
             };
             if !joined.is_false() {
-                descend(
-                    db,
-                    indexes,
-                    delta,
-                    rule,
-                    plan,
-                    use_delta,
-                    step + 1,
-                    Some(&joined),
-                    bindings,
-                    out,
-                );
+                self.descend(step + 1, Some(&joined));
             }
-            for u in newly {
-                bindings[u] = None;
-            }
+        }
+        for &v in &st.binds {
+            self.bindings[v] = None;
         }
     }
 
-    descend(
-        db,
-        indexes,
-        delta,
-        rule,
-        &plan,
-        dpos.is_some(),
-        0,
-        None,
-        &mut bindings,
-        out,
-    );
+    /// All positives matched: applies the negations, then derives the
+    /// head.
+    fn emit(&mut self, acc: &Bdd) {
+        let (rule, db) = (self.rule, self.db);
+        let mut c = acc.clone();
+        for &n in &self.plan.negatives {
+            let atom = &rule.body[n].atom;
+            if let Some(nc) = db.constraint_of(atom.relation, self.key(atom.terms.iter())) {
+                c = c.and(&nc.not());
+                if c.is_false() {
+                    return;
+                }
+            }
+        }
+        let head = self.key(rule.head.terms.iter()).to_vec();
+        self.out.push((rule.head.relation, head, c));
+    }
 }
 
 /// Runs `program` to its stratified fixpoint over `db` (which carries
@@ -756,13 +746,13 @@ pub fn evaluate(
 ) -> Result<EvalStats, DatalogError> {
     program.validate()?;
     let strata = program.stratify()?;
-    let strata = &strata;
     let nrels = program.relation_count();
     let max_stratum = strata.iter().copied().max().unwrap_or(0);
     let mut stats = EvalStats {
         strata: max_stratum + 1,
         ..EvalStats::default()
     };
+    let mut indexes = Indexes::default();
     for s in 0..=max_stratum {
         let rule_ids: Vec<usize> = (0..program.rules.len())
             .filter(|&r| strata[program.rules[r].head.relation.0] == s)
@@ -770,70 +760,78 @@ pub fn evaluate(
         if rule_ids.is_empty() {
             continue; // e.g. stratum 0 when every EDB relation is seeded
         }
-        let mut delta: Vec<Vec<(Tuple, Bdd)>> = vec![Vec::new(); nrels];
-        let mut round = 0usize;
-        loop {
+        // Round 0 runs every rule naively; each later round runs one
+        // task per positive in-stratum literal whose relation changed,
+        // in (rule, body position) order.
+        let naive: Vec<Plan> = rule_ids
+            .iter()
+            .map(|&r| plan_for(program, r, None, &mut indexes))
+            .collect();
+        let mut semi: Vec<(usize, Plan)> = Vec::new();
+        for &r in &rule_ids {
+            for (i, lit) in program.rules[r].body.iter().enumerate() {
+                let rel = lit.atom.relation.0;
+                if !lit.negated && strata[rel] == s {
+                    semi.push((rel, plan_for(program, r, Some(i), &mut indexes)));
+                }
+            }
+        }
+        // The rows whose constraint changed last round, per relation,
+        // in the order they first changed.
+        let mut delta: Vec<Vec<usize>> = vec![Vec::new(); nrels];
+        for round in 0usize.. {
             ctx.budget_status()
                 .map_err(|detail| DatalogError::BudgetExceeded { detail })?;
-            let tasks: Vec<Task> = if round == 0 {
-                rule_ids.iter().map(|&r| (r, None)).collect()
+            let tasks: Vec<&Plan> = if round == 0 {
+                naive.iter().collect()
             } else {
-                let delta = &delta;
-                rule_ids
-                    .iter()
-                    .flat_map(|&r| {
-                        let rule = &program.rules[r];
-                        (0..rule.body.len()).filter_map(move |i| {
-                            let lit = &rule.body[i];
-                            (!lit.negated
-                                && strata[lit.atom.relation.0] == s
-                                && !delta[lit.atom.relation.0].is_empty())
-                            .then_some((r, Some(i)))
-                        })
-                    })
+                semi.iter()
+                    .filter(|(rel, _)| !delta[*rel].is_empty())
+                    .map(|(_, plan)| plan)
                     .collect()
             };
             if tasks.is_empty() {
                 break;
             }
-            let indexes = build_indexes(program, db, &tasks);
+            for step in tasks.iter().flat_map(|plan| &plan.steps) {
+                if let Access::Index(slot) = step.access {
+                    indexes.catch_up(slot, db);
+                }
+            }
+            let snapshot: &Database = db;
             let (per_task, _shard_stats, _jobs) =
-                map_shards(&tasks, opts.jobs, |_, chunk: &[Task]| {
+                map_shards(&tasks, opts.jobs, |_, chunk: &[&Plan]| {
                     let mut out = Vec::new();
-                    for &(rule_idx, dpos) in chunk {
-                        eval_task(program, db, &indexes, &delta, rule_idx, dpos, &mut out);
+                    for plan in chunk {
+                        Join {
+                            db: snapshot,
+                            indexes: &indexes,
+                            delta: &delta,
+                            rule: &program.rules[plan.rule],
+                            plan,
+                            bindings: vec![None; plan.nvars],
+                            key: Vec::new(),
+                            out: &mut out,
+                        }
+                        .descend(0, None);
                     }
                     out
                 });
             stats.rounds += 1;
-            let mut changed: Vec<Vec<Tuple>> = vec![Vec::new(); nrels];
-            let mut seen: FastSet<(usize, Tuple)> = FastSet::default();
-            let mut any = false;
-            for derivations in per_task {
-                for (rel, tuple, c) in derivations {
-                    stats.derivations += 1;
-                    if db.insert(rel, tuple.clone(), c) && seen.insert((rel.0, tuple.clone())) {
-                        changed[rel.0].push(tuple);
-                        any = true;
+            let mut next: Vec<Vec<usize>> = vec![Vec::new(); nrels];
+            let mut seen: FastSet<(usize, usize)> = FastSet::default();
+            for (rel, tuple, c) in per_task.into_iter().flatten() {
+                stats.derivations += 1;
+                if let Some(row) = db.relations[rel.0].insert(tuple, c) {
+                    if seen.insert((rel.0, row)) {
+                        next[rel.0].push(row);
                     }
                 }
             }
-            if !any {
+            if next.iter().all(Vec::is_empty) {
                 break;
             }
-            // The next delta carries every changed tuple once, with its
-            // full post-round constraint.
-            delta = vec![Vec::new(); nrels];
-            for (r, tuples) in changed.into_iter().enumerate() {
-                for t in tuples {
-                    let c = db
-                        .constraint_of(RelId(r), &t)
-                        .expect("changed tuple is stored")
-                        .clone();
-                    delta[r].push((t, c));
-                }
-            }
-            round += 1;
+            delta = next;
         }
     }
     stats.tuples = db.total_tuples();

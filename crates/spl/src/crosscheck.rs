@@ -220,6 +220,7 @@ pub fn compare_datalog<'p>(
 ) -> (usize, Vec<Mismatch>) {
     let mut facts = 0;
     let mut out = Vec::new();
+    let by_stmt = datalog.reaching_by_stmt();
     for m in icfg.methods() {
         for s in icfg.stmts_of(m) {
             if out.len() >= cap {
@@ -247,11 +248,11 @@ pub fn compare_datalog<'p>(
                     });
                 }
             }
-            for (fact, c) in datalog.reaching_at(s) {
+            for (fact, c) in by_stmt.get(&s).into_iter().flatten() {
                 if out.len() >= cap {
                     return (facts, out);
                 }
-                if !want.contains_key(&fact) {
+                if !want.contains_key(fact) {
                     facts += 1;
                     out.push(Mismatch {
                         config: Configuration::empty(),

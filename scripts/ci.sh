@@ -47,7 +47,7 @@ echo "== fuzz smoke (deterministic seed range, sharded) =="
 # sharded driver.
 ./target/release/spllift-cli fuzz --seeds 0..32 --jobs 2
 
-echo "== datalog backend crosscheck smoke (MM08/GPL, jobs 1,2) =="
+echo "== datalog backend crosscheck smoke (MM08/GPL/Lampiro, jobs 1,2) =="
 # The second backend (DESIGN.md §13) must agree with the IDE lifting on
 # every fact's constraint, and its stdout must be byte-identical across
 # --jobs values. `--crosscheck` exits non-zero on any digest mismatch;
@@ -55,7 +55,7 @@ echo "== datalog backend crosscheck smoke (MM08/GPL, jobs 1,2) =="
 SMOKE_DL1="$(mktemp -t datalog-smoke-j1.XXXXXX.txt)"
 SMOKE_DL2="$(mktemp -t datalog-smoke-j2.XXXXXX.txt)"
 trap 'rm -f "$SMOKE_DL1" "$SMOKE_DL2"' EXIT
-for subject in gen:MM08 gen:GPL; do
+for subject in gen:MM08 gen:GPL gen:Lampiro; do
     ./target/release/spllift-cli datalog "$subject" --crosscheck --jobs 1 > "$SMOKE_DL1"
     ./target/release/spllift-cli datalog "$subject" --crosscheck --jobs 2 > "$SMOKE_DL2"
     diff -u "$SMOKE_DL1" "$SMOKE_DL2"

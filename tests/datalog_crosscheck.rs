@@ -8,30 +8,39 @@
 //! additionally be **byte-identical** at `jobs = 1` and `jobs = 2`,
 //! pinning the sharded semi-naive evaluation deterministic.
 //!
-//! Lampiro also passes (119 658 facts) but a debug-mode evaluation
-//! takes minutes, so it is `#[ignore]`d here and covered by the
-//! release-mode CI smoke instead; run it explicitly with
+//! Lampiro also passes (119 658 facts), but its debug-mode run takes
+//! over a minute, so it is `#[ignore]`d here; the release-mode CI smoke
+//! in `scripts/ci.sh` cross-checks it at `--jobs 1` and `2` instead. Run
+//! it explicitly with
 //! `cargo test --release --test datalog_crosscheck -- --ignored`.
 //!
 //! [`Bdd::semantic_digest`]: spllift::bdd::Bdd::semantic_digest
 
 use spllift::analyses::ReachingDefs;
 use spllift::benchgen::{subject_by_name, GeneratedSpl};
-use spllift::datalog::{solve_reaching_defs, DumpDoc, EvalOptions};
+use spllift::datalog::{solve_reaching_defs, DumpDoc, EvalOptions, EvalStats};
 use spllift::features::{BddConstraintContext, FeatureExpr, FeatureTable};
 use spllift::ifds::Icfg;
 use spllift::ir::text::parse_repro;
 use spllift::ir::{Program, ProgramIcfg};
 use spllift::lift::{LiftedSolution, ModelMode};
 
+/// An evaluation's `(strata, rounds, derivations, tuples)`.
+type Counters = (usize, usize, u64, usize);
+
+fn counters(stats: &EvalStats) -> Counters {
+    (stats.strata, stats.rounds, stats.derivations, stats.tuples)
+}
+
 /// Solves `program` with both backends and asserts semantic equality
-/// fact-for-fact plus `jobs` invariance of the dump bytes.
+/// fact-for-fact plus `jobs` invariance of the dump bytes and of the
+/// evaluation counters, which it returns.
 fn assert_backends_agree(
     program: &Program,
     table: &FeatureTable,
     model: Option<&FeatureExpr>,
     label: &str,
-) {
+) -> Counters {
     let icfg = ProgramIcfg::new(program);
     let ctx = BddConstraintContext::new(table);
     let ide = LiftedSolution::solve(&ReachingDefs::new(), &icfg, &ctx, model, ModelMode::OnEdges);
@@ -45,8 +54,14 @@ fn assert_backends_agree(
         DumpDoc::from_solution(&sharded, &ctx, table).render(),
         "{label}: dump bytes differ between jobs = 1 and jobs = 2"
     );
+    assert_eq!(
+        counters(dl.stats()),
+        counters(sharded.stats()),
+        "{label}: evaluation counters differ between jobs = 1 and jobs = 2"
+    );
 
     let mut facts = 0usize;
+    let by_stmt = dl.reaching_by_stmt();
     for m in icfg.methods() {
         for s in icfg.stmts_of(m) {
             let want = ide.results_at(s);
@@ -61,9 +76,9 @@ fn assert_backends_agree(
                 );
                 facts += 1;
             }
-            for (fact, c) in dl.reaching_at(s) {
+            for (fact, c) in by_stmt.get(&s).into_iter().flatten() {
                 assert!(
-                    want.contains_key(&fact),
+                    want.contains_key(fact),
                     "{label}: at {s} fact {fact:?} derived only by Datalog ({})",
                     c.to_cube_string()
                 );
@@ -86,28 +101,32 @@ fn assert_backends_agree(
         }
     }
     assert!(facts > 0, "{label}: IDE solution is empty");
+    counters(dl.stats())
 }
 
-fn check_generated(name: &str) {
+fn check_generated(name: &str) -> Counters {
     let spl = GeneratedSpl::generate(subject_by_name(name).expect("known subject"));
     let model = spl.model_expr();
-    assert_backends_agree(&spl.program, &spl.table, Some(&model), name);
+    assert_backends_agree(&spl.program, &spl.table, Some(&model), name)
 }
+
+// Exact evaluation counters: a join plan may change the order of the
+// work, never the work.
 
 #[test]
 fn mm08_matches_ide_and_is_jobs_invariant() {
-    check_generated("MM08");
+    assert_eq!(check_generated("MM08"), (2, 147, 56_709, 35_103));
 }
 
 #[test]
 fn gpl_matches_ide_and_is_jobs_invariant() {
-    check_generated("GPL");
+    assert_eq!(check_generated("GPL"), (2, 137, 126_798, 80_818));
 }
 
 #[test]
-#[ignore = "debug-mode Lampiro evaluation takes minutes; run with --release -- --ignored"]
+#[ignore = "debug-mode Lampiro evaluation is slow; run with --release -- --ignored"]
 fn lampiro_matches_ide_and_is_jobs_invariant() {
-    check_generated("Lampiro");
+    assert_eq!(check_generated("Lampiro"), (2, 210, 483_288, 279_614));
 }
 
 #[test]
