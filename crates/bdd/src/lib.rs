@@ -14,10 +14,11 @@
 //! normalization every symmetric pair would be computed twice.
 //!
 //! The store is **thread-safe**: managers clone cheaply (`Arc`), handles
-//! are `Send + Sync`, and the unique table and op caches are sharded
-//! behind fine-grained locks so concurrent server sessions sharing one
-//! per-program BDD space can build formulas at the same time. See
-//! `manager` module docs and DESIGN.md §12.
+//! are `Send + Sync`, and each operation locks the manager's one store
+//! once, so concurrent server sessions sharing one per-program BDD space
+//! can build formulas from several threads. Memoized digests
+//! ([`Bdd::semantic_digest`]) live in the store too. See the `manager`
+//! module docs and DESIGN.md §12.
 //!
 //! # Example
 //!

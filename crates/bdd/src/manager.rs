@@ -1,39 +1,29 @@
 //! The BDD node store, hash-consing unique table, and operation caches.
 //!
-//! The store is **thread-safe and shared by cloning**: [`BddManager`]
-//! wraps an `Arc`-held [`SharedStore`] whose unique table and operation
-//! caches are sharded behind fine-grained mutexes (wasmtime-style), and
-//! whose node arena supports lock-free reads. Handles ([`Bdd`]) are
-//! `Send + Sync`; any number of threads may build and combine formulas
-//! on the same manager concurrently, and hash-consing guarantees they
-//! agree on node identity — racing threads interning the same
-//! `(var, low, high)` triple observe one node.
+//! One `Store` owns every node, table and meter of a manager, behind
+//! one `Mutex`. Clones of a [`BddManager`] share it through an `Arc`,
+//! so handles ([`Bdd`]) are `Send + Sync` and threads sharing a manager
+//! agree on node identity. Each public operation locks the store once
+//! and runs its whole recursion on `&mut Store`; DESIGN.md §12 explains
+//! why this replaced a store sharded for concurrent writers.
 //!
-//! The concurrency design (sharding, lock ordering, the determinism
-//! argument for the parallel solver built on top) is documented in
-//! DESIGN.md §12. The short version:
-//!
-//! * Nodes hash to one of [`SHARDS`] shards. Each shard owns a mutex
-//!   over its slice of the unique table plus an append-only chunked
-//!   arena; node ids encode `(shard, index)`, so [`node lookups`]
-//!   (`SharedStore::node`) never take a lock.
-//! * Op caches (`ite`/`not`/`restrict`) are sharded the same way. No
-//!   lock is ever held across a recursive call or while another shard
-//!   lock is taken, so the lock graph is trivially acyclic.
-//! * Budget meters are atomics; exhaustion latches **exactly once**
-//!   per arming through a small mutex-protected slot, and every
-//!   operation short-circuits from then on without touching the memo
-//!   caches (partial results computed after exhaustion are garbage).
-//!
-//! At a single thread the operation order, op charging, and budget
-//! semantics are byte-for-byte those of the previous thread-confined
-//! (`Rc<RefCell>`) store, which the committed server/chaos goldens pin.
+//! * Nodes live in one `Vec`; a node id is its index, with the two
+//!   terminals at 0 and 1.
+//! * The unique table and the `ite`/`not`/`restrict` memos are exact
+//!   and unbounded, each split into [`SUBMAPS`] sub-maps so that no
+//!   single table doubles all at once.
+//! * Budget meters are plain counters. Exhaustion latches **exactly
+//!   once** per arming, and every operation short-circuits from then on
+//!   without touching the memos (partial results computed after
+//!   exhaustion are garbage).
+//! * No caller code runs under the lock: [`Bdd::eval`] locks once per
+//!   node it reads, so its closure may call back into the manager.
 
 use spllift_hash::{FastMap, FastSet, FxHasher64};
+use std::collections::hash_map::Entry;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Index of a Boolean variable inside a [`BddManager`].
 ///
@@ -49,8 +39,8 @@ impl fmt::Display for VarId {
     }
 }
 
-/// Internal node index. `0` is the `false` terminal, `1` is `true`;
-/// every other id encodes `(arena index << SHARD_BITS | shard) + 2`.
+/// Node index into `Store::nodes`: `0` is the `false` terminal, `1` is
+/// `true`.
 type NodeId = u32;
 
 const FALSE_ID: NodeId = 0;
@@ -58,43 +48,64 @@ const TRUE_ID: NodeId = 1;
 /// Pseudo-level of the terminals: below every real variable.
 const TERMINAL_VAR: u32 = u32::MAX;
 
-/// log2 of the shard count.
-const SHARD_BITS: u32 = 4;
-/// Number of unique-table/op-cache shards. A power of two; 16 keeps
-/// contention low for the solver's worker-thread counts (≤ 8 by
-/// default) while the per-manager footprint stays small — fuzzing
-/// creates thousands of short-lived managers.
-const SHARDS: usize = 1 << SHARD_BITS;
+/// log2 of [`SUBMAPS`].
+const SUBMAP_BITS: u32 = 4;
+/// Number of sub-maps each table is split into. One 8 M-entry map
+/// doubles in a single step, and with the unique table and the `ite`
+/// memo both live that raised the peak RSS of the BerkeleyDB cells by
+/// 29%; sixteen sub-maps grow one sixteenth at a time.
+const SUBMAPS: usize = 1 << SUBMAP_BITS;
+/// Lowest hash bit of the sub-map selector.
+const SUBMAP_SHIFT: u32 = 32;
 
-/// Shard an interior node id belongs to, and its index in that shard's
-/// arena.
-#[inline]
-fn decode(id: NodeId) -> (usize, usize) {
-    debug_assert!(id >= 2);
-    let raw = id - 2;
-    (
-        (raw & (SHARDS as u32 - 1)) as usize,
-        (raw >> SHARD_BITS) as usize,
-    )
-}
+// Inside a sub-map, `std`'s `HashMap` (hashbrown) derives the bucket
+// index from the low hash bits (fewer than 32 while a table has under
+// 2^32 buckets, which memory rules out) and the control tag from the top
+// 7. The selector bits must overlap neither: selecting by the top 4 bits
+// left only 3 varying tag bits per sub-map, so 1 in 8 probed slots
+// false-matched instead of 1 in 128.
+const _: () = {
+    const BUCKET_INDEX_BITS: u32 = 32;
+    const HASHBROWN_TAG_SHIFT: u32 = 64 - 7;
+    assert!(SUBMAP_SHIFT >= BUCKET_INDEX_BITS);
+    assert!(SUBMAP_SHIFT + SUBMAP_BITS <= HASHBROWN_TAG_SHIFT);
+};
 
+/// The sub-map `key` lives in: bits 32–35 of the same [`FxHasher64`]
+/// hash the sub-map itself uses.
 #[inline]
-fn encode(shard: usize, index: usize) -> NodeId {
-    let raw = ((index as u64) << SHARD_BITS) | shard as u64;
-    let id = raw + 2;
-    assert!(id <= u32::MAX as u64, "BDD store overflow in shard {shard}");
-    id as NodeId
-}
-
-/// Shard selector: a full [`FxHasher64`] pass (its finalizer has full
-/// avalanche), taking the **top** bits so the shard choice stays
-/// independent of the bucket index the `FastMap` inside the shard
-/// derives from the low bits of the same hash function.
-#[inline]
-fn shard_of<T: Hash>(key: &T) -> usize {
+fn submap<T: Hash>(key: &T) -> usize {
     let mut h = FxHasher64::default();
     key.hash(&mut h);
-    (h.finish() >> (64 - SHARD_BITS)) as usize
+    (h.finish() >> SUBMAP_SHIFT) as usize & (SUBMAPS - 1)
+}
+
+/// An exact, unbounded map split into [`SUBMAPS`] sub-maps by [`submap`].
+struct SplitMap<K, V>([FastMap<K, V>; SUBMAPS]);
+
+impl<K: Hash + Eq, V: Copy> SplitMap<K, V> {
+    fn new() -> Self {
+        SplitMap(std::array::from_fn(|_| FastMap::default()))
+    }
+
+    #[inline]
+    fn get(&self, key: &K) -> Option<V> {
+        self.0[submap(key)].get(key).copied()
+    }
+
+    #[inline]
+    fn insert(&mut self, key: K, value: V) {
+        self.0[submap(&key)].insert(key, value);
+    }
+
+    #[inline]
+    fn entry(&mut self, key: K) -> Entry<'_, K, V> {
+        self.0[submap(&key)].entry(key)
+    }
+
+    fn len(&self) -> usize {
+        self.0.iter().map(FastMap::len).sum()
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -184,260 +195,128 @@ impl BddBudget {
     };
 }
 
-/// Maximum chunks per arena shard; geometric chunk sizes
-/// (`64 << chunk`), so 26 chunks cover far more than the `u32` id
-/// space can address anyway.
-const MAX_CHUNKS: usize = 26;
-/// log2 of the first (smallest) chunk's length.
-const FIRST_CHUNK_BITS: u32 = 6;
-
-/// `(chunk, slot, chunk_len)` of arena index `i`.
-#[inline]
-fn chunk_of(i: usize) -> (usize, usize, usize) {
-    let adj = (i >> FIRST_CHUNK_BITS) + 1;
-    let k = (usize::BITS - 1 - adj.leading_zeros()) as usize;
-    let start = ((1usize << k) - 1) << FIRST_CHUNK_BITS;
-    (k, i - start, 1usize << (FIRST_CHUNK_BITS as usize + k))
-}
-
-/// One shard's append-only node storage: a table of geometrically
-/// growing chunks. Writes happen only under the owning shard's unique
-/// -table mutex; reads take no lock at all.
-///
-/// # Safety argument (lock-free reads)
-///
-/// A slot is written exactly once, *before* its node id is published:
-/// the writer holds the shard mutex, writes the slot, stores `len` with
-/// `Release`, inserts the id into the unique table, and releases the
-/// mutex. A reader can only name the slot through a published id, which
-/// it obtained via a happens-before edge with the publication (the
-/// shard mutex, a thread spawn/join, a channel send, or another lock) —
-/// so the non-atomic slot read cannot race the write. Chunk pointers
-/// are published with `Release` and loaded with `Acquire` for the same
-/// reason.
-struct Arena {
-    chunks: [AtomicPtr<Node>; MAX_CHUNKS],
-    /// Number of initialized slots. Only the lock-holding writer
-    /// advances it; `Release` so readers that learned an index through
-    /// any acquire-path see the slot initialized.
-    len: AtomicUsize,
-}
-
-impl Arena {
-    fn new() -> Arena {
-        Arena {
-            chunks: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
-            len: AtomicUsize::new(0),
-        }
-    }
-
-    /// Appends a node; caller must hold the owning shard's mutex.
-    fn push(&self, node: Node) -> usize {
-        let i = self.len.load(Ordering::Relaxed);
-        let (k, slot, cap) = chunk_of(i);
-        let mut ptr = self.chunks[k].load(Ordering::Acquire);
-        if ptr.is_null() {
-            let chunk = vec![
-                Node {
-                    var: TERMINAL_VAR,
-                    low: FALSE_ID,
-                    high: FALSE_ID,
-                };
-                cap
-            ]
-            .into_boxed_slice();
-            ptr = Box::into_raw(chunk).cast::<Node>();
-            self.chunks[k].store(ptr, Ordering::Release);
-        }
-        // SAFETY: `slot < cap` by construction; this thread is the only
-        // writer (shard mutex held) and the slot is unpublished.
-        unsafe { ptr.add(slot).write(node) };
-        self.len.store(i + 1, Ordering::Release);
-        i
-    }
-
-    /// Lock-free read of an initialized slot (see the safety argument
-    /// on [`Arena`]).
-    #[inline]
-    fn get(&self, i: usize) -> Node {
-        let (k, slot, _) = chunk_of(i);
-        let ptr = self.chunks[k].load(Ordering::Acquire);
-        debug_assert!(!ptr.is_null() && i < self.len.load(Ordering::Acquire));
-        // SAFETY: the id naming `i` was published after the slot write
-        // (happens-before via the publication edge), and slots are
-        // written exactly once.
-        unsafe { *ptr.add(slot) }
-    }
-}
-
-impl Drop for Arena {
-    fn drop(&mut self) {
-        for (k, chunk) in self.chunks.iter().enumerate() {
-            let ptr = chunk.load(Ordering::Acquire);
-            if !ptr.is_null() {
-                let cap = 1usize << (FIRST_CHUNK_BITS as usize + k);
-                // SAFETY: the pointer came from `Box::into_raw` of a
-                // boxed slice of exactly `cap` nodes, and `drop` has
-                // exclusive access.
-                unsafe { drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, cap))) };
-            }
-        }
-    }
-}
-
-/// The shared, thread-safe store behind every clone of a [`BddManager`].
-struct SharedStore {
-    /// Sharded hash-consing table: `(var, low, high) → id`. Each shard's
-    /// mutex also guards its `arenas` entry for writing.
-    unique: [Mutex<FastMap<Node, NodeId>>; SHARDS],
-    /// Per-shard node storage; reads are lock-free.
-    arenas: [Arena; SHARDS],
-    ite_cache: [Mutex<FastMap<(NodeId, NodeId, NodeId), NodeId>>; SHARDS],
-    not_cache: [Mutex<FastMap<NodeId, NodeId>>; SHARDS],
-    restrict_cache: [Mutex<FastMap<(NodeId, u32, bool), NodeId>>; SHARDS],
-    var_names: RwLock<Vec<String>>,
-    /// Total allocated nodes, terminals included (monotone while a
-    /// budget is armed; only `set_budget` resets the baseline).
-    node_count: AtomicU64,
+/// Every node, table and meter of a manager; [`BddManager`] holds it
+/// behind one `Mutex`.
+struct Store {
+    /// Every node, indexed by its id; entries 0 and 1 are the terminals.
+    nodes: Vec<Node>,
+    /// Hash-consing table: `(var, low, high) → id`.
+    unique: SplitMap<Node, NodeId>,
+    ite_cache: SplitMap<(NodeId, NodeId, NodeId), NodeId>,
+    not_cache: SplitMap<NodeId, NodeId>,
+    restrict_cache: SplitMap<(NodeId, u32, bool), NodeId>,
+    /// [`Bdd::semantic_digest`] of every interior node digested so far.
+    /// Exact for the store's whole life: a digest depends only on the
+    /// node and the fixed variable order, and nodes are immutable and
+    /// never freed.
+    digests: FastMap<NodeId, u64>,
+    var_names: Vec<String>,
     /// `u64::MAX` when un-budgeted, so the hot-path checks stay a single
     /// integer compare.
-    max_nodes: AtomicU64,
-    max_ops: AtomicU64,
+    max_nodes: u64,
+    max_ops: u64,
     /// Node count when the budget was last armed; the node budget meters
     /// growth, not absolute store size.
-    baseline_nodes: AtomicU64,
-    ops: AtomicU64,
-    /// Fast-path exhaustion flag. `true` implies `exhausted` holds the
-    /// latched error (the flag is set *after* the error, both inside
-    /// the `exhausted` critical section).
-    exhausted_flag: AtomicBool,
+    baseline_nodes: u64,
+    ops: u64,
     /// Once set, every operation short-circuits without caching: partial
     /// results computed after exhaustion are garbage and must never be
     /// memoized where a later (re-budgeted) solve could read them.
-    /// Latched at most once per arming (see [`SharedStore::latch`]).
-    exhausted: Mutex<Option<BddError>>,
-    /// How many times exhaustion latched since the store was created —
-    /// diagnostics for the exactly-once contract under concurrency.
-    latches: AtomicU64,
+    /// Latched at most once per arming (see [`Store::latch`]).
+    exhausted: Option<BddError>,
+    /// How many times exhaustion latched since the store was created.
+    latches: u64,
 }
 
-impl SharedStore {
+impl Store {
     fn new() -> Self {
-        SharedStore {
-            unique: std::array::from_fn(|_| Mutex::new(FastMap::default())),
-            arenas: std::array::from_fn(|_| Arena::new()),
-            ite_cache: std::array::from_fn(|_| Mutex::new(FastMap::default())),
-            not_cache: std::array::from_fn(|_| Mutex::new(FastMap::default())),
-            restrict_cache: std::array::from_fn(|_| Mutex::new(FastMap::default())),
-            var_names: RwLock::new(Vec::new()),
-            node_count: AtomicU64::new(2),
-            max_nodes: AtomicU64::new(u64::MAX),
-            max_ops: AtomicU64::new(u64::MAX),
-            baseline_nodes: AtomicU64::new(2),
-            ops: AtomicU64::new(0),
-            exhausted_flag: AtomicBool::new(false),
-            exhausted: Mutex::new(None),
-            latches: AtomicU64::new(0),
+        let terminal = |id| Node {
+            var: TERMINAL_VAR,
+            low: id,
+            high: id,
+        };
+        Store {
+            nodes: vec![terminal(FALSE_ID), terminal(TRUE_ID)],
+            unique: SplitMap::new(),
+            ite_cache: SplitMap::new(),
+            not_cache: SplitMap::new(),
+            restrict_cache: SplitMap::new(),
+            digests: FastMap::default(),
+            var_names: Vec::new(),
+            max_nodes: u64::MAX,
+            max_ops: u64::MAX,
+            baseline_nodes: 2,
+            ops: 0,
+            exhausted: None,
+            latches: 0,
         }
     }
 
     #[inline]
     fn is_exhausted(&self) -> bool {
-        self.exhausted_flag.load(Ordering::Acquire)
+        self.exhausted.is_some()
     }
 
-    /// Records `err` as the budget-exhaustion cause — once. Racing
-    /// threads that cross a limit simultaneously all call this, but
-    /// only the first store wins; the rest observe the flag and
-    /// short-circuit. Never called with a shard lock held.
-    fn latch(&self, err: BddError) {
-        let mut slot = self.exhausted.lock().expect("exhaustion lock");
-        if slot.is_none() {
-            *slot = Some(err);
-            self.latches.fetch_add(1, Ordering::Relaxed);
-            self.exhausted_flag.store(true, Ordering::Release);
+    /// Records `err` as the budget-exhaustion cause, unless one is
+    /// already latched since the last arming.
+    fn latch(&mut self, err: BddError) {
+        if self.exhausted.is_none() {
+            self.exhausted = Some(err);
+            self.latches += 1;
         }
     }
 
-    /// Charges one operation step; returns `true` if the store is (now)
+    /// Charges `n` operation steps; returns `true` if the store is (now)
     /// exhausted and the caller must short-circuit without caching.
     #[inline]
-    fn charge_op(&self) -> bool {
+    fn charge(&mut self, n: u64) -> bool {
         if self.is_exhausted() {
             return true;
         }
-        let used = self.ops.fetch_add(1, Ordering::Relaxed) + 1;
-        let limit = self.max_ops.load(Ordering::Relaxed);
-        if used > limit {
+        // Saturating: the chaos hook charges `u64::MAX`, and a wrapping
+        // add would cycle the meter back under budget.
+        self.ops = self.ops.saturating_add(n);
+        if self.ops > self.max_ops {
             self.latch(BddError::BudgetExceeded {
                 resource: BudgetResource::Ops,
-                limit,
-                used,
+                limit: self.max_ops,
+                used: self.ops,
             });
             return true;
         }
         false
     }
 
-    fn mk(&self, var: u32, low: NodeId, high: NodeId) -> NodeId {
+    fn mk(&mut self, var: u32, low: NodeId, high: NodeId) -> NodeId {
         if low == high {
             return low;
         }
         let node = Node { var, low, high };
-        let shard = shard_of(&node);
-        let mut map = self.unique[shard].lock().expect("unique shard lock");
-        if let Some(&id) = map.get(&node) {
-            return id;
-        }
-        let grown = self
-            .node_count
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.baseline_nodes.load(Ordering::Relaxed));
-        let limit = self.max_nodes.load(Ordering::Relaxed);
-        if grown >= limit {
-            drop(map);
+        let slot = match self.unique.entry(node) {
+            Entry::Occupied(e) => return *e.get(),
+            Entry::Vacant(slot) => slot,
+        };
+        let grown = self.nodes.len() as u64 - self.baseline_nodes;
+        if grown >= self.max_nodes {
             self.latch(BddError::BudgetExceeded {
                 resource: BudgetResource::Nodes,
-                limit,
+                limit: self.max_nodes,
                 used: grown + 1,
             });
             return low;
         }
-        let id = encode(shard, self.arenas[shard].push(node));
-        map.insert(node, id);
-        self.node_count.fetch_add(1, Ordering::Release);
+        let id = NodeId::try_from(self.nodes.len()).expect("BDD store overflow");
+        self.nodes.push(node);
+        slot.insert(id);
         id
     }
 
-    /// Lock-free node read; terminals are materialized, not stored.
     #[inline]
     fn node(&self, id: NodeId) -> Node {
-        if id < 2 {
-            return Node {
-                var: TERMINAL_VAR,
-                low: id,
-                high: id,
-            };
-        }
-        let (shard, index) = decode(id);
-        self.arenas[shard].get(index)
+        self.nodes[id as usize]
     }
 
-    /// Cofactor of `f` w.r.t. the decision variable `var`.
-    fn cofactor(&self, f: NodeId, var: u32, value: bool) -> NodeId {
-        let n = self.node(f);
-        if n.var == var {
-            if value {
-                n.high
-            } else {
-                n.low
-            }
-        } else {
-            f
-        }
-    }
-
-    fn ite(&self, f: NodeId, g: NodeId, h: NodeId) -> NodeId {
+    fn ite(&mut self, f: NodeId, g: NodeId, h: NodeId) -> NodeId {
         // Terminal cases.
         if f == TRUE_ID {
             return g;
@@ -452,18 +331,24 @@ impl SharedStore {
             return f;
         }
         let key = (f, g, h);
-        let cache = &self.ite_cache[shard_of(&key)];
-        if let Some(&r) = cache.lock().expect("ite cache lock").get(&key) {
+        if let Some(r) = self.ite_cache.get(&key) {
             return r;
         }
-        if self.charge_op() {
+        if self.charge(1) {
             return FALSE_ID;
         }
-        let v = self.node(f).var.min(self.node(g).var).min(self.node(h).var);
+        let (nf, ng, nh) = (self.node(f), self.node(g), self.node(h));
+        let v = nf.var.min(ng.var).min(nh.var);
         debug_assert_ne!(v, TERMINAL_VAR);
-        let (f0, f1) = (self.cofactor(f, v, false), self.cofactor(f, v, true));
-        let (g0, g1) = (self.cofactor(g, v, false), self.cofactor(g, v, true));
-        let (h0, h1) = (self.cofactor(h, v, false), self.cofactor(h, v, true));
+        // Cofactors w.r.t. the top variable `v`.
+        let split = |n: Node, id: NodeId| {
+            if n.var == v {
+                (n.low, n.high)
+            } else {
+                (id, id)
+            }
+        };
+        let ((f0, f1), (g0, g1), (h0, h1)) = (split(nf, f), split(ng, g), split(nh, h));
         let low = self.ite(f0, g0, h0);
         let high = self.ite(f1, g1, h1);
         if self.is_exhausted() {
@@ -474,34 +359,33 @@ impl SharedStore {
         if self.is_exhausted() {
             return FALSE_ID;
         }
-        cache.lock().expect("ite cache lock").insert(key, r);
+        self.ite_cache.insert(key, r);
         r
     }
 
     /// Commutative conjunction: operands are sorted by node id so the
     /// symmetric query shares one `ite_cache` slot (`a.and(b)` and
     /// `b.and(a)` hit the same `(f, g, 0)` triple).
-    fn and(&self, f: NodeId, g: NodeId) -> NodeId {
+    fn and(&mut self, f: NodeId, g: NodeId) -> NodeId {
         let (f, g) = (f.min(g), f.max(g));
         self.ite(f, g, FALSE_ID)
     }
 
-    /// Commutative disjunction; see [`SharedStore::and`] for the operand
-    /// sort.
-    fn or(&self, f: NodeId, g: NodeId) -> NodeId {
+    /// Commutative disjunction; see [`Store::and`] for the operand sort.
+    fn or(&mut self, f: NodeId, g: NodeId) -> NodeId {
         let (f, g) = (f.min(g), f.max(g));
         self.ite(f, TRUE_ID, g)
     }
 
-    /// Commutative exclusive-or; see [`SharedStore::and`].
-    fn xor(&self, f: NodeId, g: NodeId) -> NodeId {
+    /// Commutative exclusive-or; see [`Store::and`].
+    fn xor(&mut self, f: NodeId, g: NodeId) -> NodeId {
         let (f, g) = (f.min(g), f.max(g));
         let ng = self.not(g);
         self.ite(f, ng, g)
     }
 
-    /// Commutative biconditional; see [`SharedStore::and`].
-    fn iff(&self, f: NodeId, g: NodeId) -> NodeId {
+    /// Commutative biconditional; see [`Store::and`].
+    fn iff(&mut self, f: NodeId, g: NodeId) -> NodeId {
         let (f, g) = (f.min(g), f.max(g));
         let ng = self.not(g);
         self.ite(f, g, ng)
@@ -511,11 +395,7 @@ impl SharedStore {
         match id {
             FALSE_ID => Some(TRUE_ID),
             TRUE_ID => Some(FALSE_ID),
-            _ => self.not_cache[shard_of(&id)]
-                .lock()
-                .expect("not cache lock")
-                .get(&id)
-                .copied(),
+            _ => self.not_cache.get(&id),
         }
     }
 
@@ -524,13 +404,13 @@ impl SharedStore {
     /// Iterative (explicit work stack): a chain-shaped diagram is as
     /// deep as the variable count, and the recursive form blew the call
     /// stack around ~100k variables.
-    fn not(&self, f: NodeId) -> NodeId {
+    fn not(&mut self, f: NodeId) -> NodeId {
         if let Some(r) = self.not_cached(f) {
             return r;
         }
         let mut stack = vec![f];
         while let Some(&id) = stack.last() {
-            if self.charge_op() {
+            if self.charge(1) {
                 return f;
             }
             if self.not_cached(id).is_some() {
@@ -544,14 +424,8 @@ impl SharedStore {
                     if self.is_exhausted() {
                         return f;
                     }
-                    self.not_cache[shard_of(&id)]
-                        .lock()
-                        .expect("not cache lock")
-                        .insert(id, r);
-                    self.not_cache[shard_of(&r)]
-                        .lock()
-                        .expect("not cache lock")
-                        .insert(r, id);
+                    self.not_cache.insert(id, r);
+                    self.not_cache.insert(r, id);
                     stack.pop();
                 }
                 (low, high) => {
@@ -575,12 +449,7 @@ impl SharedStore {
         if n.var == var {
             return Some(if value { n.high } else { n.low });
         }
-        let key = (id, var, value);
-        self.restrict_cache[shard_of(&key)]
-            .lock()
-            .expect("restrict cache lock")
-            .get(&key)
-            .copied()
+        self.restrict_cache.get(&(id, var, value))
     }
 
     /// Cofactor of `f` with `var` fixed to `value`, memoized in
@@ -588,14 +457,14 @@ impl SharedStore {
     ///
     /// Without the memo, a shared sub-DAG was re-walked once per *path*
     /// from the root — exponential on dense diagrams (e.g. parity).
-    /// Iterative for the same deep-chain reason as [`SharedStore::not`].
-    fn restrict(&self, f: NodeId, var: u32, value: bool) -> NodeId {
+    /// Iterative for the same deep-chain reason as [`Store::not`].
+    fn restrict(&mut self, f: NodeId, var: u32, value: bool) -> NodeId {
         if let Some(r) = self.restrict_cached(f, var, value) {
             return r;
         }
         let mut stack = vec![f];
         while let Some(&id) = stack.last() {
-            if self.charge_op() {
+            if self.charge(1) {
                 return f;
             }
             if self.restrict_cached(id, var, value).is_some() {
@@ -612,11 +481,7 @@ impl SharedStore {
                     if self.is_exhausted() {
                         return f;
                     }
-                    let key = (id, var, value);
-                    self.restrict_cache[shard_of(&key)]
-                        .lock()
-                        .expect("restrict cache lock")
-                        .insert(key, r);
+                    self.restrict_cache.insert((id, var, value), r);
                     stack.pop();
                 }
                 (low, high) => {
@@ -633,14 +498,16 @@ impl SharedStore {
             .expect("restriction computed for the root")
     }
 
+    /// `∃var. f`: the disjunction of both cofactors.
+    fn exists(&mut self, f: NodeId, var: u32) -> NodeId {
+        let lo = self.restrict(f, var, false);
+        let hi = self.restrict(f, var, true);
+        self.or(lo, hi)
+    }
+
     /// Number of satisfying assignments over the first `nvars` variables.
     fn sat_count(&self, f: NodeId, nvars: u32) -> u128 {
-        fn go(
-            store: &SharedStore,
-            f: NodeId,
-            nvars: u32,
-            memo: &mut FastMap<NodeId, u128>,
-        ) -> u128 {
+        fn go(store: &Store, f: NodeId, nvars: u32, memo: &mut FastMap<NodeId, u128>) -> u128 {
             if f == FALSE_ID {
                 return 0;
             }
@@ -671,7 +538,7 @@ impl SharedStore {
         go(self, f, nvars, &mut memo) << leading
     }
 
-    fn one_sat(&self, f: NodeId) -> Option<Vec<(u32, bool)>> {
+    fn one_sat(&self, f: NodeId) -> Option<Vec<(VarId, bool)>> {
         if f == FALSE_ID {
             return None;
         }
@@ -680,44 +547,156 @@ impl SharedStore {
         while cur != TRUE_ID {
             let n = self.node(cur);
             if n.low != FALSE_ID {
-                path.push((n.var, false));
+                path.push((VarId(n.var), false));
                 cur = n.low;
             } else {
-                path.push((n.var, true));
+                path.push((VarId(n.var), true));
                 cur = n.high;
             }
         }
         Some(path)
     }
 
-    fn eval(&self, f: NodeId, assignment: &dyn Fn(u32) -> bool) -> bool {
-        let mut cur = f;
-        loop {
-            match cur {
-                FALSE_ID => return false,
-                TRUE_ID => return true,
-                _ => {
-                    let n = self.node(cur);
-                    cur = if assignment(n.var) { n.high } else { n.low };
+    /// Every interior node reachable from `f`, each once, in DFS order.
+    fn interior_nodes(&self, f: NodeId) -> impl Iterator<Item = (NodeId, Node)> + '_ {
+        let mut seen = FastSet::default();
+        let mut stack = vec![f];
+        std::iter::from_fn(move || {
+            while let Some(id) = stack.pop() {
+                if id == FALSE_ID || id == TRUE_ID || !seen.insert(id) {
+                    continue;
                 }
+                let n = self.node(id);
+                stack.push(n.low);
+                stack.push(n.high);
+                return Some((id, n));
+            }
+            None
+        })
+    }
+
+    fn support(&self, f: NodeId) -> Vec<VarId> {
+        let vars: std::collections::BTreeSet<u32> =
+            self.interior_nodes(f).map(|(_, n)| n.var).collect();
+        vars.into_iter().map(VarId).collect()
+    }
+
+    /// [`Bdd::semantic_digest`] of `f`, memoized in `digests`.
+    fn digest(&mut self, f: NodeId) -> u64 {
+        const FALSE_DIGEST: u64 = 0x9e37_79b9_7f4a_7c15;
+        const TRUE_DIGEST: u64 = 0xd1b5_4a32_d192_ed03;
+        fn mix(var: u32, lo: u64, hi: u64) -> u64 {
+            // SplitMix64-style finalizer over an asymmetric combination
+            // (lo and hi enter with different rotations/multipliers, so
+            // swapped branches change the digest).
+            let mut z = (var as u64 + 1).wrapping_mul(0xff51_afd7_ed55_8ccd)
+                ^ lo.rotate_left(17).wrapping_mul(0xc4ce_b9fe_1a85_ec53)
+                ^ hi.rotate_left(43).wrapping_mul(0x2545_f491_4f6c_dd1d);
+            z ^= z >> 30;
+            z = z.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z ^= z >> 27;
+            z = z.wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+        let known = |s: &Store, id: NodeId| match id {
+            FALSE_ID => Some(FALSE_DIGEST),
+            TRUE_ID => Some(TRUE_DIGEST),
+            _ => s.digests.get(&id).copied(),
+        };
+        if let Some(d) = known(self, f) {
+            return d;
+        }
+        let mut stack = vec![f];
+        while let Some(&top) = stack.last() {
+            if known(self, top).is_some() {
+                stack.pop();
+                continue;
+            }
+            let n = self.node(top);
+            match (known(self, n.low), known(self, n.high)) {
+                (Some(lo), Some(hi)) => {
+                    self.digests.insert(top, mix(n.var, lo, hi));
+                    stack.pop();
+                }
+                (lo, hi) => {
+                    if lo.is_none() {
+                        stack.push(n.low);
+                    }
+                    if hi.is_none() {
+                        stack.push(n.high);
+                    }
+                }
+            }
+        }
+        self.digests[&f]
+    }
+
+    /// See [`Bdd::to_cube_string`].
+    fn cube_string(&self, f: NodeId) -> String {
+        fn go(s: &Store, id: NodeId, path: &mut Vec<(u32, bool)>, cubes: &mut Vec<String>) {
+            if id == FALSE_ID {
+                return;
+            }
+            if id == TRUE_ID {
+                let lits: Vec<String> = path
+                    .iter()
+                    .map(|&(v, b)| {
+                        let name = &s.var_names[v as usize];
+                        if b {
+                            name.clone()
+                        } else {
+                            format!("!{name}")
+                        }
+                    })
+                    .collect();
+                if lits.is_empty() {
+                    cubes.push("true".into());
+                } else {
+                    cubes.push(format!("({})", lits.join(" & ")));
+                }
+                return;
+            }
+            let n = s.node(id);
+            path.push((n.var, false));
+            go(s, n.low, path, cubes);
+            path.pop();
+            path.push((n.var, true));
+            go(s, n.high, path, cubes);
+            path.pop();
+        }
+        match f {
+            TRUE_ID => "true".into(),
+            FALSE_ID => "false".into(),
+            _ => {
+                let mut cubes = Vec::new();
+                go(self, f, &mut Vec::new(), &mut cubes);
+                cubes.join(" | ")
             }
         }
     }
 
-    fn support(&self, f: NodeId) -> Vec<u32> {
-        let mut seen = FastSet::default();
-        let mut vars = std::collections::BTreeSet::new();
-        let mut stack = vec![f];
-        while let Some(id) = stack.pop() {
-            if id == FALSE_ID || id == TRUE_ID || !seen.insert(id) {
-                continue;
+    /// See [`Bdd::to_dot`].
+    fn dot(&self, f: NodeId) -> String {
+        let node_name = |id: NodeId| -> String {
+            match id {
+                FALSE_ID => "f".into(),
+                TRUE_ID => "t".into(),
+                _ => format!("n{id}"),
             }
-            let n = self.node(id);
-            vars.insert(n.var);
-            stack.push(n.low);
-            stack.push(n.high);
+        };
+        let mut out = String::from("digraph bdd {\n  rankdir=TB;\n");
+        out.push_str("  f [shape=box,label=\"0\"];\n  t [shape=box,label=\"1\"];\n");
+        for (id, n) in self.interior_nodes(f) {
+            let name = &self.var_names[n.var as usize];
+            out.push_str(&format!("  n{id} [label=\"{name}\"];\n"));
+            out.push_str(&format!(
+                "  n{id} -> {} [style=dashed];\n",
+                node_name(n.low)
+            ));
+            out.push_str(&format!("  n{id} -> {};\n", node_name(n.high)));
         }
-        vars.into_iter().collect()
+        out.push_str("}\n");
+        out
     }
 }
 
@@ -739,7 +718,7 @@ impl SharedStore {
 /// ```
 #[derive(Clone)]
 pub struct BddManager {
-    store: Arc<SharedStore>,
+    store: Arc<Mutex<Store>>,
 }
 
 impl fmt::Debug for BddManager {
@@ -762,8 +741,15 @@ impl BddManager {
     /// Creates an empty manager with no variables.
     pub fn new() -> Self {
         BddManager {
-            store: Arc::new(SharedStore::new()),
+            store: Arc::new(Mutex::new(Store::new())),
         }
+    }
+
+    /// Locks the store. A poisoned lock is recovered: the only
+    /// multi-step mutation is `mk`'s append-then-intern, and a panic
+    /// between the two leaves at worst an unreachable node.
+    fn lock(&self) -> MutexGuard<'_, Store> {
+        self.store.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Declares a fresh variable named `name` and returns it as a formula.
@@ -776,9 +762,9 @@ impl BddManager {
 
     /// Declares a fresh variable and returns its [`VarId`].
     pub fn new_var(&self, name: impl Into<String>) -> VarId {
-        let mut names = self.store.var_names.write().expect("var_names lock");
-        let idx = names.len() as u32;
-        names.push(name.into());
+        let mut s = self.lock();
+        let idx = s.var_names.len() as u32;
+        s.var_names.push(name.into());
         VarId(idx)
     }
 
@@ -788,25 +774,29 @@ impl BddManager {
     ///
     /// Panics if `var` was not declared by this manager.
     pub fn var_bdd(&self, var: VarId) -> Bdd {
-        {
-            let names = self.store.var_names.read().expect("var_names lock");
-            assert!(
-                (var.0 as usize) < names.len(),
-                "variable {var} not declared in this manager"
-            );
-        }
-        let id = self.store.mk(var.0, FALSE_ID, TRUE_ID);
+        let id = {
+            let mut s = self.lock();
+            ((var.0 as usize) < s.var_names.len()).then(|| s.mk(var.0, FALSE_ID, TRUE_ID))
+        };
+        let Some(id) = id else {
+            panic!("variable {var} not declared in this manager");
+        };
         self.wrap(id)
     }
 
     /// The number of declared variables.
     pub fn num_vars(&self) -> usize {
-        self.store.var_names.read().expect("var_names lock").len()
+        self.lock().var_names.len()
     }
 
     /// The name a variable was declared with.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var` was not declared by this manager.
     pub fn var_name(&self, var: VarId) -> String {
-        self.store.var_names.read().expect("var_names lock")[var.0 as usize].clone()
+        let name = self.lock().var_names.get(var.0 as usize).cloned();
+        name.unwrap_or_else(|| panic!("variable {var} not declared in this manager"))
     }
 
     /// The constant `true` formula.
@@ -819,24 +809,16 @@ impl BddManager {
         self.wrap(FALSE_ID)
     }
 
-    /// Current size counters.
-    ///
-    /// Under concurrency the three counters are each read atomically
-    /// (`nodes` with `Acquire`, the cache tally shard-by-shard under
-    /// each shard's lock), so every reported number was true at some
-    /// point during the call and `nodes` is monotone across snapshots
-    /// while no re-arm intervenes — the consistency contract the
-    /// governance read path relies on.
+    /// Current size counters, read under one lock: they describe the
+    /// store between two operations, and `nodes` is monotone across
+    /// snapshots — the consistency contract the governance read path
+    /// relies on.
     pub fn stats(&self) -> BddStats {
-        let s = &self.store;
+        let s = self.lock();
         BddStats {
-            nodes: s.node_count.load(Ordering::Acquire) as usize,
-            vars: s.var_names.read().expect("var_names lock").len(),
-            cache_entries: s
-                .ite_cache
-                .iter()
-                .map(|m| m.lock().expect("ite cache lock").len())
-                .sum(),
+            nodes: s.nodes.len(),
+            vars: s.var_names.len(),
+            cache_entries: s.ite_cache.len(),
         }
     }
 
@@ -850,21 +832,16 @@ impl BddManager {
     /// Results produced while exhausted are meaningless and must be
     /// discarded by the caller.
     ///
-    /// Arming is not synchronized against in-flight operations: callers
-    /// arm *before* starting a solve and
-    /// disarm after it, exactly like the governed ladder does.
+    /// Arming takes effect between two operations, not between two
+    /// operations of one solve: callers arm *before* starting a solve
+    /// and disarm after it, exactly like the governed ladder does.
     pub fn set_budget(&self, budget: BddBudget) {
-        let s = &self.store;
-        let mut slot = s.exhausted.lock().expect("exhaustion lock");
-        s.max_nodes
-            .store(budget.max_nodes.unwrap_or(u64::MAX), Ordering::SeqCst);
-        s.max_ops
-            .store(budget.max_ops.unwrap_or(u64::MAX), Ordering::SeqCst);
-        s.baseline_nodes
-            .store(s.node_count.load(Ordering::SeqCst), Ordering::SeqCst);
-        s.ops.store(0, Ordering::SeqCst);
-        *slot = None;
-        s.exhausted_flag.store(false, Ordering::SeqCst);
+        let mut s = self.lock();
+        s.max_nodes = budget.max_nodes.unwrap_or(u64::MAX);
+        s.max_ops = budget.max_ops.unwrap_or(u64::MAX);
+        s.baseline_nodes = s.nodes.len() as u64;
+        s.ops = 0;
+        s.exhausted = None;
     }
 
     /// Removes any budget and clears exhaustion; operations run unbounded
@@ -876,14 +853,10 @@ impl BddManager {
     /// `Ok(())` if no budget has been exceeded since the last arm,
     /// otherwise the structured error describing which resource ran out.
     ///
-    /// Reads the latched error under its mutex, so a status observed
-    /// `Err` can never revert to `Ok` (or change its cause) until the
-    /// budget is re-armed, no matter how many threads raced the latch.
+    /// A status observed `Err` can never revert to `Ok` (or change its
+    /// cause) until the budget is re-armed.
     pub fn budget_status(&self) -> Result<(), BddError> {
-        match *self.store.exhausted.lock().expect("exhaustion lock") {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        self.lock().exhausted.map_or(Ok(()), Err)
     }
 
     /// Charges `n` operation steps against the op budget without doing any
@@ -891,49 +864,18 @@ impl BddManager {
     /// harness can burn the budget down to force `BudgetExceeded` at an
     /// exact, reproducible point.
     pub fn charge_ops(&self, n: u64) {
-        let s = &self.store;
-        if s.is_exhausted() {
-            return;
-        }
-        // Saturating add via CAS: the chaos hook charges `u64::MAX`, and
-        // a wrapping `fetch_add` would cycle the meter back under budget.
-        let mut cur = s.ops.load(Ordering::Relaxed);
-        let used = loop {
-            let next = cur.saturating_add(n);
-            match s
-                .ops
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break next,
-                Err(seen) => cur = seen,
-            }
-        };
-        let limit = s.max_ops.load(Ordering::Relaxed);
-        if used > limit {
-            s.latch(BddError::BudgetExceeded {
-                resource: BudgetResource::Ops,
-                limit,
-                used,
-            });
-        }
+        self.lock().charge(n);
     }
 
     /// Operation steps charged since the budget was last armed.
     pub fn ops_used(&self) -> u64 {
-        self.store.ops.load(Ordering::Acquire)
+        self.lock().ops
     }
 
     /// Nodes allocated since the budget was last armed.
-    ///
-    /// Baseline is read before the live count, and the subtraction
-    /// saturates, so a concurrent re-arm can shrink the answer but
-    /// never underflow it.
     pub fn nodes_since_arm(&self) -> u64 {
-        let baseline = self.store.baseline_nodes.load(Ordering::Acquire);
-        self.store
-            .node_count
-            .load(Ordering::Acquire)
-            .saturating_sub(baseline)
+        let s = self.lock();
+        s.nodes.len() as u64 - s.baseline_nodes
     }
 
     /// How many times budget exhaustion has latched over the lifetime of
@@ -941,7 +883,7 @@ impl BddManager {
     /// race the limit. Diagnostic for the concurrency tests.
     #[cfg(test)]
     pub(crate) fn exhaustion_latches(&self) -> u64 {
-        self.store.latches.load(Ordering::SeqCst)
+        self.lock().latches
     }
 
     fn wrap(&self, id: NodeId) -> Bdd {
@@ -956,12 +898,11 @@ impl BddManager {
     }
 }
 
-// `SharedStore` is `Send + Sync` by composition (mutexes, atomics, and
-// `AtomicPtr`-published write-once arena chunks); pin that here so an
-// accidental `Rc`/`Cell` regression fails to compile.
+// Servers share one manager per program across threads; pin that the
+// handles stay `Send + Sync` so an accidental `Rc`/`Cell` regression
+// fails to compile.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<SharedStore>();
     assert_send_sync::<BddManager>();
     assert_send_sync::<Bdd>();
 };
@@ -1018,13 +959,8 @@ macro_rules! binary_op {
                 self.mgr.same_store(&other.mgr),
                 "combining BDDs from different managers"
             );
-            let id = {
-                let $s = &*self.mgr.store;
-                let $f = self.id;
-                let $g = other.id;
-                $body
-            };
-            self.mgr.wrap(id)
+            let ($f, $g) = (self.id, other.id);
+            self.apply(|$s| $body)
         }
     };
 }
@@ -1033,6 +969,13 @@ impl Bdd {
     /// The manager this formula belongs to.
     pub fn manager(&self) -> &BddManager {
         &self.mgr
+    }
+
+    /// Runs `op` under one lock of the store and wraps the node it
+    /// returns.
+    fn apply(&self, op: impl FnOnce(&mut Store) -> NodeId) -> Bdd {
+        let id = op(&mut self.mgr.lock());
+        self.mgr.wrap(id)
     }
 
     /// `true` iff this formula is the constant `false`. Constant time.
@@ -1075,39 +1018,36 @@ impl Bdd {
     /// Negation `¬self`.
     #[must_use]
     pub fn not(&self) -> Bdd {
-        let id = self.mgr.store.not(self.id);
-        self.mgr.wrap(id)
+        self.apply(|s| s.not(self.id))
     }
 
     /// If-then-else `if self then t else e`.
     #[must_use]
     pub fn ite(&self, t: &Bdd, e: &Bdd) -> Bdd {
         debug_assert!(self.mgr.same_store(&t.mgr) && self.mgr.same_store(&e.mgr));
-        let id = self.mgr.store.ite(self.id, t.id, e.id);
-        self.mgr.wrap(id)
+        self.apply(|s| s.ite(self.id, t.id, e.id))
     }
 
     /// The cofactor of this formula with `var` fixed to `value`.
     #[must_use]
     pub fn restrict(&self, var: VarId, value: bool) -> Bdd {
-        let id = self.mgr.store.restrict(self.id, var.0, value);
-        self.mgr.wrap(id)
+        self.apply(|s| s.restrict(self.id, var.0, value))
     }
 
     /// Existential quantification `∃var. self`.
     #[must_use]
     pub fn exists(&self, var: VarId) -> Bdd {
-        let lo = self.restrict(var, false);
-        let hi = self.restrict(var, true);
-        lo.or(&hi)
+        self.apply(|s| s.exists(self.id, var.0))
     }
 
     /// Universal quantification `∀var. self`.
     #[must_use]
     pub fn forall(&self, var: VarId) -> Bdd {
-        let lo = self.restrict(var, false);
-        let hi = self.restrict(var, true);
-        lo.and(&hi)
+        self.apply(|s| {
+            let lo = s.restrict(self.id, var.0, false);
+            let hi = s.restrict(self.id, var.0, true);
+            s.and(lo, hi)
+        })
     }
 
     /// Existentially quantifies every variable in `vars` (projection onto
@@ -1115,7 +1055,7 @@ impl Bdd {
     /// constraint onto the reachable features.
     #[must_use]
     pub fn exists_many(&self, vars: &[VarId]) -> Bdd {
-        vars.iter().fold(self.clone(), |acc, &v| acc.exists(v))
+        self.apply(|s| vars.iter().fold(self.id, |acc, v| s.exists(acc, v.0)))
     }
 
     /// `true` iff `self → other` is a tautology (semantic entailment).
@@ -1130,17 +1070,16 @@ impl Bdd {
     /// Panics if more than 127 variables are declared (the count is held in
     /// a `u128`).
     pub fn sat_count(&self) -> u128 {
-        let nvars = self.mgr.num_vars() as u32;
-        assert!(nvars <= 127, "sat_count supports at most 127 variables");
-        self.mgr.store.sat_count(self.id, nvars)
+        let count = {
+            let s = self.mgr.lock();
+            let nvars = s.var_names.len() as u32;
+            (nvars <= 127).then(|| s.sat_count(self.id, nvars))
+        };
+        count.expect("sat_count supports at most 127 variables")
     }
 
     /// Number of satisfying assignments counting only the first
     /// `nvars` variables of the order (the rest must not occur in `self`).
-    ///
-    /// The support probe and the count walk the same immutable diagram
-    /// (nodes are append-only), so the two reads are mutually consistent
-    /// even while other threads grow the store.
     ///
     /// # Panics
     ///
@@ -1149,55 +1088,49 @@ impl Bdd {
     /// release binaries silently return a wrong model count (the
     /// skip-count arithmetic underflows for out-of-range variables).
     pub fn sat_count_over(&self, nvars: u32) -> u128 {
-        assert!(
-            self.support().iter().all(|v| v.0 < nvars),
-            "sat_count_over({nvars}) on a formula with support {:?}",
-            self.support()
-        );
-        self.mgr.store.sat_count(self.id, nvars)
+        let (support, count) = {
+            let s = self.mgr.lock();
+            let support = s.support(self.id);
+            let in_range = support.iter().all(|v| v.0 < nvars);
+            (support, in_range.then(|| s.sat_count(self.id, nvars)))
+        };
+        count.unwrap_or_else(|| {
+            panic!("sat_count_over({nvars}) on a formula with support {support:?}")
+        })
     }
 
     /// One satisfying partial assignment, or `None` if unsatisfiable.
     ///
     /// Variables not mentioned may take either value.
     pub fn one_sat(&self) -> Option<Vec<(VarId, bool)>> {
-        self.mgr
-            .store
-            .one_sat(self.id)
-            .map(|v| v.into_iter().map(|(i, b)| (VarId(i), b)).collect())
+        self.mgr.lock().one_sat(self.id)
     }
 
     /// Evaluates the formula under a total assignment.
+    ///
+    /// Locks the store once per node it reads and never while
+    /// `assignment` runs, so `assignment` may call into the manager.
     pub fn eval(&self, assignment: impl Fn(VarId) -> bool) -> bool {
-        self.mgr.store.eval(self.id, &|v| assignment(VarId(v)))
+        let mut cur = self.id;
+        while cur != FALSE_ID && cur != TRUE_ID {
+            let n = self.mgr.lock().node(cur);
+            cur = if assignment(VarId(n.var)) {
+                n.high
+            } else {
+                n.low
+            };
+        }
+        cur == TRUE_ID
     }
 
     /// The set of variables this formula depends on, in order.
     pub fn support(&self) -> Vec<VarId> {
-        self.mgr
-            .store
-            .support(self.id)
-            .into_iter()
-            .map(VarId)
-            .collect()
+        self.mgr.lock().support(self.id)
     }
 
     /// Number of internal nodes of this diagram (terminals excluded).
     pub fn node_count(&self) -> usize {
-        let s = &self.mgr.store;
-        let mut seen = FastSet::default();
-        let mut stack = vec![self.id];
-        let mut count = 0usize;
-        while let Some(id) = stack.pop() {
-            if id == FALSE_ID || id == TRUE_ID || !seen.insert(id) {
-                continue;
-            }
-            count += 1;
-            let n = s.node(id);
-            stack.push(n.low);
-            stack.push(n.high);
-        }
-        count
+        self.mgr.lock().interior_nodes(self.id).count()
     }
 
     /// A 64-bit digest of the Boolean function this diagram denotes.
@@ -1211,55 +1144,17 @@ impl Bdd {
     /// by construction, and (modulo 64-bit collisions) unequal
     /// functions differ.
     ///
-    /// Cost is **linear in the diagram size** (memoized, iterative —
-    /// safe on ~100k-deep chains). This is the digest the benchmark
+    /// Cost is **linear in the diagram size** the first time a node is
+    /// digested (iterative — safe on ~100k-deep chains) and a memo
+    /// probe after that: the manager keeps every node's digest for its
+    /// whole life, so a solution whose rows share constraints digests
+    /// each shared diagram once. This is the digest the benchmark
     /// hashes solutions with: the older cube-string rendering
     /// ([`Bdd::to_cube_string`]) is exponential in the diagram size and
     /// skewed measured wall times by orders of magnitude on subjects
     /// with rich feature models (BerkeleyDB-class).
     pub fn semantic_digest(&self) -> u64 {
-        const FALSE_DIGEST: u64 = 0x9e37_79b9_7f4a_7c15;
-        const TRUE_DIGEST: u64 = 0xd1b5_4a32_d192_ed03;
-        fn mix(var: u32, lo: u64, hi: u64) -> u64 {
-            // SplitMix64-style finalizer over an asymmetric combination
-            // (lo and hi enter with different rotations/multipliers, so
-            // swapped branches change the digest).
-            let mut z = (var as u64 + 1).wrapping_mul(0xff51_afd7_ed55_8ccd)
-                ^ lo.rotate_left(17).wrapping_mul(0xc4ce_b9fe_1a85_ec53)
-                ^ hi.rotate_left(43).wrapping_mul(0x2545_f491_4f6c_dd1d);
-            z ^= z >> 30;
-            z = z.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z ^= z >> 27;
-            z = z.wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-        let s = &*self.mgr.store;
-        let mut memo: FastMap<NodeId, u64> = FastMap::default();
-        memo.insert(FALSE_ID, FALSE_DIGEST);
-        memo.insert(TRUE_ID, TRUE_DIGEST);
-        let mut stack = vec![self.id];
-        while let Some(&top) = stack.last() {
-            if memo.contains_key(&top) {
-                stack.pop();
-                continue;
-            }
-            let n = s.node(top);
-            match (memo.get(&n.low).copied(), memo.get(&n.high).copied()) {
-                (Some(lo), Some(hi)) => {
-                    memo.insert(top, mix(n.var, lo, hi));
-                    stack.pop();
-                }
-                (lo, hi) => {
-                    if lo.is_none() {
-                        stack.push(n.low);
-                    }
-                    if hi.is_none() {
-                        stack.push(n.high);
-                    }
-                }
-            }
-        }
-        memo[&self.id]
+        self.mgr.lock().digest(self.id)
     }
 
     /// Renders the formula as a sum of cubes (disjunction of conjunctions of
@@ -1273,55 +1168,7 @@ impl Bdd {
     /// threads built the diagram. This is what makes solve outputs
     /// byte-identical whatever else was built in a shared store.
     pub fn to_cube_string(&self) -> String {
-        if self.is_true() {
-            return "true".into();
-        }
-        if self.is_false() {
-            return "false".into();
-        }
-        let s = &*self.mgr.store;
-        let names = s.var_names.read().expect("var_names lock");
-        let mut cubes: Vec<String> = Vec::new();
-        let mut path: Vec<(u32, bool)> = Vec::new();
-        fn go(
-            s: &SharedStore,
-            names: &[String],
-            id: NodeId,
-            path: &mut Vec<(u32, bool)>,
-            cubes: &mut Vec<String>,
-        ) {
-            if id == FALSE_ID {
-                return;
-            }
-            if id == TRUE_ID {
-                let lits: Vec<String> = path
-                    .iter()
-                    .map(|&(v, b)| {
-                        let name = &names[v as usize];
-                        if b {
-                            name.clone()
-                        } else {
-                            format!("!{name}")
-                        }
-                    })
-                    .collect();
-                if lits.is_empty() {
-                    cubes.push("true".into());
-                } else {
-                    cubes.push(format!("({})", lits.join(" & ")));
-                }
-                return;
-            }
-            let n = s.node(id);
-            path.push((n.var, false));
-            go(s, names, n.low, path, cubes);
-            path.pop();
-            path.push((n.var, true));
-            go(s, names, n.high, path, cubes);
-            path.pop();
-        }
-        go(s, &names, self.id, &mut path, &mut cubes);
-        cubes.join(" | ")
+        self.mgr.lock().cube_string(self.id)
     }
 
     /// Renders this diagram in Graphviz DOT format.
@@ -1331,34 +1178,6 @@ impl Bdd {
     /// part of the cross-thread determinism contract (unlike
     /// [`Bdd::to_cube_string`]).
     pub fn to_dot(&self) -> String {
-        let s = &*self.mgr.store;
-        let names = s.var_names.read().expect("var_names lock");
-        let mut out = String::from("digraph bdd {\n  rankdir=TB;\n");
-        out.push_str("  f [shape=box,label=\"0\"];\n  t [shape=box,label=\"1\"];\n");
-        let mut seen = FastSet::default();
-        let mut stack = vec![self.id];
-        let node_name = |id: NodeId| -> String {
-            match id {
-                FALSE_ID => "f".into(),
-                TRUE_ID => "t".into(),
-                _ => format!("n{id}"),
-            }
-        };
-        while let Some(id) = stack.pop() {
-            if id == FALSE_ID || id == TRUE_ID || !seen.insert(id) {
-                continue;
-            }
-            let n = s.node(id);
-            out.push_str(&format!("  n{id} [label=\"{}\"];\n", names[n.var as usize]));
-            out.push_str(&format!(
-                "  n{id} -> {} [style=dashed];\n",
-                node_name(n.low)
-            ));
-            out.push_str(&format!("  n{id} -> {};\n", node_name(n.high)));
-            stack.push(n.low);
-            stack.push(n.high);
-        }
-        out.push_str("}\n");
-        out
+        self.mgr.lock().dot(self.id)
     }
 }

@@ -636,8 +636,42 @@ fn semantic_digest_is_independent_of_build_order_across_managers() {
     let m2 = BddManager::new();
     let (a2, b2, c2) = (m2.var("A"), m2.var("B"), m2.var("C"));
     let f2 = a2.implies(&b2).and(&c2);
+    let d1 = f1.semantic_digest();
+    assert_eq!(d1, f2.semantic_digest());
+    // The manager memoizes digests per node: diagrams built after a
+    // digest, some sharing its nodes, must leave it unchanged.
+    let xs: Vec<Bdd> = (0..6).map(|i| m1.var(format!("X{i}"))).collect();
+    let more = xs.iter().fold(junk, |acc, x| acc.xor(x).or(&f1.and(x)));
+    assert_ne!(more.semantic_digest(), d1);
+    assert_eq!(f1.semantic_digest(), d1);
     assert_eq!(f1.semantic_digest(), f2.semantic_digest());
-    drop(junk);
+}
+
+#[test]
+fn eval_may_call_into_the_same_manager() {
+    // `eval` never runs its closure under the store lock, so a closure
+    // that builds formulas on the same manager returns instead of
+    // deadlocking. The evaluations run on a thread of their own, so a
+    // deadlock fails the test instead of hanging it.
+    let (mgr, a, b, c) = three_vars();
+    let f = a.and(&b).or(&c);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let evals = [
+            // A and B hold, C does not.
+            f.eval(|v| mgr.var_bdd(v).entails(&a.or(&b))),
+            // Only C holds.
+            f.eval(|v| mgr.var_bdd(v) == c.not().not()),
+            // Only B holds.
+            f.eval(|v| mgr.var_bdd(v) == b),
+        ];
+        tx.send(evals).unwrap();
+    });
+    let evals = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("eval deadlocked on a closure that calls into its manager");
+    worker.join().unwrap();
+    assert_eq!(evals, [true, true, false]);
 }
 
 #[test]

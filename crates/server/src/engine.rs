@@ -15,15 +15,15 @@
 //! * **governance counters** — plain atomics, and
 //! * the **last-solve statistics** published by `stats`.
 //!
-//! Since the BDD store went thread-safe (sharded hash-consing behind
-//! `Arc`, DESIGN.md §12), the **BDD space is shared too**: every
-//! session of one interned artifact holds the same [`SharedBddSpace`],
-//! so N sessions that load the same product line build their
-//! constraints in one hash-consed node store instead of N. Governed
-//! solves serialize on the space's solve lock — resource budgets arm
-//! per-manager baselines, so two concurrently *armed* solves on one
-//! space would meter each other's allocations. Sessions over different
-//! programs still solve fully concurrently.
+//! The BDD store is thread-safe (each operation locks it once,
+//! DESIGN.md §12), so the **BDD space is shared too**: every session of
+//! one interned artifact holds the same [`SharedBddSpace`], so N
+//! sessions that load the same product line build their constraints in
+//! one hash-consed node store instead of N. Solves serialize on the
+//! space's solve lock — resource budgets arm per-manager baselines, so
+//! two concurrently *armed* solves on one space would meter each other's
+//! allocations. Sessions over different programs still solve fully
+//! concurrently.
 //!
 //! Everything *mutable per session* — `SolverMemo`, dirty-root sets —
 //! lives in [`crate::store::Store`], which stays confined to one
@@ -44,19 +44,22 @@ use std::sync::{Arc, Mutex};
 /// The BDD space shared by every session of one interned artifact: one
 /// constraint context (one BDD variable per feature, in table order)
 /// over the thread-safe hash-consed store, plus the lock that
-/// serializes governed solves on it.
+/// serializes solves on it.
 ///
 /// The lock exists because resource budgets arm *per-manager*
 /// baselines ([`spllift_bdd::BddManager::set_budget`]): two
 /// concurrently armed solves on one manager would charge each other's
-/// allocations and could latch each other's exhaustion. Un-governed
-/// constraint construction (queries, rendering) needs no lock — the
-/// store itself is thread-safe.
+/// allocations and could latch each other's exhaustion. Every BDD
+/// operation on a space runs under it — the solve and the rendering of
+/// its solution, both inside [`crate::store::Store::analyze`] — except
+/// declaring the feature variables when the artifact is loaded. Queries
+/// read the manager-free [`RenderedSolution`] and build no BDDs.
 #[derive(Debug)]
 pub struct SharedBddSpace {
     /// The shared constraint context.
     pub ctx: BddConstraintContext,
-    /// Serializes budget-armed solves on this space.
+    /// Serializes solves, and the rendering of their solutions, on this
+    /// space.
     pub solve_lock: Mutex<()>,
 }
 

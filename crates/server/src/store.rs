@@ -12,10 +12,13 @@
 //! interned product line builds constraints in one shared node store.
 //! A `Store` still lives its whole life on the executor shard that
 //! created it — shard confinement is what keeps each session's
-//! response stream in submission order — and governed solves serialize
-//! on the space's solve lock (budgets arm per-manager baselines).
-//! Worker threads outside the shard only ever see [`RenderedSolution`]
-//! — plain strings and [`FeatureExpr`]s.
+//! response stream in submission order — and every solve, with the
+//! rendering of its solution, serializes on the space's solve lock
+//! (budgets arm per-manager baselines). Rendering turns each distinct
+//! constraint into its cube string and [`FeatureExpr`] once per
+//! solution: thousands of rows share a few dozen constraints. Worker
+//! threads outside the shard only ever see [`RenderedSolution`] — plain
+//! strings and [`FeatureExpr`]s.
 //!
 //! Each `(analysis, model-mode)` pair owns a slot with the
 //! [`SolverMemo`] of its most recent solve. An `edit` records the edited
@@ -134,25 +137,38 @@ where
 {
     let rung = point.name();
     let degraded = !point.is_full();
+    // Thousands of rows share a few dozen constraints: render each
+    // distinct one once. (A `Bdd` hashes by its node id, which never
+    // changes; the shared store it points into is what clippy sees as
+    // mutable.)
+    #[allow(clippy::mutable_key_type)]
+    let mut rendered: FastMap<Bdd, (String, FeatureExpr)> = FastMap::default();
+    let mut render = |c: Bdd| {
+        rendered
+            .entry(c)
+            .or_insert_with_key(|c| (c.to_cube_string(), ctx.to_expr(c)))
+            .clone()
+    };
     let mut facts = Vec::new();
     let mut reach = Vec::new();
     for m in icfg.methods() {
         for s in icfg.stmts_of(m) {
-            let r = solution.reachability_of(s);
+            let (cube, expr) = render(solution.reachability_of(s));
             reach.push(ReachRow {
                 stmt: s.to_string(),
-                cube: r.to_cube_string(),
-                expr: ctx.to_expr(&r),
+                cube,
+                expr,
                 degraded,
             });
             let mut rows: Vec<(D, Bdd)> = solution.results_at(s).into_iter().collect();
             rows.sort_by(|a, b| a.0.cmp(&b.0));
             for (d, c) in rows {
+                let (cube, expr) = render(c);
                 facts.push(FactRow {
                     stmt: s.to_string(),
                     fact: format!("{d:?}"),
-                    cube: c.to_cube_string(),
-                    expr: ctx.to_expr(&c),
+                    cube,
+                    expr,
                     degraded,
                 });
             }

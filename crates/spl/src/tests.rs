@@ -446,9 +446,10 @@ mod property {
 
 /// Pins Phase-1 worklist deduplication: a `(d1, n, d2)` triple whose
 /// jump function strengthens while it is still queued is not queued a
-/// second time.
+/// second time. Beside it, pins the BDD work of the lifted solves.
 mod phase1_dedup {
     use super::*;
+    use spllift_analyses::{with_analysis, AnalysisKind};
     use spllift_benchgen::{subject_by_name, GeneratedSpl};
     use spllift_core::{LiftedSolution, ModelMode};
     use spllift_frontend::parse_spl;
@@ -484,6 +485,48 @@ mod phase1_dedup {
             (982, 17808, 14226),
             "MM08 (Taint, R. Def., U. Var.)"
         );
+    }
+
+    /// `(nodes, ops)` one cold lifted solve allocates and charges on the
+    /// benchmark's cell path: a fresh context, the budget cleared, then
+    /// lift + solve with the feature model on the edges.
+    fn bdd_work(spl: &GeneratedSpl, kind: AnalysisKind) -> (u64, u64) {
+        let icfg = ProgramIcfg::new(&spl.program);
+        let ctx = BddConstraintContext::new(&spl.table);
+        let model = spl.model_expr();
+        let mgr = ctx.manager();
+        mgr.clear_budget();
+        with_analysis!(kind, |p| {
+            LiftedSolution::solve(p, &icfg, &ctx, Some(&model), ModelMode::OnEdges);
+        });
+        (mgr.nodes_since_arm(), mgr.ops_used())
+    }
+
+    #[test]
+    fn bdd_work_is_pinned_on_mm08_and_gpl() {
+        // Reduced diagrams are canonical, so the node counts are fixed
+        // by the analyses alone. The op counts also depend on node ids,
+        // which decide the operand order of a commutative `and`/`or`:
+        // the ids of the former sharded store charged 880/881/1228/1334
+        // (MM08) and 14057/4285/8628/34739 (GPL) for the same work.
+        for (subject, nodes, ops) in [
+            ("MM08", [257, 257, 297, 303], [881, 882, 1224, 1330]),
+            ("GPL", [3028, 974, 1789, 7014], [14117, 4285, 8646, 34359]),
+        ] {
+            let spl = GeneratedSpl::generate(subject_by_name(subject).unwrap());
+            let (got_nodes, got_ops): (Vec<u64>, Vec<u64>) = AnalysisKind::ALL
+                .iter()
+                .map(|&kind| bdd_work(&spl, kind))
+                .unzip();
+            assert_eq!(
+                got_nodes, nodes,
+                "{subject} nodes (Taint, Types, R. Def., U. Var.)"
+            );
+            assert_eq!(
+                got_ops, ops,
+                "{subject} ops (Taint, Types, R. Def., U. Var.)"
+            );
+        }
     }
 
     fn load_chat() -> (Program, FeatureTable, FeatureExpr) {

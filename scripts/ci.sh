@@ -37,6 +37,17 @@ echo "== benchmark package tests (own Cargo package, outside the workspace) =="
 # that breaks the benchmark fail CI instead of the benchmark run.
 cargo test -q --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 
+echo "== BerkeleyDB cells against goldens.txt and the A2 oracle =="
+# The benchmark's smoke runs only the cheap BerkeleyDB cells (taint and
+# types); reaching-defs and uninit carry the largest diagrams (1.86 M
+# nodes). One short `lifted-bdd` run checks all four cells' digests
+# against goldens.txt and each cell against the A2 oracle, and exits 1
+# on any failed check. It reuses the dependencies the step above built
+# (the package's dev profile runs at opt-level 3) and runs the minimum
+# of two rounds.
+cargo run -q --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
+    --workload lifted-bdd --seed 1 --seconds 1 --trace 0
+
 echo "== fuzz smoke (deterministic seed range, sharded) =="
 # A short differential fuzz campaign: 32 seeded random product lines,
 # each cross-checked SPLLIFT vs A2 (all five analyses, both directions),
