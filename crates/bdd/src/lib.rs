@@ -6,12 +6,18 @@
 //! conjunction, disjunction, negation, and the constant-time `is_false`
 //! check on reduced diagrams — all of which this crate provides.
 //!
-//! All operations memoize through an `ite` op-cache keyed by node id.
-//! Commutative operations (`and`, `or`, `xor`, `iff`) sort their two
-//! operands by node id before the cache probe, so `f ∧ g` and `g ∧ f`
-//! share a single cache slot — the SPLLIFT solver joins the same
-//! constraint pairs from both directions constantly, and without the
-//! normalization every symmetric pair would be computed twice.
+//! The Boolean connectives memoize through an `ite` op-cache keyed by
+//! node id. Like BuDDy's, the cache is lossy: an array of slots, one
+//! per node rounded up to a power of two, where a new triple overwrites
+//! whatever shared its slot and an evicted triple is simply
+//! recomputed. `ite` rewrites its arguments into standard triples
+//! before the probe: `ite(f, f, h)` becomes `f ∨ h`, `ite(f, g, f)`
+//! becomes `f ∧ g`, and conjunctions and disjunctions take the smaller
+//! node id as the condition at every level of the recursion. So `f ∧ g`
+//! and `g ∧ f` share a single cache slot — the SPLLIFT solver joins the
+//! same constraint pairs from both directions constantly, and without
+//! the normalization every symmetric pair would be computed twice.
+//! `xor` and `iff` sort their two operands by id at entry.
 //!
 //! The store is **thread-safe**: managers clone cheaply (`Arc`), handles
 //! are `Send + Sync`, and each operation locks the manager's one store

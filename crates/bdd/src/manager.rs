@@ -1,4 +1,4 @@
-//! The BDD node store, hash-consing unique table, and operation caches.
+//! The BDD node store, its unique table and its operation memos.
 //!
 //! One `Store` owns every node, table and meter of a manager, behind
 //! one `Mutex`. Clones of a [`BddManager`] share it through an `Arc`,
@@ -9,9 +9,20 @@
 //!
 //! * Nodes live in one `Vec`; a node id is its index, with the two
 //!   terminals at 0 and 1.
-//! * The unique table and the `ite`/`not`/`restrict` memos are exact
-//!   and unbounded, each split into [`SUBMAPS`] sub-maps so that no
-//!   single table doubles all at once.
+//! * The unique table is a flat array of node ids, probed linearly from
+//!   the node's hash and compared against `nodes[id]`; it doubles at
+//!   half load.
+//! * The `ite` memo is lossy, like BuDDy's: a direct-mapped array of
+//!   `[f, g, h, r]` slots, as many as the node count rounded up to a
+//!   power of two (at least [`MIN_SLOTS`]). A colliding triple
+//!   overwrites the slot; an evicted one is recomputed, which costs ops
+//!   but changes no result.
+//! * `ite` rewrites standard triples before it probes (Brace, Rudell &
+//!   Bryant, DAC 1990), so `f ∧ g`, `g ∧ f` and `ite(f, g, f)` share one
+//!   slot at every recursion level.
+//! * The `not` and `restrict` memos stay exact: their iterative loops
+//!   finish a node only once both children are memoized, so an eviction
+//!   there could loop forever.
 //! * Budget meters are plain counters. Exhaustion latches **exactly
 //!   once** per arming, and every operation short-circuits from then on
 //!   without touching the memos (partial results computed after
@@ -19,10 +30,8 @@
 //! * No caller code runs under the lock: [`Bdd::eval`] locks once per
 //!   node it reads, so its closure may call back into the manager.
 
-use spllift_hash::{FastMap, FastSet, FxHasher64};
-use std::collections::hash_map::Entry;
+use spllift_hash::{hash_one, FastMap, FastSet};
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Index of a Boolean variable inside a [`BddManager`].
@@ -48,71 +57,52 @@ const TRUE_ID: NodeId = 1;
 /// Pseudo-level of the terminals: below every real variable.
 const TERMINAL_VAR: u32 = u32::MAX;
 
-/// log2 of [`SUBMAPS`].
-const SUBMAP_BITS: u32 = 4;
-/// Number of sub-maps each table is split into. One 8 M-entry map
-/// doubles in a single step, and with the unique table and the `ite`
-/// memo both live that raised the peak RSS of the BerkeleyDB cells by
-/// 29%; sixteen sub-maps grow one sixteenth at a time.
-const SUBMAPS: usize = 1 << SUBMAP_BITS;
-/// Lowest hash bit of the sub-map selector.
-const SUBMAP_SHIFT: u32 = 32;
+/// An empty slot of the unique table, and the `f` of an empty `ite`
+/// slot: no interior node has id 0, and no memoized triple has a
+/// terminal condition.
+const EMPTY: NodeId = FALSE_ID;
+/// Slots of a fresh store's unique table and `ite` memo.
+const MIN_SLOTS: usize = 1 << 12;
 
-// Inside a sub-map, `std`'s `HashMap` (hashbrown) derives the bucket
-// index from the low hash bits (fewer than 32 while a table has under
-// 2^32 buckets, which memory rules out) and the control tag from the top
-// 7. The selector bits must overlap neither: selecting by the top 4 bits
-// left only 3 varying tag bits per sub-map, so 1 in 8 probed slots
-// false-matched instead of 1 in 128.
-const _: () = {
-    const BUCKET_INDEX_BITS: u32 = 32;
-    const HASHBROWN_TAG_SHIFT: u32 = 64 - 7;
-    assert!(SUBMAP_SHIFT >= BUCKET_INDEX_BITS);
-    assert!(SUBMAP_SHIFT + SUBMAP_BITS <= HASHBROWN_TAG_SHIFT);
-};
-
-/// The sub-map `key` lives in: bits 32–35 of the same [`FxHasher64`]
-/// hash the sub-map itself uses.
-#[inline]
-fn submap<T: Hash>(key: &T) -> usize {
-    let mut h = FxHasher64::default();
-    key.hash(&mut h);
-    (h.finish() >> SUBMAP_SHIFT) as usize & (SUBMAPS - 1)
-}
-
-/// An exact, unbounded map split into [`SUBMAPS`] sub-maps by [`submap`].
-struct SplitMap<K, V>([FastMap<K, V>; SUBMAPS]);
-
-impl<K: Hash + Eq, V: Copy> SplitMap<K, V> {
-    fn new() -> Self {
-        SplitMap(std::array::from_fn(|_| FastMap::default()))
-    }
-
-    #[inline]
-    fn get(&self, key: &K) -> Option<V> {
-        self.0[submap(key)].get(key).copied()
-    }
-
-    #[inline]
-    fn insert(&mut self, key: K, value: V) {
-        self.0[submap(&key)].insert(key, value);
-    }
-
-    #[inline]
-    fn entry(&mut self, key: K) -> Entry<'_, K, V> {
-        self.0[submap(&key)].entry(key)
-    }
-
-    fn len(&self) -> usize {
-        self.0.iter().map(FastMap::len).sum()
-    }
-}
+/// A memoized `ite(f, g, h) = r` as `[f, g, h, r]`.
+type IteSlot = [NodeId; 4];
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct Node {
     var: u32,
     low: NodeId,
     high: NodeId,
+}
+
+/// The slot a key hashes to in a table of `len` (a power of two) slots.
+#[inline]
+fn slot_of<K: std::hash::Hash>(key: &K, len: usize) -> usize {
+    hash_one(key) as usize & (len - 1)
+}
+
+/// A unique table of `len` slots holding every interior node of `nodes`.
+fn unique_table(nodes: &[Node], len: usize) -> Vec<NodeId> {
+    let mut table = vec![EMPTY; len];
+    for (id, node) in nodes.iter().enumerate().skip(2) {
+        let mut i = slot_of(node, len);
+        while table[i] != EMPTY {
+            i = (i + 1) & (len - 1);
+        }
+        table[i] = id as NodeId;
+    }
+    table
+}
+
+/// `cache` re-hashed into twice as many slots. Each old slot's entry
+/// moves to one of two new slots that no other old slot maps to, so
+/// growing evicts nothing.
+fn doubled(cache: &[IteSlot]) -> Vec<IteSlot> {
+    let len = cache.len() * 2;
+    let mut grown = vec![[EMPTY; 4]; len];
+    for &[f, g, h, r] in cache.iter().filter(|slot| slot[0] != EMPTY) {
+        grown[slot_of(&(f, g, h), len)] = [f, g, h, r];
+    }
+    grown
 }
 
 /// Counters describing the size of a manager, for diagnostics and benches.
@@ -122,7 +112,9 @@ pub struct BddStats {
     pub nodes: usize,
     /// Number of declared variables.
     pub vars: usize,
-    /// Number of entries in the ternary `ite` cache.
+    /// Number of occupied slots in the lossy `ite` memo: at most its
+    /// slot count, the node count rounded up to a power of two (at
+    /// least 4096).
     pub cache_entries: usize,
 }
 
@@ -131,7 +123,8 @@ pub struct BddStats {
 pub enum BudgetResource {
     /// Nodes allocated since the budget was armed.
     Nodes,
-    /// Memoized operation steps charged since the budget was armed.
+    /// Operation steps charged since the budget was armed (see
+    /// [`BddBudget::max_ops`]).
     Ops,
 }
 
@@ -183,7 +176,10 @@ impl std::error::Error for BddError {}
 pub struct BddBudget {
     /// Maximum nodes allocated after arming.
     pub max_nodes: Option<u64>,
-    /// Maximum operation steps charged after arming.
+    /// Maximum operation steps charged after arming: one per `ite`
+    /// recursion step that misses its memo, recomputation of a triple
+    /// the lossy memo evicted included, and one per iteration of the
+    /// `not` and `restrict` walks.
     pub max_ops: Option<u64>,
 }
 
@@ -200,11 +196,15 @@ impl BddBudget {
 struct Store {
     /// Every node, indexed by its id; entries 0 and 1 are the terminals.
     nodes: Vec<Node>,
-    /// Hash-consing table: `(var, low, high) → id`.
-    unique: SplitMap<Node, NodeId>,
-    ite_cache: SplitMap<(NodeId, NodeId, NodeId), NodeId>,
-    not_cache: SplitMap<NodeId, NodeId>,
-    restrict_cache: SplitMap<(NodeId, u32, bool), NodeId>,
+    /// Hash-consing table: the id of every interior node, at or after
+    /// the slot its `(var, low, high)` hashes to ([`EMPTY`] elsewhere).
+    /// A power of two in length, at most half full.
+    unique: Vec<NodeId>,
+    /// Lossy `ite` memo, indexed by the hash of `(f, g, h)`; a power of
+    /// two in length, at least `nodes.len()`.
+    ite_cache: Vec<IteSlot>,
+    not_cache: FastMap<NodeId, NodeId>,
+    restrict_cache: FastMap<(NodeId, u32, bool), NodeId>,
     /// [`Bdd::semantic_digest`] of every interior node digested so far.
     /// Exact for the store's whole life: a digest depends only on the
     /// node and the fixed variable order, and nodes are immutable and
@@ -237,10 +237,10 @@ impl Store {
         };
         Store {
             nodes: vec![terminal(FALSE_ID), terminal(TRUE_ID)],
-            unique: SplitMap::new(),
-            ite_cache: SplitMap::new(),
-            not_cache: SplitMap::new(),
-            restrict_cache: SplitMap::new(),
+            unique: vec![EMPTY; MIN_SLOTS],
+            ite_cache: vec![[EMPTY; 4]; MIN_SLOTS],
+            not_cache: FastMap::default(),
+            restrict_cache: FastMap::default(),
             digests: FastMap::default(),
             var_names: Vec::new(),
             max_nodes: u64::MAX,
@@ -292,10 +292,15 @@ impl Store {
             return low;
         }
         let node = Node { var, low, high };
-        let slot = match self.unique.entry(node) {
-            Entry::Occupied(e) => return *e.get(),
-            Entry::Vacant(slot) => slot,
-        };
+        let mask = self.unique.len() - 1;
+        let mut slot = slot_of(&node, self.unique.len());
+        loop {
+            match self.unique[slot] {
+                EMPTY => break,
+                id if self.nodes[id as usize] == node => return id,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
         let grown = self.nodes.len() as u64 - self.baseline_nodes;
         if grown >= self.max_nodes {
             self.latch(BddError::BudgetExceeded {
@@ -307,7 +312,14 @@ impl Store {
         }
         let id = NodeId::try_from(self.nodes.len()).expect("BDD store overflow");
         self.nodes.push(node);
-        slot.insert(id);
+        self.unique[slot] = id;
+        // Built in full before they replace the old tables (see `lock`).
+        if self.nodes.len() * 2 > self.unique.len() {
+            self.unique = unique_table(&self.nodes, self.unique.len() * 2);
+        }
+        if self.nodes.len() > self.ite_cache.len() {
+            self.ite_cache = doubled(&self.ite_cache);
+        }
         id
     }
 
@@ -316,7 +328,22 @@ impl Store {
         self.nodes[id as usize]
     }
 
-    fn ite(&mut self, f: NodeId, g: NodeId, h: NodeId) -> NodeId {
+    fn ite(&mut self, mut f: NodeId, mut g: NodeId, mut h: NodeId) -> NodeId {
+        // Standard triples: `ite(f, f, h) = ite(f, 1, h)` and
+        // `ite(f, g, f) = ite(f, g, 0)`, and the symmetric `f ∧ g` and
+        // `f ∨ h` take the smaller id as the condition, so equal
+        // functions probe one slot at every level of the recursion.
+        if g == f {
+            g = TRUE_ID;
+        }
+        if h == f {
+            h = FALSE_ID;
+        }
+        if h == FALSE_ID && g < f {
+            (f, g) = (g, f);
+        } else if g == TRUE_ID && h < f {
+            (f, h) = (h, f);
+        }
         // Terminal cases.
         if f == TRUE_ID {
             return g;
@@ -331,7 +358,8 @@ impl Store {
             return f;
         }
         let key = (f, g, h);
-        if let Some(r) = self.ite_cache.get(&key) {
+        let [sf, sg, sh, r] = self.ite_cache[slot_of(&key, self.ite_cache.len())];
+        if (sf, sg, sh) == key {
             return r;
         }
         if self.charge(1) {
@@ -359,32 +387,32 @@ impl Store {
         if self.is_exhausted() {
             return FALSE_ID;
         }
-        self.ite_cache.insert(key, r);
+        // `mk` may have grown the memo, which moves the key's slot.
+        let slot = slot_of(&key, self.ite_cache.len());
+        self.ite_cache[slot] = [f, g, h, r];
         r
     }
 
-    /// Commutative conjunction: operands are sorted by node id so the
-    /// symmetric query shares one `ite_cache` slot (`a.and(b)` and
-    /// `b.and(a)` hit the same `(f, g, 0)` triple).
+    /// Conjunction; `ite` orders the operands by id, so `a ∧ b` and
+    /// `b ∧ a` share one memo slot.
     fn and(&mut self, f: NodeId, g: NodeId) -> NodeId {
-        let (f, g) = (f.min(g), f.max(g));
         self.ite(f, g, FALSE_ID)
     }
 
-    /// Commutative disjunction; see [`Store::and`] for the operand sort.
+    /// Disjunction, ordered like [`Store::and`].
     fn or(&mut self, f: NodeId, g: NodeId) -> NodeId {
-        let (f, g) = (f.min(g), f.max(g));
         self.ite(f, TRUE_ID, g)
     }
 
-    /// Commutative exclusive-or; see [`Store::and`].
+    /// Commutative exclusive-or: the operands are sorted by id so the
+    /// symmetric query shares one memo slot.
     fn xor(&mut self, f: NodeId, g: NodeId) -> NodeId {
         let (f, g) = (f.min(g), f.max(g));
         let ng = self.not(g);
         self.ite(f, ng, g)
     }
 
-    /// Commutative biconditional; see [`Store::and`].
+    /// Commutative biconditional, sorted like [`Store::xor`].
     fn iff(&mut self, f: NodeId, g: NodeId) -> NodeId {
         let (f, g) = (f.min(g), f.max(g));
         let ng = self.not(g);
@@ -395,7 +423,7 @@ impl Store {
         match id {
             FALSE_ID => Some(TRUE_ID),
             TRUE_ID => Some(FALSE_ID),
-            _ => self.not_cache.get(&id),
+            _ => self.not_cache.get(&id).copied(),
         }
     }
 
@@ -449,7 +477,7 @@ impl Store {
         if n.var == var {
             return Some(if value { n.high } else { n.low });
         }
-        self.restrict_cache.get(&(id, var, value))
+        self.restrict_cache.get(&(id, var, value)).copied()
     }
 
     /// Cofactor of `f` with `var` fixed to `value`, memoized in
@@ -745,9 +773,13 @@ impl BddManager {
         }
     }
 
-    /// Locks the store. A poisoned lock is recovered: the only
-    /// multi-step mutation is `mk`'s append-then-intern, and a panic
-    /// between the two leaves at worst an unreachable node.
+    /// Locks the store. A poisoned lock is recovered, because a panic
+    /// leaves no table inconsistent. In `mk`, nothing can panic between
+    /// appending a node and writing its id into the free unique slot,
+    /// and each table that grows (the unique table, then the `ite` memo)
+    /// is built in full before it replaces the old one. A panic between
+    /// `not`'s two inserts (`¬f → r`, `¬r → f`) loses one memo
+    /// direction; every other mutation is one write or cannot panic.
     fn lock(&self) -> MutexGuard<'_, Store> {
         self.store.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -818,7 +850,7 @@ impl BddManager {
         BddStats {
             nodes: s.nodes.len(),
             vars: s.var_names.len(),
-            cache_entries: s.ite_cache.len(),
+            cache_entries: s.ite_cache.iter().filter(|slot| slot[0] != EMPTY).count(),
         }
     }
 
@@ -867,7 +899,8 @@ impl BddManager {
         self.lock().charge(n);
     }
 
-    /// Operation steps charged since the budget was last armed.
+    /// Operation steps charged since the budget was last armed (see
+    /// [`BddBudget::max_ops`]).
     pub fn ops_used(&self) -> u64 {
         self.lock().ops
     }
@@ -1083,11 +1116,18 @@ impl Bdd {
     ///
     /// # Panics
     ///
-    /// Panics if the formula depends on a variable `≥ nvars`. This is
-    /// checked in release builds too: a `debug_assert!` here once let
-    /// release binaries silently return a wrong model count (the
-    /// skip-count arithmetic underflows for out-of-range variables).
+    /// Panics if `nvars` exceeds 127 (the count is held in a `u128`), or
+    /// if the formula depends on a variable `≥ nvars`. Both are checked
+    /// in release builds too: a `debug_assert!` here once let release
+    /// binaries silently return a wrong model count (the skip-count
+    /// arithmetic underflows for out-of-range variables), and an
+    /// unchecked `nvars` let the final shift wrap, so
+    /// `top().sat_count_over(130)` returned 4.
     pub fn sat_count_over(&self, nvars: u32) -> u128 {
+        assert!(
+            nvars <= 127,
+            "sat_count_over supports at most 127 variables, got {nvars}"
+        );
         let (support, count) = {
             let s = self.mgr.lock();
             let support = s.support(self.id);

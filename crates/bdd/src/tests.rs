@@ -185,7 +185,7 @@ mod properties {
 
     /// A tiny recursive formula AST evaluated both directly and via BDDs.
     #[derive(Debug, Clone)]
-    enum Formula {
+    pub(super) enum Formula {
         Var(u8),
         Not(Box<Formula>),
         And(Box<Formula>, Box<Formula>),
@@ -193,30 +193,23 @@ mod properties {
         Xor(Box<Formula>, Box<Formula>),
     }
 
-    /// Seeded random formulas over 5 variables, depth-bounded like the
-    /// old proptest strategy (`prop_recursive(5, ..)`).
-    fn random_formula(rng: &mut SplitMix64, depth: usize) -> Formula {
+    /// Seeded random formulas over `nvars` variables, depth-bounded
+    /// like the old proptest strategy (`prop_recursive(5, ..)`).
+    pub(super) fn random_formula(rng: &mut SplitMix64, depth: usize, nvars: u8) -> Formula {
         if depth == 0 || rng.gen_bool(0.25) {
-            return Formula::Var(rng.gen_range(0..5u8));
+            return Formula::Var(rng.gen_range(0..nvars));
         }
-        match rng.gen_range(0..4u32) {
-            0 => Formula::Not(Box::new(random_formula(rng, depth - 1))),
-            1 => Formula::And(
-                Box::new(random_formula(rng, depth - 1)),
-                Box::new(random_formula(rng, depth - 1)),
-            ),
-            2 => Formula::Or(
-                Box::new(random_formula(rng, depth - 1)),
-                Box::new(random_formula(rng, depth - 1)),
-            ),
-            _ => Formula::Xor(
-                Box::new(random_formula(rng, depth - 1)),
-                Box::new(random_formula(rng, depth - 1)),
-            ),
+        let op = rng.gen_range(0..4u32);
+        let mut sub = || Box::new(random_formula(rng, depth - 1, nvars));
+        match op {
+            0 => Formula::Not(sub()),
+            1 => Formula::And(sub(), sub()),
+            2 => Formula::Or(sub(), sub()),
+            _ => Formula::Xor(sub(), sub()),
         }
     }
 
-    fn to_bdd(f: &Formula, vars: &[Bdd]) -> Bdd {
+    pub(super) fn to_bdd(f: &Formula, vars: &[Bdd]) -> Bdd {
         match f {
             Formula::Var(i) => vars[*i as usize].clone(),
             Formula::Not(a) => to_bdd(a, vars).not(),
@@ -226,7 +219,7 @@ mod properties {
         }
     }
 
-    fn eval(f: &Formula, bits: u8) -> bool {
+    pub(super) fn eval(f: &Formula, bits: u32) -> bool {
         match f {
             Formula::Var(i) => bits & (1 << i) != 0,
             Formula::Not(a) => !eval(a, bits),
@@ -241,12 +234,12 @@ mod properties {
     fn bdd_matches_truth_table() {
         let mut rng = SplitMix64::seed_from_u64(0xBDD_0001);
         for _ in 0..256 {
-            let f = random_formula(&mut rng, 5);
+            let f = random_formula(&mut rng, 5, 5);
             let mgr = BddManager::new();
             let vars: Vec<_> = (0..5).map(|i| mgr.var(format!("x{i}"))).collect();
             let bdd = to_bdd(&f, &vars);
             let mut count = 0u128;
-            for bits in 0u8..32 {
+            for bits in 0u32..32 {
                 let expected = eval(&f, bits);
                 assert_eq!(
                     bdd.eval(|v| bits & (1 << v.0) != 0),
@@ -266,7 +259,7 @@ mod properties {
     fn canonical_forms() {
         let mut rng = SplitMix64::seed_from_u64(0xBDD_0002);
         for _ in 0..256 {
-            let f = random_formula(&mut rng, 5);
+            let f = random_formula(&mut rng, 5, 5);
             let mgr = BddManager::new();
             let vars: Vec<_> = (0..5).map(|i| mgr.var(format!("x{i}"))).collect();
             let bdd = to_bdd(&f, &vars);
@@ -290,7 +283,7 @@ mod properties {
     fn one_sat_is_model() {
         let mut rng = SplitMix64::seed_from_u64(0xBDD_0003);
         for _ in 0..256 {
-            let f = random_formula(&mut rng, 5);
+            let f = random_formula(&mut rng, 5, 5);
             let mgr = BddManager::new();
             let vars: Vec<_> = (0..5).map(|i| mgr.var(format!("x{i}"))).collect();
             let bdd = to_bdd(&f, &vars);
@@ -418,6 +411,15 @@ mod perf_overhaul {
     }
 
     #[test]
+    #[should_panic(expected = "at most 127 variables")]
+    fn sat_count_over_rejects_more_than_127_variables() {
+        // 2^128 models do not fit a `u128`: release builds masked the
+        // final shift and returned 4 here, debug builds panicked on the
+        // shift overflow instead of this check.
+        let _ = BddManager::new().top().sat_count_over(130);
+    }
+
+    #[test]
     fn sat_count_over_in_range_still_counts() {
         let mgr = BddManager::new();
         let a = mgr.var("A");
@@ -495,6 +497,134 @@ mod perf_overhaul {
         let second = f.restrict(VarId(1), true);
         assert_eq!(first, second);
         assert_eq!(mgr.stats().nodes, nodes_after_first);
+    }
+}
+
+/// The flat tables: standard-triple normalization, the lossy `ite` memo
+/// and the open-addressing unique table as they grow.
+mod flat_tables {
+    use super::properties::{eval, random_formula, to_bdd};
+    use super::*;
+    use spllift_rng::SplitMix64;
+
+    /// `x0 ⊕ (x2 ∧ x3)`, `x1 ∨ ¬x4` and `x3 ↔ x5`: formulas whose `ite`
+    /// recursion passes through several levels, over six variables.
+    fn three_formulas() -> (BddManager, Bdd, Bdd, Bdd) {
+        let mgr = BddManager::new();
+        let x: Vec<Bdd> = (0..6).map(|i| mgr.var(format!("x{i}"))).collect();
+        let f = x[0].xor(&x[2].and(&x[3]));
+        let g = x[1].or(&x[4].not());
+        let h = x[3].iff(&x[5]);
+        (mgr, f, g, h)
+    }
+
+    /// A query, and the operation that must fill the memo slot it hits
+    /// (`f` itself, for a terminal case), over `three_formulas`' f, g, h.
+    type Case = (
+        &'static str,
+        fn(&Bdd, &Bdd, &Bdd) -> Bdd,
+        fn(&Bdd, &Bdd, &Bdd) -> Bdd,
+    );
+
+    #[test]
+    fn standard_triples_charge_no_op_once_their_slot_is_filled() {
+        let cases: [Case; 4] = [
+            ("f ∧ f", |f, _, _| f.clone(), |f, _, _| f.and(f)),
+            ("f ∨ f", |f, _, _| f.clone(), |f, _, _| f.or(f)),
+            ("ite(f, f, h)", |f, _, h| f.or(h), |f, _, h| f.ite(f, h)),
+            ("ite(f, g, f)", |f, g, _| f.and(g), |f, g, _| f.ite(g, f)),
+        ];
+        // Every case runs on a fresh manager and reports, so a memo
+        // without standard triples fails all four.
+        let mut charged = Vec::new();
+        for (name, fill, query) in cases {
+            let (mgr, f, g, h) = three_formulas();
+            let filled = fill(&f, &g, &h);
+            let before = mgr.ops_used();
+            assert_eq!(query(&f, &g, &h), filled, "{name}");
+            let ops = mgr.ops_used() - before;
+            if ops > 0 {
+                charged.push(format!("{name}: {ops} ops"));
+            }
+        }
+        assert!(charged.is_empty(), "standard triples recursed: {charged:?}");
+    }
+
+    #[test]
+    fn random_formulas_survive_three_doublings_of_both_tables() {
+        // Both tables start at 4096 slots. The unique table doubles at
+        // half load and the `ite` memo once the nodes outnumber its
+        // slots, so past 4 × 4096 nodes each has doubled three times.
+        const NVARS: u8 = 10;
+        let mgr = BddManager::new();
+        let vars: Vec<Bdd> = (0..NVARS).map(|i| mgr.var(format!("x{i}"))).collect();
+        let z = mgr.new_var("z");
+        let mut rng = SplitMix64::seed_from_u64(0xBDD_0004);
+        let mut built = Vec::new();
+        while mgr.stats().nodes <= 4 * 4096 {
+            assert!(built.len() < 5_000, "random formulas stopped adding nodes");
+            let f = random_formula(&mut rng, 8, NVARS);
+            let bdd = to_bdd(&f, &vars);
+            for bits in 0u32..1 << NVARS {
+                assert_eq!(
+                    bdd.eval(|v| bits >> v.0 & 1 == 1),
+                    eval(&f, bits),
+                    "formula {f:?} at assignment {bits:#012b}"
+                );
+            }
+            built.push(bdd);
+        }
+        // Canonicity after the growth: restricting `bdd ⊕ z` (z below
+        // every other variable) re-interns every node of `bdd` bottom-up,
+        // so a unique table that lost a node would mint a second copy.
+        let z_bdd = mgr.var_bdd(z);
+        for (i, bdd) in built.iter().enumerate() {
+            let reinterned = bdd.xor(&z_bdd).restrict(z, false);
+            assert!(reinterned == *bdd, "formula {i} lost a node on growth");
+        }
+        let stats = mgr.stats();
+        let slots = stats.nodes.next_power_of_two().max(4096);
+        assert!(
+            stats.cache_entries <= slots,
+            "{} memo entries in {slots} slots",
+            stats.cache_entries
+        );
+    }
+
+    #[test]
+    fn evictions_cause_no_exponential_recomputation() {
+        // Two parity chains over the even and the odd variables: each
+        // level of their xor meets one of 4 sign combinations of the two
+        // chains' sub-diagrams, so an exact memo charges at most 4 ops
+        // per variable, while the unmemoized recursion visits 2^400
+        // paths. The manager stays under 2,000 nodes, so the xor's
+        // ~1,600 triples collide in the memo's first 4,096 slots.
+        const N: usize = 400;
+        let mgr = BddManager::new();
+        let xs: Vec<Bdd> = (0..N).map(|i| mgr.var(format!("x{i}"))).collect();
+        // Built from the bottom variable up, so each step adds one level.
+        let parity = |from: usize, step: usize| {
+            (from..N)
+                .step_by(step)
+                .rev()
+                .fold(mgr.bottom(), |acc, i| xs[i].xor(&acc))
+        };
+        let (even, odd) = (parity(0, 2), parity(1, 2));
+        // Negate both first, so the measured xor charges only `ite` steps.
+        let _ = (even.not(), odd.not());
+        // A budget, so that runaway recomputation fails instead of hanging.
+        let distinct = 4 * N as u64;
+        mgr.set_budget(crate::BddBudget {
+            max_nodes: None,
+            max_ops: Some(2 * distinct),
+        });
+        let both = even.xor(&odd);
+        assert!(
+            mgr.budget_status().is_ok(),
+            "over {} ops for at most {distinct} distinct triples",
+            2 * distinct
+        );
+        assert_eq!(both, parity(0, 1));
     }
 }
 

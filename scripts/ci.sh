@@ -30,6 +30,12 @@ cargo bench --no-run -q --offline -p spllift-bench
 echo "== cargo test -q --offline --workspace =="
 cargo test -q --offline --workspace
 
+echo "== BDD tests in release (no overflow checks) =="
+# The BDD tables' index, mask and growth arithmetic is overflow-checked
+# only in debug builds; the release run checks the code the benchmark
+# and the CLI actually execute.
+cargo test -q --release --offline -p spllift-bdd
+
 echo "== benchmark package tests (own Cargo package, outside the workspace) =="
 # The benchmark under crates/bench/src/bin/benchmark/ is a separate
 # package with path dependencies on the workspace crates, so
