@@ -20,8 +20,7 @@
 //! successors of [`spllift_core::LiftedIcfg`].
 
 use crate::engine::{
-    evaluate, neg, pos, Atom, Database, DatalogError, DatalogProgram, EvalOptions, EvalStats,
-    RelId, Term,
+    evaluate, neg, pos, Atom, Database, DatalogError, DatalogProgram, EvalStats, RelId, Term,
 };
 use spllift_analyses::{arg_bindings, result_local, returned_local, DefFact};
 use spllift_bdd::Bdd;
@@ -560,18 +559,24 @@ pub struct DatalogSolution {
     stats: EvalStats,
 }
 
+/// Options of [`solve_reaching_defs`]. Evaluation has no knobs, so the
+/// type has no fields; it keeps the function's signature, which the
+/// benchmark package calls, unchanged.
+#[derive(Debug, Clone, Default)]
+pub struct EvalOptions {}
+
 /// Runs the combined reaching-definitions + reachability program on
 /// `icfg` with the feature `model` conjoined on edges (the IDE
-/// lifting's `ModelMode::OnEdges`), sharded over `opts.jobs` workers.
+/// lifting's `ModelMode::OnEdges`).
 pub fn solve_reaching_defs(
     icfg: &ProgramIcfg<'_>,
     ctx: &BddConstraintContext,
     model: Option<&FeatureExpr>,
-    opts: &EvalOptions,
+    _opts: &EvalOptions,
 ) -> Result<DatalogSolution, DatalogError> {
     let (program, rels) = build_program();
     let mut db = seed_database(icfg, ctx, model, &program, &rels);
-    let stats = evaluate(&program, &mut db, ctx, opts)?;
+    let stats = evaluate(&program, &mut db, ctx)?;
     Ok(DatalogSolution {
         program,
         rels,

@@ -110,8 +110,8 @@ fn err(line: usize, msg: impl Into<String>) -> DumpParseError {
 
 impl DumpDoc {
     /// Extracts a dump from a completed solve. Relations appear in
-    /// declaration order and tuples in database insertion order, so the
-    /// rendered bytes are identical for any `--jobs` setting.
+    /// declaration order and tuples in database insertion order, which
+    /// evaluation makes deterministic, so the rendered bytes are too.
     pub fn from_solution(
         sol: &DatalogSolution,
         ctx: &BddConstraintContext,

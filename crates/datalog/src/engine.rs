@@ -24,17 +24,19 @@
 //! a stratum are monotone). Each task runs a nested-loop join whose plan
 //! is fixed per rule and delta position — bound literals first — and
 //! probes hash indexes that only catch up on the rows appended since the
-//! previous round. Rule-evaluation tasks are sharded over
-//! [`map_shards`] and their derivations merged **in task order**, so the
-//! database's tuple insertion order — and hence every rendered output —
-//! is byte-identical for every `jobs` value.
+//! previous round. A round runs its tasks in order on the calling
+//! thread and inserts their derivations in that order, so the database's
+//! tuple insertion order — and hence every rendered output — is
+//! deterministic. (Tasks could run on other threads only by sharing the
+//! context's one BDD manager, whose lock would serialize them; DESIGN.md
+//! §6.)
 //!
 //! The engine polls the BDD manager's node/op budget once per round
 //! (the store itself only latches exhaustion, it never panics) and
 //! surfaces exhaustion as [`DatalogError::BudgetExceeded`].
 
 use spllift_bdd::Bdd;
-use spllift_features::{map_shards, BddConstraintContext, ConstraintContext};
+use spllift_features::{BddConstraintContext, ConstraintContext};
 use spllift_hash::{FastMap, FastSet};
 use std::fmt;
 
@@ -422,20 +424,6 @@ impl Database {
     }
 }
 
-/// Evaluation knobs.
-#[derive(Debug, Clone)]
-pub struct EvalOptions {
-    /// Worker threads for rule-evaluation tasks (sharded over
-    /// [`map_shards`]; output is byte-identical for every value).
-    pub jobs: usize,
-}
-
-impl Default for EvalOptions {
-    fn default() -> Self {
-        EvalOptions { jobs: 1 }
-    }
-}
-
 /// Counters of one evaluation.
 #[derive(Debug, Clone, Default)]
 pub struct EvalStats {
@@ -492,8 +480,7 @@ struct Plan {
 /// Each later step takes the remaining positive literal whose columns
 /// are all bound (a direct lookup); failing that, the one with the most
 /// bound columns, counting constants; ties go to body order. The plan
-/// depends on the rule and the delta position alone, never on the data,
-/// so every `jobs` value runs the same nested loops.
+/// depends on the rule and the delta position alone, never on the data.
 fn plan_for(
     program: &DatalogProgram,
     rule_idx: usize,
@@ -641,8 +628,8 @@ struct Join<'a> {
     bindings: Vec<Option<u64>>,
     /// Scratch buffer for lookup and index keys.
     key: Vec<u64>,
-    /// Derivations (head relation, tuple, constraint) in deterministic
-    /// order.
+    /// The round's derivations (head relation, tuple, constraint), in
+    /// task order.
     out: &'a mut Vec<(RelId, Tuple, Bdd)>,
 }
 
@@ -735,14 +722,13 @@ impl Join<'_> {
 }
 
 /// Runs `program` to its stratified fixpoint over `db` (which carries
-/// the seeded EDB facts and any IDB seeds), sharding rule evaluation
-/// over `opts.jobs` workers. Deterministic: the database's final tuple
-/// order is identical for every `jobs` value.
+/// the seeded EDB facts and any IDB seeds) on the calling thread.
+/// Deterministic: the database's final tuple order depends on the
+/// program and the seeds alone.
 pub fn evaluate(
     program: &DatalogProgram,
     db: &mut Database,
     ctx: &BddConstraintContext,
-    opts: &EvalOptions,
 ) -> Result<EvalStats, DatalogError> {
     program.validate()?;
     let strata = program.stratify()?;
@@ -798,29 +784,26 @@ pub fn evaluate(
                     indexes.catch_up(slot, db);
                 }
             }
-            let snapshot: &Database = db;
-            let (per_task, _shard_stats, _jobs) =
-                map_shards(&tasks, opts.jobs, |_, chunk: &[&Plan]| {
-                    let mut out = Vec::new();
-                    for plan in chunk {
-                        Join {
-                            db: snapshot,
-                            indexes: &indexes,
-                            delta: &delta,
-                            rule: &program.rules[plan.rule],
-                            plan,
-                            bindings: vec![None; plan.nvars],
-                            key: Vec::new(),
-                            out: &mut out,
-                        }
-                        .descend(0, None);
-                    }
-                    out
-                });
+            // Every task joins over the round-start database; the
+            // derivations are inserted once all tasks have run.
+            let mut derived = Vec::new();
+            for plan in tasks {
+                Join {
+                    db,
+                    indexes: &indexes,
+                    delta: &delta,
+                    rule: &program.rules[plan.rule],
+                    plan,
+                    bindings: vec![None; plan.nvars],
+                    key: Vec::new(),
+                    out: &mut derived,
+                }
+                .descend(0, None);
+            }
             stats.rounds += 1;
             let mut next: Vec<Vec<usize>> = vec![Vec::new(); nrels];
             let mut seen: FastSet<(usize, usize)> = FastSet::default();
-            for (rel, tuple, c) in per_task.into_iter().flatten() {
+            for (rel, tuple, c) in derived {
                 stats.derivations += 1;
                 if let Some(row) = db.relations[rel.0].insert(tuple, c) {
                     if seen.insert((rel.0, row)) {

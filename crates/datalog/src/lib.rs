@@ -31,14 +31,14 @@ mod engine;
 
 pub use analyses::{
     decode_fact, decode_stmt, encode_fact, encode_stmt, solve_reaching_defs, DatalogSolution,
-    Relations,
+    EvalOptions, Relations,
 };
 pub use dump::{
     parse_dump, ColKind, DumpDoc, DumpParseError, DumpRelation, DumpValue, DUMP_HEADER,
 };
 pub use engine::{
-    evaluate, neg, pos, Atom, Database, DatalogError, DatalogProgram, EvalOptions, EvalStats,
-    Literal, RelId, Rule, Term, Tuple,
+    evaluate, neg, pos, Atom, Database, DatalogError, DatalogProgram, EvalStats, Literal, RelId,
+    Rule, Term, Tuple,
 };
 
 #[cfg(test)]

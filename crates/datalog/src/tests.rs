@@ -46,7 +46,7 @@ fn transitive_closure_joins_and_merges_constraints() {
     db.insert(edge, vec![1, 2], a.clone());
     db.insert(edge, vec![2, 3], b.clone());
     db.insert(edge, vec![1, 3], ctx.tt());
-    let stats = evaluate(&p, &mut db, &ctx, &EvalOptions::default()).unwrap();
+    let stats = evaluate(&p, &mut db, &ctx).unwrap();
     // 1→3 directly (true) or via 2 (A ∧ B): merged constraint is true.
     assert_eq!(db.constraint_of(path, &[1, 3]), Some(&ctx.tt()));
     // 1→2 only under A, 2→3 only under B.
@@ -74,7 +74,7 @@ fn contradictory_join_does_not_materialize() {
     let mut db = Database::new(&p);
     db.insert(l, vec![7], a.clone());
     db.insert(r, vec![7], a.not());
-    evaluate(&p, &mut db, &ctx, &EvalOptions::default()).unwrap();
+    evaluate(&p, &mut db, &ctx).unwrap();
     assert_eq!(db.len(out), 0, "A ∧ ¬A join must derive nothing");
     // Inserting an explicitly false tuple is also a no-op.
     assert!(!db.insert(out, vec![9], ctx.ff()));
@@ -105,7 +105,7 @@ fn repeated_derivation_is_subsumed() {
     // A cycle: 1→2→1, both under A. t(1,1) keeps re-deriving as A∧A∧…
     db.insert(e, vec![1, 2], a.clone());
     db.insert(e, vec![2, 1], a.clone());
-    let stats = evaluate(&p, &mut db, &ctx, &EvalOptions::default()).unwrap();
+    let stats = evaluate(&p, &mut db, &ctx).unwrap();
     assert_eq!(db.constraint_of(t, &[1, 1]), Some(&a));
     assert_eq!(db.len(t), 4); // (1,1) (1,2) (2,1) (2,2)
     assert!(
@@ -134,7 +134,7 @@ fn negation_is_lifted() {
     db.insert(node, vec![1], ctx.tt());
     db.insert(node, vec![2], ctx.tt());
     db.insert(bad, vec![1], a.clone());
-    evaluate(&p, &mut db, &ctx, &EvalOptions::default()).unwrap();
+    evaluate(&p, &mut db, &ctx).unwrap();
     assert_eq!(db.constraint_of(good, &[1]), Some(&a.not()));
     assert_eq!(db.constraint_of(good, &[2]), Some(&ctx.tt()));
 }
@@ -159,7 +159,7 @@ fn negative_cycle_is_unstratifiable() {
         vec![pos(n, vec![v(0)]), neg(odd, vec![v(0)])],
     );
     let mut db = Database::new(&p);
-    let err = evaluate(&p, &mut db, &ctx, &EvalOptions::default()).unwrap_err();
+    let err = evaluate(&p, &mut db, &ctx).unwrap_err();
     assert!(matches!(err, DatalogError::Unstratifiable { .. }), "{err}");
 }
 
@@ -179,7 +179,7 @@ fn validation_errors() {
     );
     let mut db = Database::new(&p);
     assert!(matches!(
-        evaluate(&p, &mut db, &ctx, &EvalOptions::default()),
+        evaluate(&p, &mut db, &ctx),
         Err(DatalogError::ArityMismatch { .. })
     ));
 
@@ -194,7 +194,7 @@ fn validation_errors() {
     );
     let mut db = Database::new(&p);
     assert!(matches!(
-        evaluate(&p, &mut db, &ctx, &EvalOptions::default()),
+        evaluate(&p, &mut db, &ctx),
         Err(DatalogError::UnboundVariable { .. })
     ));
 
@@ -209,7 +209,7 @@ fn validation_errors() {
     );
     let mut db = Database::new(&p);
     assert!(matches!(
-        evaluate(&p, &mut db, &ctx, &EvalOptions::default()),
+        evaluate(&p, &mut db, &ctx),
         Err(DatalogError::NoPositiveLiteral { .. })
     ));
 }
@@ -223,7 +223,7 @@ fn empty_strata_are_a_noop() {
     let e = p.relation("e", 2);
     let mut db = Database::new(&p);
     db.insert(e, vec![1, 2], ctx.tt());
-    let stats = evaluate(&p, &mut db, &ctx, &EvalOptions::default()).unwrap();
+    let stats = evaluate(&p, &mut db, &ctx).unwrap();
     assert_eq!(stats.rounds, 0);
     assert_eq!(db.len(e), 1);
 }
@@ -336,7 +336,7 @@ fn brute_force_fixpoint(
 /// index would lose derivations), a body written cross-product-first, a
 /// constant column with a repeated variable, and a negated EDB literal.
 /// The engine must store exactly the brute-force fixpoint's constraint
-/// for every tuple, at `jobs` 1 and 2.
+/// for every tuple.
 #[test]
 fn evaluate_matches_a_brute_force_fixpoint() {
     let mut table = FeatureTable::new();
@@ -424,14 +424,9 @@ fn evaluate_matches_a_brute_force_fixpoint() {
         for (rel, _) in want.keys() {
             *derived.entry(*rel).or_insert(0) += 1;
         }
-        for jobs in [1, 2] {
-            let mut db = Database::new(&p);
-            for ((rel, tuple), c) in facts_of(&p, &seeded) {
-                db.insert(rel, tuple, c);
-            }
-            evaluate(&p, &mut db, &ctx, &EvalOptions { jobs }).unwrap();
-            assert_eq!(facts_of(&p, &db), want, "seed {seed}, jobs {jobs}");
-        }
+        let mut db = seeded;
+        evaluate(&p, &mut db, &ctx).unwrap();
+        assert_eq!(facts_of(&p, &db), want, "seed {seed}");
     }
     for rel in [path, hop, loops, open] {
         assert!(
@@ -558,22 +553,6 @@ fn reachable_methods_match_ide_start_points() {
 // ---------------------------------------------------------------------
 // Determinism and the dump format.
 // ---------------------------------------------------------------------
-
-fn dump_of(jobs: usize) -> String {
-    let ex = fig1();
-    let icfg = ProgramIcfg::new(&ex.program);
-    let ctx = BddConstraintContext::new(&ex.table);
-    let sol = solve_reaching_defs(&icfg, &ctx, None, &EvalOptions { jobs }).unwrap();
-    DumpDoc::from_solution(&sol, &ctx, &ex.table).render()
-}
-
-#[test]
-fn dump_bytes_are_jobs_invariant() {
-    let one = dump_of(1);
-    assert_eq!(one, dump_of(2), "--jobs 2 changed the output bytes");
-    assert_eq!(one, dump_of(5), "--jobs 5 changed the output bytes");
-    assert!(one.starts_with(DUMP_HEADER));
-}
 
 #[test]
 fn dump_round_trips() {

@@ -116,17 +116,17 @@ impl Configuration {
     }
 }
 
-/// Splits `configs` into at most `shards` contiguous, near-equal chunks,
-/// preserving order: concatenating the returned slices yields `configs`
-/// exactly. At most the first `configs.len() % shards` chunks are one
+/// Splits `items` into at most `shards` contiguous, near-equal chunks,
+/// preserving order: concatenating the returned slices yields `items`
+/// exactly. At most the first `items.len() % shards` chunks are one
 /// element longer than the rest, and no chunk is empty (so fewer than
-/// `shards` chunks are returned when there are fewer configurations than
-/// shards).
+/// `shards` chunks are returned when there are fewer items than shards).
 ///
-/// This is the sharding rule of the parallel A2/crosscheck driver: because
-/// chunks are contiguous and in order, merging per-shard results in shard
-/// index order reproduces the sequential processing order regardless of
-/// how the shards were scheduled.
+/// This is how the parallel A2 campaign and cross-check shard
+/// configurations and the fuzz campaign shards seeds: because chunks are
+/// contiguous and in order, merging per-shard results in shard index
+/// order reproduces the sequential processing order regardless of how
+/// the shards were scheduled.
 ///
 /// # Panics
 ///
@@ -135,27 +135,15 @@ impl Configuration {
 /// # Example
 ///
 /// ```
-/// use spllift_features::{partition_configurations, Configuration};
+/// use spllift_features::{partition_slice, Configuration};
 /// let configs: Vec<_> = (0..5).map(|b| Configuration::from_bits(b, 3)).collect();
-/// let parts = partition_configurations(&configs, 2);
+/// let parts = partition_slice(&configs, 2);
 /// assert_eq!(parts.len(), 2);
 /// assert_eq!(parts[0].len(), 3);
 /// assert_eq!(parts[1].len(), 2);
 /// let rejoined: Vec<_> = parts.concat();
 /// assert_eq!(rejoined, configs);
 /// ```
-pub fn partition_configurations(configs: &[Configuration], shards: usize) -> Vec<&[Configuration]> {
-    partition_slice(configs, shards)
-}
-
-/// The generic form of [`partition_configurations`]: the same contiguous,
-/// ordered, near-equal chunking over any item type. The fuzz-campaign
-/// driver shards *seeds* with it, so seed verdicts merge back in seed
-/// order under exactly the same rule the configuration shards use.
-///
-/// # Panics
-///
-/// Panics if `shards` is zero.
 pub fn partition_slice<T>(items: &[T], shards: usize) -> Vec<&[T]> {
     assert!(shards > 0, "cannot partition into zero shards");
     let shards = shards.min(items.len()).max(1);

@@ -42,16 +42,14 @@ mod dnf;
 mod expr;
 mod model;
 mod model_text;
-mod parallel;
 
 pub use abstraction::{AbstractionStep, LatticePoint, NamedFeature};
-pub use config::{all_configurations, partition_configurations, partition_slice, Configuration};
+pub use config::{all_configurations, partition_slice, Configuration};
 pub use constraint::{BddConstraint, BddConstraintContext, Constraint, ConstraintContext};
 pub use dnf::{Dnf, DnfConstraintContext};
 pub use expr::{FeatureExpr, FeatureId, FeatureTable, ParseExprError};
 pub use model::{FeatureModel, GroupKind, ModelError};
 pub use model_text::{parse_feature_model, ModelTextError};
-pub use parallel::{default_jobs, map_shards, ShardStats};
 
 #[cfg(test)]
 mod tests;

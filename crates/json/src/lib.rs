@@ -9,14 +9,16 @@
 //! The parser is a ~150-line recursive descent over the JSON subset the
 //! in-tree emitters produce (objects, arrays, strings, finite numbers,
 //! booleans, `null`). It rejects duplicate object keys, non-finite
-//! numbers, and trailing garbage — a corrupted document fails fast
-//! instead of validating by accident.
+//! numbers, trailing garbage, and arrays and objects nested more than
+//! [`MAX_JSON_DEPTH`] levels deep — a corrupted or hostile document
+//! fails fast instead of validating by accident or overflowing the
+//! stack. It runs in time linear in the input.
 //!
 //! The emitter ([`Json::render`]) is *canonical*: no insignificant
 //! whitespace, object keys in insertion order, and numbers with a zero
 //! fractional part rendered as integers. Rendering the same value twice
 //! yields byte-identical text, which the server's golden-transcript and
-//! jobs-invariance tests lean on.
+//! shard-invariance tests lean on.
 
 #![warn(missing_docs)]
 
@@ -175,9 +177,18 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// The deepest nesting of arrays and objects [`parse_json`] accepts: a
+/// top-level object or array is level 1. The parser recurses once per
+/// level, so the cap bounds its stack use; the server's deepest request
+/// nests 4 levels (`query` → `queries` → item → `config`).
+pub const MAX_JSON_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -211,8 +222,11 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_JSON_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_JSON_DEPTH} levels")))
+            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.keyword("true", Json::Bool(true)),
             Some(b'f') => self.keyword("false", Json::Bool(false)),
@@ -220,6 +234,14 @@ impl<'a> Parser<'a> {
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses an array or object one nesting level down.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn keyword(&mut self, word: &str, v: Json) -> Result<Json, String> {
@@ -240,7 +262,7 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         let n: f64 = text
             .parse()
             .map_err(|_| self.err(&format!("bad number `{text}`")))?;
@@ -273,14 +295,11 @@ impl<'a> Parser<'a> {
                         b'r' => out.push('\r'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos..self.pos + 4)
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| self.err("bad \\u escape"))?;
                             self.pos += 4;
                             out.push(
                                 char::from_u32(code).ok_or_else(|| self.err("bad \\u escape"))?,
@@ -290,12 +309,14 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash.
+                    // Both are ASCII, so the run ends on a char boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -361,8 +382,10 @@ impl<'a> Parser<'a> {
 /// Parses a JSON document (the subset the in-tree emitters produce).
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -413,6 +436,69 @@ mod tests {
             r#"{"type":"ok","count":42,"items":[true,null,"a\"b"]}"#
         );
         assert_eq!(parse_json(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_json_depth() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse_json(&nest(MAX_JSON_DEPTH)).is_ok());
+        let err = parse_json(&nest(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+        let objects = r#"{"a":"#.repeat(MAX_JSON_DEPTH + 1) + "1" + &"}".repeat(MAX_JSON_DEPTH + 1);
+        assert!(parse_json(&objects).is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // The parser recurses once per level, so 100,000 unchecked
+        // levels would overflow the stack; 2 MiB is a spawned thread's
+        // default stack size, and a TCP connection thread's.
+        let line = "[".repeat(100_000);
+        let worker = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse_json(&line))
+            .unwrap();
+        let err = worker.join().expect("parser thread survives").unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A parse that rescans the rest of the input per character is
+        // quadratic and would take hours here. It runs on a thread of
+        // its own so that such a regression fails the test instead of
+        // hanging it.
+        let body = "x".repeat(4 << 20);
+        let doc = format!(r#"{{"type":"bogus","pad":"{body}"}}"#);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || tx.send(parse_json(&doc)).unwrap());
+        let parsed = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a 4 MiB string parses within 60 s")
+            .unwrap();
+        worker.join().unwrap();
+        assert_eq!(
+            parsed.get("pad").and_then(Json::as_str),
+            Some(body.as_str())
+        );
+    }
+
+    #[test]
+    fn strings_with_multibyte_chars_and_escapes_round_trip() {
+        let text = "é, Ω, 漢字, 🦀 \" \\ / \n \t \r \u{1} \u{1f} end";
+        let v = Json::str(text);
+        assert_eq!(parse_json(&v.render()).unwrap(), v);
+        // Every escape the parser supports, beside multi-byte runs.
+        let doc = r#""a\"b\\c\/d\ne\tf\rg\u00e9h\u6f22🦀""#;
+        assert_eq!(
+            parse_json(doc).unwrap(),
+            Json::str("a\"b\\c/d\ne\tf\rgéh漢🦀")
+        );
+        let v = parse_json(doc).unwrap();
+        assert_eq!(parse_json(&v.render()).unwrap(), v);
+        for bad in [r#""\x""#, r#""\u12""#, r#""\ud800""#, r#""open"#] {
+            assert!(parse_json(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::ServerOptions;
 use spllift_analyses::AnalysisKind;
 use spllift_benchgen::{parse_subject_spec, GeneratedSpl, SubjectSpec};
 use spllift_core::{GovernorOptions, LatticeHints, ModelMode, SolveOutcome};
-use spllift_features::{map_shards, parse_feature_model, Configuration, FeatureId, FeatureTable};
+use spllift_features::{parse_feature_model, Configuration, FeatureId, FeatureTable};
 use spllift_frontend::parse_source;
 use spllift_ide::IdeStats;
 use spllift_ir::{MethodId, Program};
@@ -41,21 +41,6 @@ const FAULT_TIMEOUT_MS: u64 = 250;
 /// How much longer than the per-rung deadline an injected `slow-edge`
 /// stall sleeps, so the deadline check after it always trips.
 const FAULT_STALL_MARGIN_MS: u64 = 1000;
-
-/// A statement/fact query, parsed and validated on the shard thread so
-/// the worker pool only ever touches `Sync` data.
-enum ParsedQuery {
-    /// `constraint_of`: the feature constraint of `(stmt, fact)`.
-    Constraint { stmt: String, fact: String },
-    /// `reachability_of`: the constraint under which `stmt` executes.
-    Reach { stmt: String },
-    /// `holds_in`: does `(stmt, fact)` hold in one configuration?
-    Holds {
-        stmt: String,
-        fact: String,
-        config: Configuration,
-    },
-}
 
 pub(crate) fn obj(fields: Vec<(&str, Json)>) -> Json {
     Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
@@ -154,16 +139,40 @@ fn resolve_method(program: &Program, m: &str) -> Result<MethodId, String> {
     Err(format!("unknown method `{m}`"))
 }
 
-fn parse_query(program: &Program, table: &FeatureTable, q: &Json) -> Result<ParsedQuery, String> {
-    let kind = req_str(q, "kind")?;
-    match kind {
-        "constraint_of" => Ok(ParsedQuery::Constraint {
-            stmt: parse_stmt_key(program, req_str(q, "stmt")?)?,
-            fact: req_str(q, "fact")?.to_owned(),
-        }),
-        "reachability_of" => Ok(ParsedQuery::Reach {
-            stmt: parse_stmt_key(program, req_str(q, "stmt")?)?,
-        }),
+/// Answers one query item with its response fields, in documented
+/// order, or with the message of the error that answers a malformed
+/// item in its slot. A missing row is the ⊥ constraint, not an error —
+/// the server cannot tell "fact never holds" from "no such fact", and
+/// the paper's semantics make both `false`.
+fn answer_query(
+    program: &Program,
+    table: &FeatureTable,
+    sol: &RenderedSolution,
+    q: &Json,
+) -> Result<Vec<(&'static str, Json)>, String> {
+    Ok(match req_str(q, "kind")? {
+        "constraint_of" => {
+            let stmt = parse_stmt_key(program, req_str(q, "stmt")?)?;
+            let fact = req_str(q, "fact")?;
+            let cube = sol
+                .fact_row(&stmt, fact)
+                .map_or("false", |r| r.cube.as_str());
+            vec![
+                ("kind", Json::str("constraint_of")),
+                ("stmt", Json::str(stmt)),
+                ("fact", Json::str(fact)),
+                ("constraint", Json::str(cube)),
+            ]
+        }
+        "reachability_of" => {
+            let stmt = parse_stmt_key(program, req_str(q, "stmt")?)?;
+            let cube = sol.reach_row(&stmt).map_or("false", |r| r.cube.as_str());
+            vec![
+                ("kind", Json::str("reachability_of")),
+                ("stmt", Json::str(stmt)),
+                ("constraint", Json::str(cube)),
+            ]
+        }
         "holds_in" => {
             let entries = q
                 .get("config")
@@ -180,64 +189,25 @@ fn parse_query(program: &Program, table: &FeatureTable, q: &Json) -> Result<Pars
                         .ok_or_else(|| format!("unknown feature `{fname}`"))?,
                 );
             }
-            Ok(ParsedQuery::Holds {
-                stmt: parse_stmt_key(program, req_str(q, "stmt")?)?,
-                fact: req_str(q, "fact")?.to_owned(),
-                config: Configuration::from_enabled(enabled),
-            })
-        }
-        other => Err(format!(
-            "unknown query kind `{other}` (constraint_of|reachability_of|holds_in)"
-        )),
-    }
-}
-
-/// Renders one query result. A missing row is the ⊥ constraint, not an
-/// error — the server cannot tell "fact never holds" from "no such
-/// fact", and the paper's semantics make both `false`.
-fn render_query(sol: &RenderedSolution, item: &Result<ParsedQuery, String>) -> Json {
-    let q = match item {
-        Ok(q) => q,
-        Err(msg) => return obj(vec![("error", Json::str(msg.clone()))]),
-    };
-    let mut fields = match q {
-        ParsedQuery::Constraint { stmt, fact } => {
-            let cube = sol
-                .fact_row(stmt, fact)
-                .map_or("false", |r| r.cube.as_str());
-            vec![
-                ("kind", Json::str("constraint_of")),
-                ("stmt", Json::str(stmt.clone())),
-                ("fact", Json::str(fact.clone())),
-                ("constraint", Json::str(cube)),
-            ]
-        }
-        ParsedQuery::Reach { stmt } => {
-            let cube = sol.reach_row(stmt).map_or("false", |r| r.cube.as_str());
-            vec![
-                ("kind", Json::str("reachability_of")),
-                ("stmt", Json::str(stmt.clone())),
-                ("constraint", Json::str(cube)),
-            ]
-        }
-        ParsedQuery::Holds { stmt, fact, config } => {
+            let config = Configuration::from_enabled(enabled);
+            let stmt = parse_stmt_key(program, req_str(q, "stmt")?)?;
+            let fact = req_str(q, "fact")?;
             let holds = sol
-                .fact_row(stmt, fact)
+                .fact_row(&stmt, fact)
                 .is_some_and(|r| config.satisfies(&r.expr));
             vec![
                 ("kind", Json::str("holds_in")),
-                ("stmt", Json::str(stmt.clone())),
-                ("fact", Json::str(fact.clone())),
+                ("stmt", Json::str(stmt)),
+                ("fact", Json::str(fact)),
                 ("holds", Json::Bool(holds)),
             ]
         }
-    };
-    // Degraded solutions answer with weaker-or-equal constraints (and
-    // thus possibly-spurious `holds`); flag every answer drawn from one.
-    if sol.degraded {
-        fields.push(("degraded", Json::Bool(true)));
-    }
-    obj(fields)
+        other => {
+            return Err(format!(
+                "unknown query kind `{other}` (constraint_of|reachability_of|holds_in)"
+            ))
+        }
+    })
 }
 
 pub(crate) fn stats_obj(stats: &IdeStats) -> Json {
@@ -677,7 +647,6 @@ impl ShardState {
 
     fn do_query(&mut self, req: &Json, name: &str) -> Result<Json, String> {
         let (analysis, mode) = Self::analysis_and_mode(req)?;
-        let jobs = self.engine.opts.jobs;
         let store = self.store(name)?;
         let solution = store.current_solution(analysis, mode).ok_or_else(|| {
             format!(
@@ -690,22 +659,22 @@ impl ShardState {
             .get("queries")
             .and_then(Json::as_arr)
             .ok_or("`queries` must be an array")?;
-        let parsed: Vec<Result<ParsedQuery, String>> = queries
+        let (program, table) = (&store.spl.program, &store.spl.table);
+        let results: Vec<Json> = queries
             .iter()
-            .map(|q| parse_query(&store.spl.program, &store.spl.table, q))
+            .map(|q| match answer_query(program, table, solution, q) {
+                // Degraded solutions answer with weaker-or-equal
+                // constraints (and thus possibly-spurious `holds`); flag
+                // every answer drawn from one.
+                Ok(mut fields) => {
+                    if solution.degraded {
+                        fields.push(("degraded", Json::Bool(true)));
+                    }
+                    obj(fields)
+                }
+                Err(msg) => obj(vec![("error", Json::str(msg))]),
+            })
             .collect();
-        // Fan out over the worker pool. Workers borrow the rendered
-        // solution (plain strings + feature expressions — no BDD handles
-        // leave this thread); contiguous ordered shards keep the result
-        // order, and thus the response bytes, independent of `jobs`.
-        let sol: &RenderedSolution = solution;
-        let (shards, _shard_stats, _jobs) = map_shards(&parsed, jobs, |_, chunk| {
-            chunk
-                .iter()
-                .map(|item| render_query(sol, item))
-                .collect::<Vec<Json>>()
-        });
-        let results: Vec<Json> = shards.into_iter().flatten().collect();
         Ok(obj(vec![
             ("type", Json::str("ok")),
             ("request", Json::str("query")),

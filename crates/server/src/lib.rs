@@ -12,10 +12,12 @@
 //!   solver propagations, from any session on any connection), and the
 //!   governance counters — all behind `Arc` + fine-grained locking;
 //! * per-session [`Store`](store::Store)s — the cheap mutable half: a
-//!   session-private BDD manager (thread-confined, per DESIGN.md §6),
-//!   the [`spllift_core::SolverMemo`] for **incremental re-analysis**
-//!   (an `edit` dirties only the edited method and its transitive
-//!   callers), and per-request governance budgets;
+//!   constraint context over the interned artifact's
+//!   [`SharedBddSpace`](engine::SharedBddSpace), which every session of
+//!   that artifact shares, the [`spllift_core::SolverMemo`] for
+//!   **incremental re-analysis** (an `edit` dirties only the edited
+//!   method and its transitive callers), and per-request governance
+//!   budgets;
 //! * a session-sharded [`Executor`] — session names hash to shards, one
 //!   worker thread per shard, so concurrent sessions analyze in
 //!   parallel while each session's stream stays deterministic, with
@@ -67,8 +69,7 @@ pub use engine::{Engine, LoadedSpl};
 pub use exec::{Executor, Submitted};
 pub use transport::SocketServer;
 
-use spllift_features::default_jobs;
-use spllift_spl::FaultPlan;
+use spllift_spl::{default_jobs, FaultPlan};
 use std::io::{BufRead, Read, Write};
 use std::sync::Arc;
 
@@ -82,8 +83,6 @@ pub const REQUEST_TYPES: [&str; 7] = [
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
-    /// Worker threads for batched queries (`--jobs`).
-    pub jobs: usize,
     /// Executor shards — concurrently analyzing session groups
     /// (`--shards`). Sessions hash to shards; shard count never changes
     /// response bytes, only parallelism.
@@ -125,7 +124,6 @@ pub struct ServerOptions {
 impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
-            jobs: default_jobs(),
             shards: default_jobs(),
             max_inflight: 256,
             cache_entries: 64,

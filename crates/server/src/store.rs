@@ -16,9 +16,10 @@
 //! rendering of its solution, serializes on the space's solve lock
 //! (budgets arm per-manager baselines). Rendering turns each distinct
 //! constraint into its cube string and [`FeatureExpr`] once per
-//! solution: thousands of rows share a few dozen constraints. Worker
-//! threads outside the shard only ever see [`RenderedSolution`] — plain
-//! strings and [`FeatureExpr`]s.
+//! solution: thousands of rows share a few dozen constraints. Queries
+//! and the cross-session solution cache read only the
+//! [`RenderedSolution`] — plain strings and [`FeatureExpr`]s, no BDD
+//! handles.
 //!
 //! Each `(analysis, model-mode)` pair owns a slot with the
 //! [`SolverMemo`] of its most recent solve. An `edit` records the edited
@@ -57,7 +58,7 @@ pub struct FactRow {
     /// Canonical sum-of-cubes constraint string.
     pub cube: String,
     /// The constraint as a manager-free feature expression, for
-    /// `holds_in` evaluation on worker threads.
+    /// `holds_in` evaluation without the BDD manager.
     pub expr: FeatureExpr,
     /// `true` when the constraint comes from a degraded (non-top-rung)
     /// solve — it is then weaker-or-equal to the precise one, and query

@@ -1,6 +1,6 @@
 //! Acceptance tests for the resident analysis server: warm-path cache
 //! hits with zero propagations, incremental re-analysis strictly below
-//! a cold solve with bit-identical results, jobs-invariant responses,
+//! a cold solve with bit-identical results, shard-invariant responses,
 //! malformed-input resilience (down to request lines that are not
 //! valid UTF-8 or exceed the line cap), and one write per response
 //! line.
@@ -59,9 +59,9 @@ method main()
 entry main
 ";
 
-fn server(jobs: usize) -> Server {
+fn server(shards: usize) -> Server {
     Server::new(ServerOptions {
-        jobs,
+        shards,
         ..ServerOptions::default()
     })
 }
@@ -284,7 +284,7 @@ fn queries_answer_constraints_and_configurations() {
 }
 
 #[test]
-fn responses_are_byte_identical_for_every_jobs_value() {
+fn responses_are_byte_identical_for_every_shard_count() {
     let requests: Vec<String> = vec![
         load_req("j").render(),
         analyze_req("j").render(),
@@ -318,8 +318,8 @@ fn responses_are_byte_identical_for_every_jobs_value() {
         obj(&[("type", Json::str("stats"))]).render(),
         obj(&[("type", Json::str("shutdown"))]).render(),
     ];
-    let transcript = |jobs: usize| -> String {
-        let mut srv = server(jobs);
+    let transcript = |shards: usize| -> String {
+        let mut srv = server(shards);
         let mut out = String::new();
         for req in &requests {
             let (resp, shutdown) = srv.handle_line(req);
@@ -332,8 +332,8 @@ fn responses_are_byte_identical_for_every_jobs_value() {
         out
     };
     let one = transcript(1);
-    assert_eq!(one, transcript(2), "jobs=2 diverges from jobs=1");
-    assert_eq!(one, transcript(8), "jobs=8 diverges from jobs=1");
+    assert_eq!(one, transcript(2), "shards=2 diverges from shards=1");
+    assert_eq!(one, transcript(8), "shards=8 diverges from shards=1");
 }
 
 /// [`analyze_req`] plus a `threads` field.
@@ -565,7 +565,6 @@ fn overlong_request_line_is_answered_and_the_stream_keeps_serving() {
 #[test]
 fn cache_evicts_least_recently_used_under_entry_budget() {
     let mut srv = Server::new(ServerOptions {
-        jobs: 1,
         cache_entries: 1,
         cache_bytes: 1 << 30,
         ..ServerOptions::default()

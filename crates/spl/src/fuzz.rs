@@ -14,9 +14,7 @@
 //!    re-solved by the independent lifted Datalog engine
 //!    ([`spllift_datalog::solve_reaching_defs`]) must carry the same
 //!    constraint as the IDE lifting for every fact, and neither backend
-//!    may derive a fact the other lacks; the Datalog relation dump must
-//!    also be byte-identical at `jobs = 1` and `jobs = 2` (the engine's
-//!    sharded-evaluation differential);
+//!    may derive a fact the other lacks;
 //! 3. **lattice soundness** — the subject re-solved at a seed-derived
 //!    random [`spllift_features::LatticePoint`] (random feature subsets
 //!    projected away / joined, optionally also dropping the model): every
@@ -28,8 +26,8 @@
 //!
 //! Seeds are sharded across `jobs` worker threads with the same
 //! contiguous-ordered rule as the configuration shards
-//! ([`spllift_features::partition_slice`] via
-//! [`spllift_features::map_shards`]), so the merged verdict list — and
+//! ([`spllift_features::partition_slice`], via the
+//! [`crate::parallel`] shard-map engine), so the merged verdict list — and
 //! hence [`FuzzReport::render`] — is byte-identical for every `jobs`
 //! value. Wall-clock stats are reported separately and never enter the
 //! rendered report.
@@ -50,16 +48,17 @@
 //! [`InjectedBug::None`].
 
 use crate::crosscheck::{check_shard, compare_datalog, Mismatch, DEFAULT_MAX_MISMATCHES};
+use crate::parallel::{default_jobs, map_shards, ShardStats};
 use spllift_analyses::{
     with_analysis, AnalysisKind, ReachingDefs, TaintAnalysis, TaintFact, Typestate, UninitFact,
     UninitVars,
 };
 use spllift_benchgen::{mutate, random_spl, reduce, RandomSpl, ReduceOptions, ReduceOutcome};
 use spllift_core::{LiftedIcfg, LiftedSolution, ModelMode};
-use spllift_datalog::{solve_reaching_defs, DumpDoc, EvalOptions};
+use spllift_datalog::{solve_reaching_defs, EvalOptions};
 use spllift_features::{
-    all_configurations, default_jobs, map_shards, AbstractionStep, BddConstraintContext,
-    Configuration, FeatureId, FeatureTable, LatticePoint, NamedFeature, ShardStats,
+    all_configurations, AbstractionStep, BddConstraintContext, Configuration, FeatureId,
+    FeatureTable, LatticePoint, NamedFeature,
 };
 use spllift_ifds::{Icfg, IfdsProblem};
 use spllift_ir::interp::{run as interp_run, Event, InterpConfig};
@@ -76,10 +75,6 @@ const MUTATION_SALT: u64 = 0x6d75_7461_7465_5f21;
 /// Salt for the lattice-point RNG stream of the abstraction
 /// differential, independent of generation and mutation.
 const ABSTRACTION_SALT: u64 = 0x6162_7374_7261_6374;
-
-/// Rule-evaluation workers of the sharded Datalog run that every seed
-/// diffs against the sequential one.
-const DATALOG_SHARDED_JOBS: usize = 2;
 
 /// A deliberately wrong flow function, applied to the lifted solve only.
 ///
@@ -433,10 +428,6 @@ where
 /// the independent lifted Datalog engine ([`compare_datalog`]). The
 /// Datalog side is never wrapped, so an injected bug surfaces as a
 /// backend disagreement.
-///
-/// The Datalog evaluation also runs sharded at [`DATALOG_SHARDED_JOBS`]
-/// and its relation dump must be byte-identical to the sequential
-/// evaluation's — the engine's own jobs-invariance differential.
 fn crosscheck_datalog(
     icfg: &ProgramIcfg<'_>,
     table: &FeatureTable,
@@ -447,17 +438,8 @@ fn crosscheck_datalog(
     let problem = ReachingDefs::new();
     let wrapped = BugWrapper::new(&problem, bug);
     let lifted = LiftedSolution::solve(&wrapped, icfg, &ctx, None, ModelMode::OnEdges);
-    let solve = |jobs| {
-        solve_reaching_defs(icfg, &ctx, None, &EvalOptions { jobs })
-            .expect("datalog evaluation failed (the fuzz campaign arms no budget)")
-    };
-    let dl = solve(1);
-    let sharded = solve(DATALOG_SHARDED_JOBS);
-    assert_eq!(
-        DumpDoc::from_solution(&dl, &ctx, table).render(),
-        DumpDoc::from_solution(&sharded, &ctx, table).render(),
-        "sharded datalog evaluation (jobs = {DATALOG_SHARDED_JOBS}) diverged from the sequential one"
-    );
+    let dl = solve_reaching_defs(icfg, &ctx, None, &EvalOptions::default())
+        .expect("datalog evaluation failed (the fuzz campaign arms no budget)");
     compare_datalog(icfg, &lifted, &dl, cap).1
 }
 

@@ -39,8 +39,8 @@ pub use fuzz::{
     FailureReport, FuzzOptions, FuzzReport, InjectedBug, SeedVerdict, UnpredictedEvent, ANALYSES,
 };
 pub use parallel::{
-    a2_campaign_parallel, crosscheck_parallel, A2CampaignOutcome, CrosscheckOutcome,
-    ParallelOptions,
+    a2_campaign_parallel, crosscheck_parallel, default_jobs, A2CampaignOutcome, CrosscheckOutcome,
+    ParallelOptions, ShardStats,
 };
 
 use spllift_features::{Configuration, FeatureExpr, FeatureId};

@@ -1,37 +1,111 @@
-//! Parallel configuration-sharded solving: the A2 baseline and the RQ1
-//! cross-check, fanned out over `std::thread::scope` workers.
+//! Parallel configuration- and seed-sharded solving: the A2 baseline,
+//! the RQ1 cross-check and the fuzz campaign, fanned out over
+//! `std::thread::scope` workers.
 //!
-//! Configuration-specific solving is embarrassingly parallel — every A2
-//! run reads the shared program and writes only its own results — so a
-//! production-scale baseline should use every core. The BDD store is
-//! thread-safe nowadays, but per-worker constraint contexts are still
-//! the right shape here: each A2 shard's scratch constraints are
-//! garbage to every other shard, so sharing a node store would only
-//! contend. The driver therefore:
+//! These are the workspace's only thread fan-outs, because their work
+//! shares nothing: every A2 run, cross-check shard or fuzz seed reads
+//! the shared program and builds, uses and drops its *own* constraint
+//! context, so no two workers ever lock the same BDD manager. (Workers
+//! that share one manager serialize on its lock, which is why the
+//! Datalog engine and the server's query batches run on the calling
+//! thread; DESIGN.md §6.) The shard-map engine `map_shards`:
 //!
-//! 1. partitions the configuration slice into contiguous, ordered shards
-//!    ([`spllift_features::partition_configurations`]),
-//! 2. gives each worker its *own* constraint context (built by a caller
-//!    supplied factory) and, for the cross-check, its own lifted
-//!    solution — BDD state is created, used, and dropped on one thread,
+//! 1. partitions the work-item slice into contiguous, ordered shards
+//!    ([`spllift_features::partition_slice`]),
+//! 2. runs a caller-supplied closure on each shard in its own scoped
+//!    thread; the closure builds its private context (and, for the
+//!    cross-check, its own lifted solution) inside the worker,
 //! 3. merges per-shard results **in shard index order**, which equals
-//!    the sequential configuration order regardless of how the OS
-//!    scheduled the workers.
+//!    the sequential item order regardless of how the OS scheduled the
+//!    workers.
 //!
-//! Because each shard also reports mismatches in the sequential order
-//! (see `check_shard` in the crosscheck module) and caps locally at the
-//! same `max_mismatches` budget, the merged, truncated mismatch vector
-//! is byte-identical to the sequential pass for every worker count.
+//! Because each cross-check shard also reports mismatches in the
+//! sequential order (see `check_shard` in the crosscheck module) and
+//! caps locally at the same `max_mismatches` budget, the merged,
+//! truncated mismatch vector is byte-identical to the sequential pass
+//! for every worker count; the fuzz campaign's report is too.
 
 use crate::crosscheck::{check_shard, Mismatch, DEFAULT_MAX_MISMATCHES};
 use spllift_core::{LiftedIcfg, LiftedSolution, ModelMode};
-use spllift_features::{
-    default_jobs, map_shards, Configuration, ConstraintContext, FeatureExpr, ShardStats,
-};
+use spllift_features::{partition_slice, Configuration, ConstraintContext, FeatureExpr};
 use spllift_ifds::{Icfg, IfdsProblem};
 use spllift_ir::ProgramIcfg;
 use std::hash::Hash;
+use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
+
+/// The number of worker threads to use by default: the machine's
+/// available parallelism, or 1 if it cannot be determined.
+pub fn default_jobs() -> usize {
+    std::thread::available_parallelism()
+        .map(NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
+/// Wall-clock accounting for one shard of a parallel run.
+#[derive(Debug, Clone)]
+pub struct ShardStats {
+    /// Shard index (== merge position).
+    pub shard: usize,
+    /// Number of work items (configurations or fuzz seeds) the shard
+    /// was assigned.
+    pub items: usize,
+    /// Wall-clock time the shard's worker spent, including its private
+    /// context/solution setup.
+    pub wall: Duration,
+}
+
+/// Partitions `items` into contiguous ordered shards, runs `work` on
+/// each shard in its own scoped thread, and returns the per-shard
+/// results **in shard index order** together with per-shard wall-clock
+/// stats and the worker count actually used.
+///
+/// Concatenating the per-shard results reproduces the sequential item
+/// order for every `jobs` value. `work` receives the shard index and
+/// its slice; per-worker scratch (constraint contexts, lifted
+/// solutions) must be built *inside* `work`.
+pub(crate) fn map_shards<T, R, F>(
+    items: &[T],
+    jobs: usize,
+    work: F,
+) -> (Vec<R>, Vec<ShardStats>, usize)
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &[T]) -> R + Sync,
+{
+    let shards = partition_slice(items, jobs.max(1));
+    let jobs = shards.len().max(1);
+    let per_shard: Vec<(R, Duration)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = shards
+            .iter()
+            .enumerate()
+            .map(|(i, &chunk)| {
+                let work = &work;
+                scope.spawn(move || {
+                    let t0 = Instant::now();
+                    let result = work(i, chunk);
+                    (result, t0.elapsed())
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard worker panicked"))
+            .collect()
+    });
+    let mut results = Vec::with_capacity(per_shard.len());
+    let mut stats = Vec::with_capacity(per_shard.len());
+    for (i, ((result, wall), chunk)) in per_shard.into_iter().zip(&shards).enumerate() {
+        stats.push(ShardStats {
+            shard: i,
+            items: chunk.len(),
+            wall,
+        });
+        results.push(result);
+    }
+    (results, stats, jobs)
+}
 
 /// Tuning knobs of the parallel driver.
 #[derive(Debug, Clone)]

@@ -57,41 +57,50 @@ cargo run -q --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 echo "== fuzz smoke (deterministic seed range, sharded) =="
 # A short differential fuzz campaign: 32 seeded random product lines,
 # each cross-checked SPLLIFT vs A2 (all five analyses, both directions),
-# against the Datalog backend (whose relation dump must also match
-# between jobs = 1 and jobs = 2) and against the interpreter. Any
-# mismatch exits non-zero and, with set -e, fails CI. The seed range is
-# fixed, so this is fully deterministic; --jobs 2 also exercises the
-# sharded driver.
+# against the Datalog backend and against the interpreter. Any mismatch
+# exits non-zero and, with set -e, fails CI. The seed range is fixed,
+# so this is fully deterministic; --jobs 2 also exercises the seed
+# shards.
 ./target/release/spllift-cli fuzz --seeds 0..32 --jobs 2
 
-echo "== datalog backend crosscheck smoke (MM08/GPL/Lampiro, jobs 1,2) =="
+echo "== datalog backend crosscheck smoke (MM08/GPL/Lampiro) =="
 # The second backend (DESIGN.md §13) must agree with the IDE lifting on
-# every fact's constraint, and its stdout must be byte-identical across
-# --jobs values. `--crosscheck` exits non-zero on any digest mismatch;
-# the diff pins the jobs-invariance of the sharded semi-naive fixpoint.
-SMOKE_DL1="$(mktemp -t datalog-smoke-j1.XXXXXX.txt)"
-SMOKE_DL2="$(mktemp -t datalog-smoke-j2.XXXXXX.txt)"
-trap 'rm -f "$SMOKE_DL1" "$SMOKE_DL2"' EXIT
+# every fact's constraint. `--crosscheck` exits non-zero on any digest
+# mismatch.
 for subject in gen:MM08 gen:GPL gen:Lampiro; do
-    ./target/release/spllift-cli datalog "$subject" --crosscheck --jobs 1 > "$SMOKE_DL1"
-    ./target/release/spllift-cli datalog "$subject" --crosscheck --jobs 2 > "$SMOKE_DL2"
-    diff -u "$SMOKE_DL1" "$SMOKE_DL2"
-    grep -q "SPLLIFT and Datalog agree" "$SMOKE_DL1"
+    report=$(./target/release/spllift-cli datalog "$subject" --crosscheck)
+    echo "$report" | grep -q "SPLLIFT and Datalog agree" \
+        || { echo "ci: datalog crosscheck on $subject: $report" >&2; exit 1; }
 done
 
-echo "== serve smoke (golden transcript, jobs-invariant) =="
+echo "== serve smoke (golden transcript, shard-invariant) =="
 # Replays the committed request transcript through the resident analysis
-# server and diffs the responses byte-exactly — at two --jobs values, so
-# both the protocol itself and its jobs-invariance stay pinned. The
+# server and diffs the responses byte-exactly — at two --shards values,
+# so both the protocol itself and its shard-invariance stay pinned. The
 # transcript covers a cache hit (zero propagations) and an incremental
 # re-analysis after an edit (same digest as the cold solve). The socket
 # transport's goldens (`tests/serve/socket-client*`) are replayed
 # concurrently by `tests/serve_socket.rs` in the test step.
-for jobs in 2 1; do
-    ./target/release/spllift-cli serve --jobs "$jobs" \
+for shards in 2 1; do
+    ./target/release/spllift-cli serve --shards "$shards" \
         < tests/serve/transcript.requests \
         | diff -u tests/serve/transcript.expected -
 done
+
+echo "== hostile-input smoke (deep nesting, a 4 MiB string) =="
+# docs/PROTOCOL.md §Framing: a line nesting 100,000 arrays and a line
+# carrying a 4 MiB string each get one error line, and the server keeps
+# serving: the `stats` behind them is answered.
+hostile=$({
+    head -c 100000 /dev/zero | tr '\0' '['
+    printf '\n{"type":"bogus","pad":"'
+    head -c $((4 << 20)) /dev/zero | tr '\0' 'x'
+    printf '"}\n{"type":"stats"}\n{"type":"shutdown"}\n'
+} | ./target/release/spllift-cli serve)
+[ "$(echo "$hostile" | grep -c '^{"type":"error"')" -eq 2 ] \
+    || { echo "ci: expected two error lines for the hostile lines: $hostile" >&2; exit 1; }
+echo "$hostile" | sed -n 3p | grep -q '^{"type":"ok","request":"stats"' \
+    || { echo "ci: the server stopped serving after the hostile lines: $hostile" >&2; exit 1; }
 
 echo "== serve --listen smoke (golden transcript over TCP) =="
 # The same transcript through the CLI's TCP transport, end to end:
@@ -102,8 +111,8 @@ echo "== serve --listen smoke (golden transcript over TCP) =="
 # checks the bytes.
 SMOKE_TCP_ERR="$(mktemp -t serve-tcp-err.XXXXXX.txt)"
 SMOKE_TCP_OUT="$(mktemp -t serve-tcp-out.XXXXXX.txt)"
-trap 'rm -f "$SMOKE_DL1" "$SMOKE_DL2" "$SMOKE_TCP_ERR" "$SMOKE_TCP_OUT"' EXIT
-./target/release/spllift-cli serve --jobs 1 --listen 127.0.0.1:0 2> "$SMOKE_TCP_ERR" &
+trap 'rm -f "$SMOKE_TCP_ERR" "$SMOKE_TCP_OUT"' EXIT
+./target/release/spllift-cli serve --listen 127.0.0.1:0 2> "$SMOKE_TCP_ERR" &
 serve_pid=$!
 addr=""
 for _ in $(seq 100); do
@@ -130,7 +139,7 @@ echo "== chaos smoke (fault injection, golden per fault class) =="
 # session must be byte-identical to a fault-free run, and a re-load must
 # recover the victim at full precision.
 for fault in panic-in-flow bdd-blowup slow-edge; do
-    ./target/release/spllift-cli serve --jobs 1 --inject-fault "$fault@2" \
+    ./target/release/spllift-cli serve --inject-fault "$fault@2" \
         < tests/serve/chaos.requests \
         | diff -u "tests/serve/chaos-$fault.expected" -
 done
@@ -139,7 +148,7 @@ done
 # confound(Root) blow the meter, the keep_features-sparing projection
 # answers), the degraded-point stats counter, and the full-precision
 # unbudgeted retry.
-./target/release/spllift-cli serve --jobs 1 \
+./target/release/spllift-cli serve \
     --inject-fault budget-exhaust@2000 --inject-fault-session victim \
     < tests/serve/chaos-budget.requests \
     | diff -u tests/serve/chaos-budget-exhaust.expected -
@@ -156,7 +165,7 @@ kept=$(printf '%s\n' \
     "{\"type\":\"load\",\"session\":\"g\",\"gen\":\"$GOV_SUBJECT\"}" \
     "{\"type\":\"analyze\",\"session\":\"g\",\"bdd_op_budget\":60000,\"keep_features\":[\"F0\",\"F1\"]}" \
     "{\"type\":\"shutdown\"}" \
-    | ./target/release/spllift-cli serve --jobs 1)
+    | ./target/release/spllift-cli serve)
 echo "$kept" | grep -q '"outcome":"degraded"' \
     || { echo "ci: governed smoke did not degrade: $kept" >&2; exit 1; }
 echo "$kept" | grep -q '"rung":"project(' \
@@ -167,7 +176,7 @@ bottom=$(printf '%s\n' \
     "{\"type\":\"load\",\"session\":\"g\",\"gen\":\"$GOV_SUBJECT\"}" \
     "{\"type\":\"analyze\",\"session\":\"g\",\"bdd_node_budget\":2}" \
     "{\"type\":\"shutdown\"}" \
-    | ./target/release/spllift-cli serve --jobs 1)
+    | ./target/release/spllift-cli serve)
 echo "$bottom" | grep -q '"rung":"constraint-true"' \
     || { echo "ci: default ladder no longer bottoms out at constraint-true: $bottom" >&2; exit 1; }
 echo "$bottom" | grep -Eq '"attempts":\[\{"rung":"full"[^]]*\{"rung":"no-model"' \

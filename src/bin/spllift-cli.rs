@@ -15,8 +15,8 @@
 //! spllift-cli reduce <FILE.repro> [--check CHECK] [--mutations N]
 //!                    [--inject-bug kill-call-to-return]
 //!
-//! spllift-cli datalog <INPUT> [--jobs N] [--model FILE]
-//!                     [--dump-relations] [--crosscheck]
+//! spllift-cli datalog <INPUT> [--model FILE] [--dump-relations]
+//!                     [--crosscheck]
 //!
 //! <INPUT> is a product-line source file (mini-Java with `#ifdef`
 //! annotations), or one of the built-in generated benchmark subjects:
@@ -67,7 +67,6 @@
 //! constraint in the round-trippable dump format; `--crosscheck` also
 //! solves with the IDE lifting and compares every fact's constraint
 //! digest in both directions, exiting non-zero on any disagreement.
-//! Stdout is byte-identical for every `--jobs` value.
 //! ```
 //!
 //! Reads the product line, optionally a feature model in the
@@ -85,8 +84,7 @@
 use spllift::analyses::{with_analysis, AnalysisKind, ReachingDefs, TaintAnalysis};
 use spllift::benchgen::{parse_subject_spec, GeneratedSpl, SubjectSpec};
 use spllift::features::{
-    default_jobs, parse_feature_model, BddConstraintContext, Configuration, FeatureExpr,
-    FeatureTable, ShardStats,
+    parse_feature_model, BddConstraintContext, Configuration, FeatureExpr, FeatureTable,
 };
 use spllift::frontend::parse_spl;
 use spllift::ifds::IfdsProblem;
@@ -94,8 +92,8 @@ use spllift::ir::{Program, ProgramIcfg};
 use spllift::lift::{report, LiftedIcfg, LiftedProblem, LiftedSolution, ModelMode};
 use spllift::server::{Server, ServerOptions};
 use spllift::spl::{
-    a2_campaign_parallel, crosscheck_parallel, fuzz_campaign, FaultPlan, FuzzOptions, InjectedBug,
-    ParallelOptions, ANALYSES, DEFAULT_MAX_MISMATCHES,
+    a2_campaign_parallel, crosscheck_parallel, default_jobs, fuzz_campaign, FaultPlan, FuzzOptions,
+    InjectedBug, ParallelOptions, ShardStats, ANALYSES, DEFAULT_MAX_MISMATCHES,
 };
 use std::hash::Hash;
 use std::process::ExitCode;
@@ -131,7 +129,6 @@ SERVE OPTIONS
   --listen ADDR           serve the protocol on a TCP socket (e.g.
                           127.0.0.1:7077; port 0 picks one) instead of
                           stdin/stdout; many concurrent connections
-  --jobs N                worker threads for batched queries
   --shards N              executor shards (concurrent session groups)
   --max-inflight N        per-shard in-flight request bound (default 256)
   --cache-entries N       solution-cache entry budget (default 64)
@@ -172,8 +169,6 @@ REDUCE
          datalog-reaching | abstraction | interp-taint | interp-uninit
 
 DATALOG OPTIONS
-  --jobs N                rule-evaluation worker threads; stdout is
-                          byte-identical at every N
   --model FILE            feature model (file inputs only)
   --dump-relations        print every relation tuple with its feature
                           constraint (round-trippable dump format)
@@ -221,7 +216,6 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--listen" => listen = Some(args.next().ok_or("--listen needs an address")?),
-            "--jobs" => opts.jobs = positive("--jobs", args.next())?,
             "--shards" => opts.shards = positive("--shards", args.next())?,
             "--max-inflight" => opts.max_inflight = positive("--max-inflight", args.next())?,
             "--cache-entries" => opts.cache_entries = positive("--cache-entries", args.next())?,
@@ -735,8 +729,7 @@ fn run_fuzz(args: &[String]) -> Result<(), String> {
 /// declarative reaching-definitions + reachability program, prints a
 /// deterministic summary (and optionally the full relation dump), and
 /// with `--crosscheck` compares every fact's constraint against the
-/// IDE lifting in both directions. Stdout is byte-identical for every
-/// `--jobs` value.
+/// IDE lifting in both directions.
 fn run_datalog(args: &[String]) -> Result<(), String> {
     use spllift::datalog::{solve_reaching_defs, DumpDoc, EvalOptions, RelId};
     use spllift::ifds::Icfg as _;
@@ -744,13 +737,11 @@ fn run_datalog(args: &[String]) -> Result<(), String> {
 
     let mut file: Option<String> = None;
     let mut model_file: Option<String> = None;
-    let mut jobs = default_jobs();
     let mut dump_relations = false;
     let mut crosscheck = false;
     let mut args = args.iter().cloned();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--jobs" => jobs = positive("--jobs", args.next())?,
             "--model" => model_file = Some(args.next().ok_or("--model needs a file")?),
             "--dump-relations" => dump_relations = true,
             "--crosscheck" => crosscheck = true,
@@ -770,7 +761,7 @@ fn run_datalog(args: &[String]) -> Result<(), String> {
     let icfg = ProgramIcfg::new(&loaded.program);
     let ctx = BddConstraintContext::new(&loaded.table);
     let model = loaded.model.as_ref();
-    let sol = solve_reaching_defs(&icfg, &ctx, model, &EvalOptions { jobs })
+    let sol = solve_reaching_defs(&icfg, &ctx, model, &EvalOptions::default())
         .map_err(|e| format!("datalog: {e}"))?;
 
     if dump_relations {

@@ -179,9 +179,8 @@ fn help_lists_subcommands_formats_and_gen_syntax() {
 /// Every serve flag, exactly as the `serve` arg parser spells it. The
 /// test below keeps `help`, the README flags table, and the parser
 /// reconciled: a flag added to one place must be added to all three.
-const SERVE_FLAGS: [&str; 13] = [
+const SERVE_FLAGS: [&str; 12] = [
     "--listen",
-    "--jobs",
     "--shards",
     "--max-inflight",
     "--cache-entries",
@@ -236,7 +235,7 @@ fn serve_help_readme_and_parser_agree_on_the_flag_set() {
 /// the test below keeps `help`, the README "Datalog backend" section,
 /// and the parser reconciled — a flag added to one place must be added
 /// to all three.
-const DATALOG_VALUE_FLAGS: [&str; 2] = ["--jobs", "--model"];
+const DATALOG_VALUE_FLAGS: [&str; 1] = ["--model"];
 const DATALOG_SWITCH_FLAGS: [&str; 2] = ["--dump-relations", "--crosscheck"];
 
 #[test]
@@ -278,38 +277,22 @@ fn datalog_help_readme_and_parser_agree_on_the_flag_set() {
 }
 
 #[test]
-fn datalog_crosschecks_fig1_and_is_jobs_invariant() {
-    let run = |jobs: &str, extra: &[&str]| {
-        let mut args = vec![
-            "datalog",
-            "examples_data/fig1.minijava",
-            "--crosscheck",
-            "--jobs",
-            jobs,
-        ];
-        args.extend_from_slice(extra);
-        let out = cli().args(&args).output().expect("binary runs");
+fn datalog_crosschecks_fig1() {
+    // Without and with the feature model, the backends must agree.
+    for extra in [&[][..], &["--model", "examples_data/fig1.model"]] {
+        let out = cli()
+            .args(["datalog", "examples_data/fig1.minijava", "--crosscheck"])
+            .args(extra)
+            .output()
+            .expect("binary runs");
         assert!(
             out.status.success(),
-            "jobs {jobs}: {}",
+            "{extra:?}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        out.stdout
-    };
-    let reference = run("1", &[]);
-    let text = String::from_utf8_lossy(&reference).into_owned();
-    assert!(text.contains("SPLLIFT and Datalog agree on all"), "{text}");
-    for jobs in ["2", "5"] {
-        assert_eq!(
-            run(jobs, &[]),
-            reference,
-            "stdout differs for --jobs {jobs}"
-        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("SPLLIFT and Datalog agree on all"), "{text}");
     }
-    // With the feature model the backends must still agree.
-    let modeled = run("2", &["--model", "examples_data/fig1.model"]);
-    let text = String::from_utf8_lossy(&modeled);
-    assert!(text.contains("SPLLIFT and Datalog agree on all"), "{text}");
 }
 
 #[test]

@@ -1,9 +1,10 @@
 //! Conformance between the router and `docs/PROTOCOL.md`: every
 //! request type the server accepts is documented, and the document
 //! describes no request type the server does not accept. Also pins the
-//! documented error kinds, budget-override fields and request-line cap
-//! to the implementation, so the spec cannot rot silently.
+//! documented error kinds, budget-override fields, request-line cap and
+//! nesting cap to the implementation, so the spec cannot rot silently.
 
+use spllift::json::MAX_JSON_DEPTH;
 use spllift::server::{MAX_REQUEST_LINE, REQUEST_TYPES};
 
 fn protocol_doc() -> String {
@@ -98,6 +99,26 @@ fn documented_request_line_cap_is_the_implementation_constant() {
             "`{needle}` missing from docs/PROTOCOL.md §Framing"
         );
     }
+}
+
+#[test]
+fn documented_nesting_cap_is_the_implementation_constant() {
+    let doc = protocol_doc();
+    for needle in [
+        format!("at most {MAX_JSON_DEPTH} levels deep"),
+        format!("`nesting deeper than {MAX_JSON_DEPTH} levels`"),
+    ] {
+        assert!(
+            doc.contains(&needle),
+            "`{needle}` missing from docs/PROTOCOL.md §Framing"
+        );
+    }
+    let line = "[".repeat(MAX_JSON_DEPTH + 1);
+    let err = spllift::json::parse_json(&line).unwrap_err();
+    assert!(
+        err.ends_with(&format!("nesting deeper than {MAX_JSON_DEPTH} levels")),
+        "{err}"
+    );
 }
 
 #[test]

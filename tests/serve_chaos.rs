@@ -1,7 +1,7 @@
 //! Chaos tests for the resident server's fault isolation: replay the
 //! committed chaos request file with each `--inject-fault` class and
 //! check that (a) the healthy session's responses are byte-identical to
-//! a fault-free run at every `--jobs` value, (b) the victim session is
+//! a fault-free run at every `--shards` value, (b) the victim session is
 //! handled per fault class (quarantined after a panic, degraded down
 //! the abstraction ladder on budget/deadline exhaustion), and (c) a
 //! fresh `load` fully recovers the victim.
@@ -50,25 +50,25 @@ fn victim_lines(stdout: &str) -> Vec<&str> {
         .collect()
 }
 
-/// The core chaos invariant: for each fault class and each `--jobs`
+/// The core chaos invariant: for each fault class and each `--shards`
 /// value, the healthy session's responses are byte-identical to the
 /// fault-free run's.
 #[test]
 fn healthy_session_is_byte_identical_under_every_fault_class() {
     let requests = std::fs::read_to_string(REQUESTS).unwrap();
-    for jobs in ["1", "2"] {
-        let baseline = serve(&["--jobs", jobs], &requests);
+    for shards in ["1", "2"] {
+        let baseline = serve(&["--shards", shards], &requests);
         let healthy_baseline = healthy_lines(&baseline);
         assert!(
             healthy_baseline.len() >= 5,
             "fixture must exercise the healthy session: {baseline}"
         );
         for fault in ["panic-in-flow@2", "bdd-blowup@2", "slow-edge@2"] {
-            let faulted = serve(&["--jobs", jobs, "--inject-fault", fault], &requests);
+            let faulted = serve(&["--shards", shards, "--inject-fault", fault], &requests);
             assert_eq!(
                 healthy_lines(&faulted),
                 healthy_baseline,
-                "healthy session diverged under --inject-fault {fault} --jobs {jobs}"
+                "healthy session diverged under --inject-fault {fault} --shards {shards}"
             );
         }
     }
@@ -77,10 +77,7 @@ fn healthy_session_is_byte_identical_under_every_fault_class() {
 #[test]
 fn injected_panic_quarantines_only_the_victim_and_load_recovers() {
     let requests = std::fs::read_to_string(REQUESTS).unwrap();
-    let out = serve(
-        &["--jobs", "2", "--inject-fault", "panic-in-flow@2"],
-        &requests,
-    );
+    let out = serve(&["--inject-fault", "panic-in-flow@2"], &requests);
     let victim = victim_lines(&out);
     // Victim's sabotaged analyze -> structured panic error + quarantine.
     assert!(
@@ -113,7 +110,7 @@ fn budget_and_deadline_faults_degrade_soundly_and_recover() {
         ("bdd-blowup@2", "budget exhausted"),
         ("slow-edge@2", "deadline exceeded"),
     ] {
-        let out = serve(&["--jobs", "2", "--inject-fault", fault], &requests);
+        let out = serve(&["--inject-fault", fault], &requests);
         let victim = victim_lines(&out);
         // The sabotaged solve degrades one rung down and says why.
         let degraded = victim
@@ -164,9 +161,7 @@ const BUDGET_FAULT: &[&str] = &[
 #[test]
 fn budget_exhaust_descends_the_lattice_and_spares_kept_features() {
     let requests = std::fs::read_to_string(BUDGET_REQUESTS).unwrap();
-    let mut args = vec!["--jobs", "1"];
-    args.extend_from_slice(BUDGET_FAULT);
-    let out = serve(&args, &requests);
+    let out = serve(BUDGET_FAULT, &requests);
     let victim = victim_lines(&out);
     // The sabotaged solve lands on the keep-sparing projection — a
     // non-bottom lattice point that names every abstracted feature and
@@ -216,19 +211,19 @@ fn budget_exhaust_descends_the_lattice_and_spares_kept_features() {
 }
 
 /// The healthy session is byte-identical under an injected budget
-/// exhaustion, at multiple `--jobs` values.
+/// exhaustion, at multiple `--shards` values.
 #[test]
 fn healthy_session_is_byte_identical_under_budget_exhaust() {
     let requests = std::fs::read_to_string(BUDGET_REQUESTS).unwrap();
-    for jobs in ["1", "2"] {
-        let baseline = serve(&["--jobs", jobs], &requests);
-        let mut args = vec!["--jobs", jobs];
+    for shards in ["1", "2"] {
+        let baseline = serve(&["--shards", shards], &requests);
+        let mut args = vec!["--shards", shards];
         args.extend_from_slice(BUDGET_FAULT);
         let faulted = serve(&args, &requests);
         assert_eq!(
             healthy_lines(&faulted),
             healthy_lines(&baseline),
-            "healthy session diverged under budget-exhaust --jobs {jobs}"
+            "healthy session diverged under budget-exhaust --shards {shards}"
         );
     }
 }
@@ -244,7 +239,7 @@ fn unknown_keep_feature_is_a_structured_error() {
         "{\"type\":\"analyze\",\"session\":\"s\"}\n",
         "{\"type\":\"shutdown\"}\n",
     );
-    let out = serve(&["--jobs", "1"], input);
+    let out = serve(&[], input);
     let lines: Vec<&str> = out.lines().collect();
     assert_eq!(lines.len(), 5, "{out}");
     assert!(
@@ -280,7 +275,7 @@ fn per_request_budgets_validate_and_degrade() {
         "{\"type\":\"analyze\",\"session\":\"s\"}\n",
         "{\"type\":\"shutdown\"}\n",
     );
-    let out = serve(&["--jobs", "1"], input);
+    let out = serve(&[], input);
     let lines: Vec<&str> = out.lines().collect();
     assert_eq!(lines.len(), 8, "{out}");
     assert!(

@@ -269,6 +269,42 @@ fn non_utf8_line_is_answered_and_the_connection_keeps_serving() {
     shut_down(addr, server);
 }
 
+/// docs/PROTOCOL.md §Framing over TCP: a line nesting 100,000 arrays
+/// (deep enough to overflow the connection thread's stack were nesting
+/// unbounded) and a line carrying a 4 MiB string are each answered with
+/// one error line, and the same connection keeps serving.
+#[test]
+fn hostile_lines_are_answered_and_the_connection_keeps_serving() {
+    let server = SocketServer::spawn(ServerOptions::default(), "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+    let (mut reader, mut writer) = connect(addr);
+    let deep = "[".repeat(100_000);
+    let long = format!(r#"{{"type":"bogus","pad":"{}"}}"#, "x".repeat(4 << 20));
+    for line in [deep, long, r#"{"type":"stats"}"#.to_owned()] {
+        writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("write");
+    }
+    let deep = read_response(&mut reader);
+    assert!(
+        deep.starts_with(r#"{"type":"error","message":"json parse error"#)
+            && deep.contains("nesting deeper than 128 levels"),
+        "{deep}"
+    );
+    let long = read_response(&mut reader);
+    assert!(
+        long.starts_with(r#"{"type":"error","message":"unknown request type `bogus`"#),
+        "{}",
+        &long[..long.len().min(200)]
+    );
+    let stats = read_response(&mut reader);
+    assert!(
+        stats.starts_with(r#"{"type":"ok","request":"stats""#),
+        "{stats}"
+    );
+    shut_down(addr, server);
+}
+
 /// docs/PROTOCOL.md §Framing over TCP: requests are framed by their
 /// newlines, not by the writes that carry them. A line split across
 /// three writes is answered once, after its newline; three lines in one

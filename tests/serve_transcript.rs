@@ -1,7 +1,8 @@
 //! Golden-transcript test for `spllift-cli serve`: replays the
 //! committed request file and diffs the responses byte-exactly against
-//! the committed expected output, at several `--jobs` values — the
-//! protocol promises responses independent of worker-pool size.
+//! the committed expected output, at several `--shards` values — the
+//! protocol promises responses independent of the executor's shard
+//! count.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -9,9 +10,9 @@ use std::process::{Command, Stdio};
 const REQUESTS: &str = "tests/serve/transcript.requests";
 const EXPECTED: &str = "tests/serve/transcript.expected";
 
-fn serve(jobs: &str, input: &str) -> (String, bool) {
+fn serve(shards: &str, input: &str) -> (String, bool) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_spllift-cli"))
-        .args(["serve", "--jobs", jobs])
+        .args(["serve", "--shards", shards])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -34,12 +35,12 @@ fn serve(jobs: &str, input: &str) -> (String, bool) {
 fn golden_transcript_replays_byte_exactly() {
     let requests = std::fs::read_to_string(REQUESTS).unwrap();
     let expected = std::fs::read_to_string(EXPECTED).unwrap();
-    for jobs in ["1", "2", "4"] {
-        let (stdout, ok) = serve(jobs, &requests);
-        assert!(ok, "serve --jobs {jobs} failed");
+    for shards in ["1", "2", "4"] {
+        let (stdout, ok) = serve(shards, &requests);
+        assert!(ok, "serve --shards {shards} failed");
         assert_eq!(
             stdout, expected,
-            "serve --jobs {jobs} diverges from the committed transcript"
+            "serve --shards {shards} diverges from the committed transcript"
         );
     }
 }
@@ -66,6 +67,37 @@ fn malformed_requests_keep_the_server_serving() {
     assert!(lines[2].contains("unknown session"), "{}", lines[2]);
     assert!(lines[3].starts_with("{\"type\":\"ok\""), "{}", lines[3]);
     assert!(lines[4].contains("shutdown"), "{}", lines[4]);
+}
+
+#[test]
+fn hostile_lines_are_answered_and_the_server_keeps_serving() {
+    // docs/PROTOCOL.md §Framing: a line nesting 100,000 arrays and a
+    // line carrying a 4 MiB string each get one error line, and the
+    // request behind them is served.
+    let input = format!(
+        "{}\n{{\"type\":\"bogus\",\"pad\":\"{}\"}}\n{{\"type\":\"stats\"}}\n",
+        "[".repeat(100_000),
+        "x".repeat(4 << 20)
+    );
+    let (stdout, ok) = serve("2", &input);
+    assert!(ok);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 3, "{stdout}");
+    assert!(
+        lines[0].contains("nesting deeper than 128 levels"),
+        "{}",
+        lines[0]
+    );
+    assert!(
+        lines[1].contains("unknown request type `bogus`"),
+        "{}",
+        lines[1]
+    );
+    assert!(
+        lines[2].starts_with("{\"type\":\"ok\",\"request\":\"stats\""),
+        "{}",
+        lines[2]
+    );
 }
 
 #[test]
