@@ -19,12 +19,12 @@
 //! the normalization every symmetric pair would be computed twice.
 //! `xor` and `iff` sort their two operands by id at entry.
 //!
-//! The store is **thread-safe**: managers clone cheaply (`Arc`), handles
-//! are `Send + Sync`, and each operation locks the manager's one store
-//! once, so concurrent server sessions sharing one per-program BDD space
-//! can build formulas from several threads. Memoized digests
-//! ([`Bdd::semantic_digest`]) live in the store too. See the `manager`
-//! module docs and DESIGN.md §12.
+//! A manager is **owned by one thread**: managers clone cheaply (`Rc`),
+//! each operation borrows the manager's one store once, and handles
+//! are `!Send`, so a thread that needs formulas (a server session, a
+//! parallel cross-check worker) builds its own manager. Memoized
+//! digests ([`Bdd::semantic_digest`]) live in the store too. See the
+//! `manager` module docs and DESIGN.md §12.
 //!
 //! # Example
 //!
@@ -46,7 +46,5 @@ mod manager;
 
 pub use manager::{Bdd, BddBudget, BddError, BddManager, BddStats, BudgetResource, VarId};
 
-#[cfg(test)]
-mod concurrency_tests;
 #[cfg(test)]
 mod tests;

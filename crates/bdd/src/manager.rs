@@ -1,11 +1,12 @@
 //! The BDD node store, its unique table and its operation memos.
 //!
 //! One `Store` owns every node, table and meter of a manager, behind
-//! one `Mutex`. Clones of a [`BddManager`] share it through an `Arc`,
-//! so handles ([`Bdd`]) are `Send + Sync` and threads sharing a manager
-//! agree on node identity. Each public operation locks the store once
-//! and runs its whole recursion on `&mut Store`; DESIGN.md §12 explains
-//! why this replaced a store sharded for concurrent writers.
+//! one `RefCell`. Clones of a [`BddManager`] share it through an `Rc`,
+//! so a manager and its handles ([`Bdd`]) are `!Send`: the compiler
+//! keeps each manager on the thread that built it. Each public
+//! operation borrows the store once and runs its whole recursion on
+//! `&mut Store`; DESIGN.md §12 explains why a manager is owned by one
+//! thread.
 //!
 //! * Nodes live in one `Vec`; a node id is its index, with the two
 //!   terminals at 0 and 1.
@@ -27,12 +28,13 @@
 //!   once** per arming, and every operation short-circuits from then on
 //!   without touching the memos (partial results computed after
 //!   exhaustion are garbage).
-//! * No caller code runs under the lock: [`Bdd::eval`] locks once per
-//!   node it reads, so its closure may call back into the manager.
+//! * No caller code runs under a borrow: [`Bdd::eval`] borrows once
+//!   per node it reads, so its closure may call back into the manager.
 
 use spllift_hash::{hash_one, FastMap, FastSet};
+use std::cell::RefCell;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::rc::Rc;
 
 /// Index of a Boolean variable inside a [`BddManager`].
 ///
@@ -192,7 +194,7 @@ impl BddBudget {
 }
 
 /// Every node, table and meter of a manager; [`BddManager`] holds it
-/// behind one `Mutex`.
+/// behind one `RefCell`.
 struct Store {
     /// Every node, indexed by its id; entries 0 and 1 are the terminals.
     nodes: Vec<Node>,
@@ -224,8 +226,6 @@ struct Store {
     /// memoized where a later (re-budgeted) solve could read them.
     /// Latched at most once per arming (see [`Store::latch`]).
     exhausted: Option<BddError>,
-    /// How many times exhaustion latched since the store was created.
-    latches: u64,
 }
 
 impl Store {
@@ -248,7 +248,6 @@ impl Store {
             baseline_nodes: 2,
             ops: 0,
             exhausted: None,
-            latches: 0,
         }
     }
 
@@ -262,7 +261,6 @@ impl Store {
     fn latch(&mut self, err: BddError) {
         if self.exhausted.is_none() {
             self.exhausted = Some(err);
-            self.latches += 1;
         }
     }
 
@@ -313,7 +311,6 @@ impl Store {
         let id = NodeId::try_from(self.nodes.len()).expect("BDD store overflow");
         self.nodes.push(node);
         self.unique[slot] = id;
-        // Built in full before they replace the old tables (see `lock`).
         if self.nodes.len() * 2 > self.unique.len() {
             self.unique = unique_table(&self.nodes, self.unique.len() * 2);
         }
@@ -728,12 +725,13 @@ impl Store {
     }
 }
 
-/// A shared, thread-safe BDD node store.
+/// A BDD node store, owned by the thread that created it.
 ///
 /// Cloning a manager is cheap (it is reference-counted); all [`Bdd`] handles
-/// created from clones of the same manager are interoperable, across
-/// threads as well — the manager is `Send + Sync`. Handles from
-/// *different* managers must not be mixed.
+/// created from clones of the same manager are interoperable. Handles from
+/// *different* managers must not be mixed. A manager and its handles
+/// are `!Send`: a second thread that needs formulas builds its own
+/// manager.
 ///
 /// # Example
 ///
@@ -746,7 +744,7 @@ impl Store {
 /// ```
 #[derive(Clone)]
 pub struct BddManager {
-    store: Arc<Mutex<Store>>,
+    store: Rc<RefCell<Store>>,
 }
 
 impl fmt::Debug for BddManager {
@@ -769,19 +767,8 @@ impl BddManager {
     /// Creates an empty manager with no variables.
     pub fn new() -> Self {
         BddManager {
-            store: Arc::new(Mutex::new(Store::new())),
+            store: Rc::new(RefCell::new(Store::new())),
         }
-    }
-
-    /// Locks the store. A poisoned lock is recovered, because a panic
-    /// leaves no table inconsistent. In `mk`, nothing can panic between
-    /// appending a node and writing its id into the free unique slot,
-    /// and each table that grows (the unique table, then the `ite` memo)
-    /// is built in full before it replaces the old one. A panic between
-    /// `not`'s two inserts (`¬f → r`, `¬r → f`) loses one memo
-    /// direction; every other mutation is one write or cannot panic.
-    fn lock(&self) -> MutexGuard<'_, Store> {
-        self.store.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Declares a fresh variable named `name` and returns it as a formula.
@@ -794,7 +781,7 @@ impl BddManager {
 
     /// Declares a fresh variable and returns its [`VarId`].
     pub fn new_var(&self, name: impl Into<String>) -> VarId {
-        let mut s = self.lock();
+        let mut s = self.store.borrow_mut();
         let idx = s.var_names.len() as u32;
         s.var_names.push(name.into());
         VarId(idx)
@@ -806,19 +793,18 @@ impl BddManager {
     ///
     /// Panics if `var` was not declared by this manager.
     pub fn var_bdd(&self, var: VarId) -> Bdd {
-        let id = {
-            let mut s = self.lock();
-            ((var.0 as usize) < s.var_names.len()).then(|| s.mk(var.0, FALSE_ID, TRUE_ID))
-        };
-        let Some(id) = id else {
-            panic!("variable {var} not declared in this manager");
-        };
+        let mut s = self.store.borrow_mut();
+        assert!(
+            (var.0 as usize) < s.var_names.len(),
+            "variable {var} not declared in this manager"
+        );
+        let id = s.mk(var.0, FALSE_ID, TRUE_ID);
         self.wrap(id)
     }
 
     /// The number of declared variables.
     pub fn num_vars(&self) -> usize {
-        self.lock().var_names.len()
+        self.store.borrow().var_names.len()
     }
 
     /// The name a variable was declared with.
@@ -827,7 +813,7 @@ impl BddManager {
     ///
     /// Panics if `var` was not declared by this manager.
     pub fn var_name(&self, var: VarId) -> String {
-        let name = self.lock().var_names.get(var.0 as usize).cloned();
+        let name = self.store.borrow().var_names.get(var.0 as usize).cloned();
         name.unwrap_or_else(|| panic!("variable {var} not declared in this manager"))
     }
 
@@ -841,12 +827,9 @@ impl BddManager {
         self.wrap(FALSE_ID)
     }
 
-    /// Current size counters, read under one lock: they describe the
-    /// store between two operations, and `nodes` is monotone across
-    /// snapshots — the consistency contract the governance read path
-    /// relies on.
+    /// Current size counters; `nodes` never decreases.
     pub fn stats(&self) -> BddStats {
-        let s = self.lock();
+        let s = self.store.borrow();
         BddStats {
             nodes: s.nodes.len(),
             vars: s.var_names.len(),
@@ -868,7 +851,7 @@ impl BddManager {
     /// operations of one solve: callers arm *before* starting a solve
     /// and disarm after it, exactly like the governed ladder does.
     pub fn set_budget(&self, budget: BddBudget) {
-        let mut s = self.lock();
+        let mut s = self.store.borrow_mut();
         s.max_nodes = budget.max_nodes.unwrap_or(u64::MAX);
         s.max_ops = budget.max_ops.unwrap_or(u64::MAX);
         s.baseline_nodes = s.nodes.len() as u64;
@@ -888,7 +871,7 @@ impl BddManager {
     /// A status observed `Err` can never revert to `Ok` (or change its
     /// cause) until the budget is re-armed.
     pub fn budget_status(&self) -> Result<(), BddError> {
-        self.lock().exhausted.map_or(Ok(()), Err)
+        self.store.borrow().exhausted.map_or(Ok(()), Err)
     }
 
     /// Charges `n` operation steps against the op budget without doing any
@@ -896,27 +879,19 @@ impl BddManager {
     /// harness can burn the budget down to force `BudgetExceeded` at an
     /// exact, reproducible point.
     pub fn charge_ops(&self, n: u64) {
-        self.lock().charge(n);
+        self.store.borrow_mut().charge(n);
     }
 
     /// Operation steps charged since the budget was last armed (see
     /// [`BddBudget::max_ops`]).
     pub fn ops_used(&self) -> u64 {
-        self.lock().ops
+        self.store.borrow().ops
     }
 
     /// Nodes allocated since the budget was last armed.
     pub fn nodes_since_arm(&self) -> u64 {
-        let s = self.lock();
+        let s = self.store.borrow();
         s.nodes.len() as u64 - s.baseline_nodes
-    }
-
-    /// How many times budget exhaustion has latched over the lifetime of
-    /// this store — at most once per arming, no matter how many threads
-    /// race the limit. Diagnostic for the concurrency tests.
-    #[cfg(test)]
-    pub(crate) fn exhaustion_latches(&self) -> u64 {
-        self.lock().latches
     }
 
     fn wrap(&self, id: NodeId) -> Bdd {
@@ -927,26 +902,25 @@ impl BddManager {
     }
 
     fn same_store(&self, other: &BddManager) -> bool {
-        Arc::ptr_eq(&self.store, &other.store)
+        Rc::ptr_eq(&self.store, &other.store)
     }
 }
-
-// Servers share one manager per program across threads; pin that the
-// handles stay `Send + Sync` so an accidental `Rc`/`Cell` regression
-// fails to compile.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<BddManager>();
-    assert_send_sync::<Bdd>();
-};
 
 /// A Boolean formula, represented as a handle into a [`BddManager`].
 ///
 /// Because diagrams are reduced and hash-consed, semantic equality of
 /// formulas coincides with handle equality ([`PartialEq`] is O(1)), and
 /// [`Bdd::is_false`] / [`Bdd::is_true`] are constant-time — the property the
-/// paper exploits for early termination (§4.2). Handles are
-/// `Send + Sync`; threads sharing a manager agree on node identity.
+/// paper exploits for early termination (§4.2).
+///
+/// A handle stays on the thread whose manager built it; moving one to
+/// another thread does not compile:
+///
+/// ```compile_fail
+/// fn send<T: Send>(_: T) {}
+/// let mgr = spllift_bdd::BddManager::new();
+/// send(mgr.var("F"));
+/// ```
 #[derive(Clone)]
 pub struct Bdd {
     mgr: BddManager,
@@ -1004,10 +978,10 @@ impl Bdd {
         &self.mgr
     }
 
-    /// Runs `op` under one lock of the store and wraps the node it
+    /// Runs `op` on one borrow of the store and wraps the node it
     /// returns.
     fn apply(&self, op: impl FnOnce(&mut Store) -> NodeId) -> Bdd {
-        let id = op(&mut self.mgr.lock());
+        let id = op(&mut self.mgr.store.borrow_mut());
         self.mgr.wrap(id)
     }
 
@@ -1103,12 +1077,10 @@ impl Bdd {
     /// Panics if more than 127 variables are declared (the count is held in
     /// a `u128`).
     pub fn sat_count(&self) -> u128 {
-        let count = {
-            let s = self.mgr.lock();
-            let nvars = s.var_names.len() as u32;
-            (nvars <= 127).then(|| s.sat_count(self.id, nvars))
-        };
-        count.expect("sat_count supports at most 127 variables")
+        let s = self.mgr.store.borrow();
+        let nvars = s.var_names.len() as u32;
+        assert!(nvars <= 127, "sat_count supports at most 127 variables");
+        s.sat_count(self.id, nvars)
     }
 
     /// Number of satisfying assignments counting only the first
@@ -1128,32 +1100,30 @@ impl Bdd {
             nvars <= 127,
             "sat_count_over supports at most 127 variables, got {nvars}"
         );
-        let (support, count) = {
-            let s = self.mgr.lock();
-            let support = s.support(self.id);
-            let in_range = support.iter().all(|v| v.0 < nvars);
-            (support, in_range.then(|| s.sat_count(self.id, nvars)))
-        };
-        count.unwrap_or_else(|| {
-            panic!("sat_count_over({nvars}) on a formula with support {support:?}")
-        })
+        let s = self.mgr.store.borrow();
+        let support = s.support(self.id);
+        assert!(
+            support.iter().all(|v| v.0 < nvars),
+            "sat_count_over({nvars}) on a formula with support {support:?}"
+        );
+        s.sat_count(self.id, nvars)
     }
 
     /// One satisfying partial assignment, or `None` if unsatisfiable.
     ///
     /// Variables not mentioned may take either value.
     pub fn one_sat(&self) -> Option<Vec<(VarId, bool)>> {
-        self.mgr.lock().one_sat(self.id)
+        self.mgr.store.borrow().one_sat(self.id)
     }
 
     /// Evaluates the formula under a total assignment.
     ///
-    /// Locks the store once per node it reads and never while
+    /// Borrows the store once per node it reads and never while
     /// `assignment` runs, so `assignment` may call into the manager.
     pub fn eval(&self, assignment: impl Fn(VarId) -> bool) -> bool {
         let mut cur = self.id;
         while cur != FALSE_ID && cur != TRUE_ID {
-            let n = self.mgr.lock().node(cur);
+            let n = self.mgr.store.borrow().node(cur);
             cur = if assignment(VarId(n.var)) {
                 n.high
             } else {
@@ -1165,12 +1135,12 @@ impl Bdd {
 
     /// The set of variables this formula depends on, in order.
     pub fn support(&self) -> Vec<VarId> {
-        self.mgr.lock().support(self.id)
+        self.mgr.store.borrow().support(self.id)
     }
 
     /// Number of internal nodes of this diagram (terminals excluded).
     pub fn node_count(&self) -> usize {
-        self.mgr.lock().interior_nodes(self.id).count()
+        self.mgr.store.borrow().interior_nodes(self.id).count()
     }
 
     /// A 64-bit digest of the Boolean function this diagram denotes.
@@ -1178,8 +1148,8 @@ impl Bdd {
     /// The digest is computed bottom-up over the *structure* of the
     /// reduced diagram — `mix(var, digest(low), digest(high))` with
     /// fixed constants for the terminals — so it depends only on the
-    /// function and the variable order, never on node ids, allocation
-    /// order, or how many threads built the diagram. Because diagrams
+    /// function and the variable order, never on node ids or allocation
+    /// order. Because diagrams
     /// are reduced and hash-consed, equal functions have equal digests
     /// by construction, and (modulo 64-bit collisions) unequal
     /// functions differ.
@@ -1194,7 +1164,7 @@ impl Bdd {
     /// skewed measured wall times by orders of magnitude on subjects
     /// with rich feature models (BerkeleyDB-class).
     pub fn semantic_digest(&self) -> u64 {
-        self.mgr.lock().digest(self.id)
+        self.mgr.store.borrow_mut().digest(self.id)
     }
 
     /// Renders the formula as a sum of cubes (disjunction of conjunctions of
@@ -1204,20 +1174,20 @@ impl Bdd {
     /// output size can be exponential in the diagram size.
     ///
     /// The rendering walks the diagram in variable order, so it depends
-    /// only on the Boolean function — not on node ids or on how many
-    /// threads built the diagram. This is what makes solve outputs
-    /// byte-identical whatever else was built in a shared store.
+    /// only on the Boolean function — not on node ids. This is what
+    /// makes solve outputs byte-identical whatever else the manager
+    /// built before.
     pub fn to_cube_string(&self) -> String {
-        self.mgr.lock().cube_string(self.id)
+        self.mgr.store.borrow().cube_string(self.id)
     }
 
     /// Renders this diagram in Graphviz DOT format.
     ///
     /// Node labels use raw node ids, which depend on allocation order —
-    /// stable for a fixed single-threaded build sequence, but **not**
-    /// part of the cross-thread determinism contract (unlike
-    /// [`Bdd::to_cube_string`]).
+    /// stable for a fixed build sequence, but (unlike
+    /// [`Bdd::to_cube_string`]) changed by whatever else the manager
+    /// built first.
     pub fn to_dot(&self) -> String {
-        self.mgr.lock().dot(self.id)
+        self.mgr.store.borrow().dot(self.id)
     }
 }

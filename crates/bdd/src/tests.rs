@@ -779,28 +779,19 @@ fn semantic_digest_is_independent_of_build_order_across_managers() {
 
 #[test]
 fn eval_may_call_into_the_same_manager() {
-    // `eval` never runs its closure under the store lock, so a closure
-    // that builds formulas on the same manager returns instead of
-    // deadlocking. The evaluations run on a thread of their own, so a
-    // deadlock fails the test instead of hanging it.
+    // `eval` never runs its closure while it borrows the store, so a
+    // closure that builds formulas on the same manager returns instead
+    // of panicking on a second borrow.
     let (mgr, a, b, c) = three_vars();
     let f = a.and(&b).or(&c);
-    let (tx, rx) = std::sync::mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        let evals = [
-            // A and B hold, C does not.
-            f.eval(|v| mgr.var_bdd(v).entails(&a.or(&b))),
-            // Only C holds.
-            f.eval(|v| mgr.var_bdd(v) == c.not().not()),
-            // Only B holds.
-            f.eval(|v| mgr.var_bdd(v) == b),
-        ];
-        tx.send(evals).unwrap();
-    });
-    let evals = rx
-        .recv_timeout(std::time::Duration::from_secs(60))
-        .expect("eval deadlocked on a closure that calls into its manager");
-    worker.join().unwrap();
+    let evals = [
+        // A and B hold, C does not.
+        f.eval(|v| mgr.var_bdd(v).entails(&a.or(&b))),
+        // Only C holds.
+        f.eval(|v| mgr.var_bdd(v) == c.not().not()),
+        // Only B holds.
+        f.eval(|v| mgr.var_bdd(v) == b),
+    ];
     assert_eq!(evals, [true, true, false]);
 }
 

@@ -31,17 +31,16 @@
 //!
 //! # Thread and sharing boundary
 //!
-//! A [`LiftedSolution`] holds live BDD handles and is therefore bound
-//! to the constraint context (and thread) that produced it — like
-//! everything BDD-backed, it must not cross threads (see
-//! `spllift_bdd::manager`). Long-lived consumers that share or cache
-//! results across threads (the analysis server's cross-session
-//! solution cache, DESIGN.md §9) first *render* the solution into
-//! manager-free form — constraint strings plus plain
+//! A [`LiftedSolution`] over BDD constraints holds live BDD handles,
+//! which are `!Send`, so the compiler binds it to the thread of the
+//! constraint context that produced it. Long-lived consumers that
+//! share or cache results across threads (the analysis server's
+//! cross-session solution cache, DESIGN.md §9) first *render* the
+//! solution into manager-free form — constraint strings plus plain
 //! [`spllift_features::FeatureExpr`] trees — and share that. The same
-//! boundary governs [`SolverMemo`]: it embeds jump functions over live
-//! constraints, so incremental-solve state is per-session and
-//! thread-confined, never global.
+//! holds for a [`SolverMemo`]: it embeds jump functions over live
+//! constraints, so incremental-solve state is per-session and stays on
+//! its session's thread.
 
 #![warn(missing_docs)]
 mod annotated;

@@ -1,4 +1,4 @@
-//! Textual rule/tuple dump format with a round-trip parser.
+//! Textual rule/tuple dump format.
 //!
 //! The format is line-oriented in the style of `spllift_ir::text`'s
 //! `.repro` programs: a versioned header, one `features` line naming
@@ -17,10 +17,7 @@
 //!
 //! A tuple's feature constraint follows `@` (omitted when it is the
 //! tautology). Cells are self-describing: statement columns render as
-//! `method:index` and parse back by the embedded `:`; every other
-//! column is a bare integer. [`parse_dump`] is the exact inverse of
-//! [`DumpDoc::render`] — reserialization is byte-identical, which the
-//! crate tests assert.
+//! `method:index`; every other column is a bare integer.
 
 use std::fmt;
 
@@ -41,7 +38,7 @@ pub enum ColKind {
     Stmt,
 }
 
-/// One parsed/rendered tuple cell.
+/// One rendered tuple cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DumpValue {
     /// A bare integer column.
@@ -85,29 +82,6 @@ pub struct DumpDoc {
     pub relations: Vec<DumpRelation>,
 }
 
-/// Error from [`parse_dump`], with a 1-based line number.
-#[derive(Debug)]
-pub struct DumpParseError {
-    /// 1-based line the error was detected on (0 = end of input).
-    pub line: usize,
-    msg: String,
-}
-
-impl fmt::Display for DumpParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "dump line {}: {}", self.line, self.msg)
-    }
-}
-
-impl std::error::Error for DumpParseError {}
-
-fn err(line: usize, msg: impl Into<String>) -> DumpParseError {
-    DumpParseError {
-        line,
-        msg: msg.into(),
-    }
-}
-
 impl DumpDoc {
     /// Extracts a dump from a completed solve. Relations appear in
     /// declaration order and tuples in database insertion order, which
@@ -121,8 +95,8 @@ impl DumpDoc {
         let kinds = sol.relations().column_kinds(program);
         // Most tuples share a handful of constraints, and each `to_expr`
         // re-expands its BDD: render every distinct constraint once. (A
-        // `Bdd` hashes by its node id, which never changes; the shared
-        // store it points into is what clippy sees as mutable.)
+        // `Bdd` hashes by its node id, which never changes; the store it
+        // points into is what clippy sees as mutable.)
         #[allow(clippy::mutable_key_type)]
         let mut exprs: FastMap<&Bdd, FeatureExpr> = FastMap::default();
         let relations = (0..program.relation_count())
@@ -160,7 +134,7 @@ impl DumpDoc {
         }
     }
 
-    /// Serializes the document; [`parse_dump`] is the exact inverse.
+    /// Serializes the document in the format of the module docs.
     pub fn render(&self) -> String {
         let mut table = FeatureTable::new();
         for name in &self.features {
@@ -195,117 +169,4 @@ impl DumpDoc {
         }
         out
     }
-}
-
-fn parse_value(token: &str, line: usize) -> Result<DumpValue, DumpParseError> {
-    if let Some((m, i)) = token.split_once(':') {
-        let method = m
-            .parse::<u32>()
-            .map_err(|_| err(line, format!("bad statement cell `{token}`")))?;
-        let index = i
-            .parse::<u32>()
-            .map_err(|_| err(line, format!("bad statement cell `{token}`")))?;
-        Ok(DumpValue::Stmt { method, index })
-    } else {
-        let x = token
-            .parse::<u64>()
-            .map_err(|_| err(line, format!("bad integer cell `{token}`")))?;
-        Ok(DumpValue::Raw(x))
-    }
-}
-
-/// Parses a dump rendered by [`DumpDoc::render`].
-pub fn parse_dump(input: &str) -> Result<DumpDoc, DumpParseError> {
-    let mut lines = input.lines().enumerate().map(|(i, l)| (i + 1, l));
-    let (line, first) = lines
-        .next()
-        .ok_or_else(|| err(0, "empty input, expected header"))?;
-    if first.trim_end() != DUMP_HEADER {
-        return Err(err(line, format!("expected header `{DUMP_HEADER}`")));
-    }
-    let (line, feats) = lines
-        .next()
-        .ok_or_else(|| err(0, "missing `features` line"))?;
-    let mut words = feats.split_whitespace();
-    if words.next() != Some("features") {
-        return Err(err(line, "expected `features` line"));
-    }
-    let features: Vec<String> = words.map(str::to_string).collect();
-    let mut table = FeatureTable::new();
-    for name in &features {
-        table.intern(name);
-    }
-
-    let mut relations: Vec<DumpRelation> = Vec::new();
-    for (line, raw) in lines {
-        let text = raw.trim_end();
-        if text.is_empty() {
-            continue;
-        }
-        if let Some(decl) = text.strip_prefix("relation ") {
-            let (name, arity) = decl
-                .split_once('/')
-                .ok_or_else(|| err(line, "expected `relation name/arity`"))?;
-            let arity = arity
-                .parse::<usize>()
-                .map_err(|_| err(line, format!("bad arity `{arity}`")))?;
-            relations.push(DumpRelation {
-                name: name.to_string(),
-                arity,
-                tuples: Vec::new(),
-            });
-            continue;
-        }
-        let rel = relations
-            .last_mut()
-            .ok_or_else(|| err(line, "tuple before any `relation` declaration"))?;
-        let rest = text
-            .strip_prefix(rel.name.as_str())
-            .and_then(|r| r.strip_prefix('('))
-            .ok_or_else(|| err(line, format!("expected a `{}(...)` tuple", rel.name)))?;
-        let (inside, after) = rest
-            .split_once(')')
-            .ok_or_else(|| err(line, "unterminated tuple, missing `)`"))?;
-        let mut values = Vec::new();
-        if !inside.trim().is_empty() {
-            for token in inside.split(',') {
-                values.push(parse_value(token.trim(), line)?);
-            }
-        }
-        if values.len() != rel.arity {
-            return Err(err(
-                line,
-                format!(
-                    "arity mismatch: {} has {} columns, tuple has {}",
-                    rel.name,
-                    rel.arity,
-                    values.len()
-                ),
-            ));
-        }
-        let expr = if after.is_empty() {
-            FeatureExpr::True
-        } else if let Some(expr_text) = after.strip_prefix(" @ ") {
-            let before = table.len();
-            let expr = FeatureExpr::parse(expr_text, &mut table)
-                .map_err(|e| err(line, format!("bad constraint: {e}")))?;
-            if table.len() != before {
-                return Err(err(
-                    line,
-                    "constraint mentions a feature missing from the `features` line",
-                ));
-            }
-            expr
-        } else {
-            return Err(err(
-                line,
-                "expected ` @ constraint` or end of line after `)`",
-            ));
-        };
-        rel.tuples.push((values, expr));
-    }
-    Ok(DumpDoc {
-        features,
-        relations,
-    })
 }

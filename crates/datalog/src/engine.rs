@@ -27,8 +27,8 @@
 //! previous round. A round runs its tasks in order on the calling
 //! thread and inserts their derivations in that order, so the database's
 //! tuple insertion order — and hence every rendered output — is
-//! deterministic. (Tasks could run on other threads only by sharing the
-//! context's one BDD manager, whose lock would serialize them; DESIGN.md
+//! deterministic. (Tasks could not run on other threads: they share the
+//! context's one BDD manager, which never leaves its thread; DESIGN.md
 //! §6.)
 //!
 //! The engine polls the BDD manager's node/op budget once per round

@@ -152,7 +152,7 @@ impl Constraint for Bdd {
 /// assert!(ctx.satisfied_by(&c, &Configuration::from_enabled([g])));
 /// assert!(!ctx.satisfied_by(&c, &Configuration::from_enabled([f, g])));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BddConstraintContext {
     mgr: BddManager,
     vars: HashMap<FeatureId, VarId>,
@@ -262,8 +262,9 @@ impl BddConstraintContext {
     /// The result is semantically equivalent to `c` (not syntactically
     /// canonical); it lets constraint-valued analysis results be
     /// re-evaluated against [`Configuration`]s without the manager, e.g.
-    /// for the analysis server's `holds_in` queries on worker threads
-    /// (a `FeatureExpr` is plain data — no node store behind it).
+    /// for the analysis server's `holds_in` queries on a cached solution
+    /// that any shard thread may read (a `FeatureExpr` is plain data —
+    /// no node store behind it).
     pub fn to_expr(&self, c: &Bdd) -> FeatureExpr {
         if c.is_true() {
             return FeatureExpr::True;

@@ -293,14 +293,22 @@ impl<'a> Parser<'a> {
                         b'n' => out.push('\n'),
                         b't' => out.push('\t'),
                         b'r' => out.push('\r'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
                         b'u' => {
-                            let hex = self
-                                .text
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
+                            let mut code = self.utf16_unit()?;
+                            // A high surrogate joins the `\u` low
+                            // surrogate right after it; a lone one of
+                            // either kind is not a char.
+                            if (0xd800..0xdc00).contains(&code)
+                                && self.bytes[self.pos..].starts_with(b"\\u")
+                            {
+                                self.pos += 2;
+                                let low = self.utf16_unit()?;
+                                if (0xdc00..0xe000).contains(&low) {
+                                    code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                                }
+                            }
                             out.push(
                                 char::from_u32(code).ok_or_else(|| self.err("bad \\u escape"))?,
                             );
@@ -320,6 +328,19 @@ impl<'a> Parser<'a> {
                 }
             }
         }
+    }
+
+    /// The four hex digits of a `\u` escape, as a UTF-16 code unit.
+    fn utf16_unit(&mut self) -> Result<u32, String> {
+        // `from_str_radix` alone would also take a sign (`\u+041`).
+        let unit = self
+            .text
+            .get(self.pos..self.pos + 4)
+            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+            .and_then(|h| u32::from_str_radix(h, 16).ok())
+            .ok_or_else(|| self.err("bad \\u escape"))?;
+        self.pos += 4;
+        Ok(unit)
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -488,15 +509,28 @@ mod tests {
         let text = "é, Ω, 漢字, 🦀 \" \\ / \n \t \r \u{1} \u{1f} end";
         let v = Json::str(text);
         assert_eq!(parse_json(&v.render()).unwrap(), v);
-        // Every escape the parser supports, beside multi-byte runs.
-        let doc = r#""a\"b\\c\/d\ne\tf\rg\u00e9h\u6f22🦀""#;
+        // Every escape RFC 8259 allows, beside multi-byte runs: a
+        // surrogate pair is one char (Python's `json.dumps` escapes 🦀
+        // so), and hex digits may be upper case.
+        let doc = r#""a\"b\\c\/d\ne\tf\rg\u00e9h\u6f22🦀\b\f\ud83e\udd80\uD83E\uDD80""#;
         assert_eq!(
             parse_json(doc).unwrap(),
-            Json::str("a\"b\\c/d\ne\tf\rgéh漢🦀")
+            Json::str("a\"b\\c/d\ne\tf\rgéh漢🦀\u{8}\u{c}🦀🦀")
         );
         let v = parse_json(doc).unwrap();
         assert_eq!(parse_json(&v.render()).unwrap(), v);
-        for bad in [r#""\x""#, r#""\u12""#, r#""\ud800""#, r#""open"#] {
+        // Lone surrogates (high, low, high before a non-surrogate), a
+        // signed or short hex run, an unknown escape, no closing quote.
+        for bad in [
+            r#""\ud800""#,
+            r#""\udc00""#,
+            r#""\ud800\u0041""#,
+            r#""\ud800\n""#,
+            r#""\u+041""#,
+            r#""\u12""#,
+            r#""\x""#,
+            r#""open"#,
+        ] {
             assert!(parse_json(bad).is_err(), "{bad}");
         }
     }

@@ -15,25 +15,16 @@
 //! * **governance counters** — plain atomics, and
 //! * the **last-solve statistics** published by `stats`.
 //!
-//! The BDD store is thread-safe (each operation locks it once,
-//! DESIGN.md §12), so the **BDD space is shared too**: every session of
-//! one interned artifact holds the same [`SharedBddSpace`], so N
-//! sessions that load the same product line build their constraints in
-//! one hash-consed node store instead of N. Solves serialize on the
-//! space's solve lock — resource budgets arm per-manager baselines, so
-//! two concurrently *armed* solves on one space would meter each other's
-//! allocations. Sessions over different programs still solve fully
-//! concurrently.
-//!
-//! Everything *mutable per session* — `SolverMemo`, dirty-root sets —
-//! lives in [`crate::store::Store`], which stays confined to one
-//! executor shard so each session's response stream keeps its
-//! submission order.
+//! Nothing here holds a BDD: a BDD manager is owned by the thread that
+//! built it (DESIGN.md §12). Everything *mutable per session* — its
+//! own BDD manager, `SolverMemo`s, dirty-root sets — lives in
+//! [`crate::store::Store`], which stays confined to one executor shard
+//! so each session's response stream keeps its submission order.
 
 use crate::cache::{CacheKey, SolutionCache};
 use crate::store::RenderedSolution;
 use crate::ServerOptions;
-use spllift_features::{BddConstraintContext, FeatureExpr, FeatureId, FeatureTable};
+use spllift_features::{FeatureExpr, FeatureId, FeatureTable};
 use spllift_hash::FastMap;
 use spllift_ide::IdeStats;
 use spllift_ir::{fingerprint, Program};
@@ -41,37 +32,11 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The BDD space shared by every session of one interned artifact: one
-/// constraint context (one BDD variable per feature, in table order)
-/// over the thread-safe hash-consed store, plus the lock that
-/// serializes solves on it.
-///
-/// The lock exists because resource budgets arm *per-manager*
-/// baselines ([`spllift_bdd::BddManager::set_budget`]): two
-/// concurrently armed solves on one manager would charge each other's
-/// allocations and could latch each other's exhaustion. Every BDD
-/// operation on a space runs under it — the solve and the rendering of
-/// its solution, both inside [`crate::store::Store::analyze`] — except
-/// declaring the feature variables when the artifact is loaded. Queries
-/// read the manager-free [`RenderedSolution`] and build no BDDs.
-#[derive(Debug)]
-pub struct SharedBddSpace {
-    /// The shared constraint context.
-    pub ctx: BddConstraintContext,
-    /// Serializes solves, and the rendering of their solutions, on this
-    /// space.
-    pub solve_lock: Mutex<()>,
-}
-
 /// One loaded product line: the parsed program, its feature universe,
-/// the optional feature-model constraint, the fingerprint over all
-/// three, and the shared BDD space every session of this artifact
-/// builds its constraints in. It is `Send + Sync` and shared (`Arc`)
-/// across every shard through the engine's intern table. Edits
-/// copy-on-write ([`Arc::make_mut`] in the store); the clone keeps the
-/// same `space` handle — the feature universe is fixed at load, so an
-/// edited session can keep hash-consing into the nodes it already
-/// built.
+/// the optional feature-model constraint, and the fingerprint over all
+/// three. It is plain data, `Send + Sync`, and shared (`Arc`) across
+/// every shard through the engine's intern table. Edits copy-on-write
+/// ([`Arc::make_mut`] in the store).
 #[derive(Debug, Clone)]
 pub struct LoadedSpl {
     /// The checked program.
@@ -87,8 +52,6 @@ pub struct LoadedSpl {
     pub or_groups: Vec<(FeatureId, Vec<FeatureId>)>,
     /// Fingerprint of `(program, table, model)`.
     pub fingerprint: u64,
-    /// The shared BDD space (same handle across COW clones).
-    pub space: Arc<SharedBddSpace>,
 }
 
 impl LoadedSpl {
@@ -106,17 +69,12 @@ impl LoadedSpl {
             .check()
             .map_err(|e| format!("invalid program: {e}"))?;
         let fp = fingerprint(&program, &table, model.as_ref());
-        let space = Arc::new(SharedBddSpace {
-            ctx: BddConstraintContext::new(&table),
-            solve_lock: Mutex::new(()),
-        });
         Ok(LoadedSpl {
             program,
             table,
             model,
             or_groups,
             fingerprint: fp,
-            space,
         })
     }
 
@@ -245,12 +203,10 @@ impl Engine {
 }
 
 // The whole point of the engine: it is shareable. Compile-time proof
-// that nothing thread-confined snuck in (the BDD manager inside
-// `SharedBddSpace` is the `Arc`-based thread-safe store).
+// that nothing thread-confined (a BDD handle) snuck in.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Engine>();
     assert_send_sync::<LoadedSpl>();
-    assert_send_sync::<SharedBddSpace>();
     assert_send_sync::<RenderedSolution>();
 };

@@ -11,10 +11,9 @@
 //!   mode)` (repeated `analyze` requests are answered with *zero*
 //!   solver propagations, from any session on any connection), and the
 //!   governance counters — all behind `Arc` + fine-grained locking;
-//! * per-session [`Store`](store::Store)s — the cheap mutable half: a
-//!   constraint context over the interned artifact's
-//!   [`SharedBddSpace`](engine::SharedBddSpace), which every session of
-//!   that artifact shares, the [`spllift_core::SolverMemo`] for
+//! * per-session [`Store`](store::Store)s — the mutable half: the
+//!   session's own BDD constraint context, which never leaves the shard
+//!   thread that built it, the [`spllift_core::SolverMemo`] for
 //!   **incremental re-analysis** (an `edit` dirties only the edited
 //!   method and its transitive callers), and per-request governance
 //!   budgets;

@@ -1,20 +1,17 @@
 //! Per-session mutable state: the [`Store`].
 //!
 //! One [`Store`] corresponds to one client session over one loaded
-//! product line. It is the cheap, session-private half of the
-//! engine/store split: a shared [`crate::engine::LoadedSpl`] artifact
-//! (copy-on-write on edit), a handle to that artifact's shared BDD
-//! space, and per-analysis incremental solver state.
+//! product line. It is the session-private half of the engine/store
+//! split: a shared [`crate::engine::LoadedSpl`] artifact (copy-on-write
+//! on edit), the session's own BDD constraint context, and
+//! per-analysis incremental solver state.
 //!
-//! The BDD manager is the thread-safe hash-consed store (DESIGN.md
-//! §12), so the context handle here is a cheap clone of the artifact's
-//! [`crate::engine::SharedBddSpace`]: every session of the same
-//! interned product line builds constraints in one shared node store.
-//! A `Store` still lives its whole life on the executor shard that
-//! created it — shard confinement is what keeps each session's
-//! response stream in submission order — and every solve, with the
-//! rendering of its solution, serializes on the space's solve lock
-//! (budgets arm per-manager baselines). Rendering turns each distinct
+//! A `Store` lives its whole life on the executor shard that created
+//! it — shard confinement is what keeps each session's response stream
+//! in submission order — and so does its BDD manager, which is `!Send`
+//! (DESIGN.md §12). No other session touches the manager, so a
+//! budgeted solve meters only this session's work, and a `load` that
+//! replaces the session frees its nodes. Rendering turns each distinct
 //! constraint into its cube string and [`FeatureExpr`] once per
 //! solution: thousands of rows share a few dozen constraints. Queries
 //! and the cross-session solution cache read only the
@@ -83,8 +80,8 @@ pub struct ReachRow {
 /// mode)` triple: every constraint is materialized as a canonical cube
 /// string plus a manager-free [`FeatureExpr`].
 ///
-/// This is the value the engine's solution cache stores and the query
-/// worker pool reads — it is `Send + Sync` by construction (no BDD
+/// This is the value the engine's solution cache stores and every
+/// shard's queries read — it is `Send + Sync` by construction (no BDD
 /// handles), and its rendering is deterministic, so two solves of
 /// identical input produce identical `digest`s.
 #[derive(Debug)]
@@ -140,7 +137,7 @@ where
     let degraded = !point.is_full();
     // Thousands of rows share a few dozen constraints: render each
     // distinct one once. (A `Bdd` hashes by its node id, which never
-    // changes; the shared store it points into is what clippy sees as
+    // changes; the store it points into is what clippy sees as
     // mutable.)
     #[allow(clippy::mutable_key_type)]
     let mut rendered: FastMap<Bdd, (String, FeatureExpr)> = FastMap::default();
@@ -222,7 +219,7 @@ struct Slot {
     /// the program state it was computed on. Type-erased: the slot key
     /// fixes the analysis, hence the fact type `analyze_generic`
     /// downcasts it to.
-    memo: Option<(u64, Box<dyn Any + Send>)>,
+    memo: Option<(u64, Box<dyn Any>)>,
     /// Methods edited since `memo` was computed.
     dirty_roots: BTreeSet<MethodId>,
     /// The most recent solution for this slot, with the fingerprint it
@@ -267,7 +264,7 @@ fn analyze_generic<P, D>(
 ) -> Result<AnalyzeOutcome, String>
 where
     P: for<'p> IfdsProblem<ProgramIcfg<'p>, Fact = D>,
-    D: Clone + Eq + Ord + Hash + std::fmt::Debug + Send + 'static,
+    D: Clone + Eq + Ord + Hash + std::fmt::Debug + 'static,
 {
     let icfg = ProgramIcfg::new(program);
     // The downcast cannot fail (the slot key fixes the fact type); if it
@@ -316,7 +313,7 @@ where
     // A degraded solve's jump functions are weaker than full precision;
     // keeping them would leak the degradation into the next (possibly
     // re-budgeted) round. Start that round cold.
-    slot.memo = (!outcome.is_degraded()).then(|| (fp, Box::new(next_memo) as Box<dyn Any + Send>));
+    slot.memo = (!outcome.is_degraded()).then(|| (fp, Box::new(next_memo) as Box<dyn Any>));
     slot.dirty_roots.clear();
     slot.last = Some((fp, Arc::clone(&rendered)));
     Ok(AnalyzeOutcome {
@@ -352,16 +349,17 @@ fn slot_key(analysis: &str, mode: ModelMode) -> String {
     format!("{analysis}/{}", mode_str(mode))
 }
 
-/// One session's private state: a shared artifact (copy-on-write), a
-/// handle to its shared BDD space, and per-analysis incremental state.
-/// Confined to one executor shard so the session's responses keep
-/// their submission order.
+/// One session's private state: a shared artifact (copy-on-write), the
+/// session's own BDD constraint context, and per-analysis incremental
+/// state. Confined to one executor shard so the session's responses
+/// keep their submission order.
 pub struct Store {
     /// The loaded product line, shared with the engine's intern table
     /// and any other session of the same fingerprint until edited.
     pub spl: Arc<LoadedSpl>,
-    /// Cheap handle to the artifact's shared BDD space: sessions of
-    /// the same interned product line hash-cons into one node store.
+    /// This session's constraint context: one BDD variable per feature
+    /// of the artifact's table, in table order, in a manager no other
+    /// session reaches.
     pub ctx: BddConstraintContext,
     /// `analyze` requests this session has served — the per-session
     /// fault trigger sequence (`--inject-fault-session`).
@@ -370,10 +368,10 @@ pub struct Store {
 }
 
 impl Store {
-    /// Creates a store over an already-validated artifact, joining the
-    /// artifact's shared BDD space.
+    /// Creates a store over an already-validated artifact, with a
+    /// fresh BDD constraint context over its feature table.
     pub fn new(spl: Arc<LoadedSpl>) -> Store {
-        let ctx = spl.space.ctx.clone();
+        let ctx = BddConstraintContext::new(&spl.table);
         Store {
             spl,
             ctx,
@@ -447,20 +445,6 @@ impl Store {
         let fp = self.spl.fingerprint;
         let spl = &self.spl;
         let model = spl.model.as_ref();
-        // Serialize governed solves on the shared BDD space: budgets
-        // arm per-manager baselines, so a concurrently armed solve in
-        // another session of the same artifact would meter (and could
-        // exhaust) this one. Sessions over different product lines hold
-        // different locks and proceed concurrently. A solve that
-        // panicked (chaos, quarantine) poisons the lock but not the
-        // store — hash-consing is append-only and budgets latch
-        // separately — so poison is recovered, or a re-loaded session
-        // could never solve its program again.
-        let _armed = spl
-            .space
-            .solve_lock
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
         with_analysis!(kind, |p| analyze_generic(
             p,
             &spl.program,

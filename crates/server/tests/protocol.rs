@@ -1,9 +1,9 @@
 //! Acceptance tests for the resident analysis server: warm-path cache
 //! hits with zero propagations, incremental re-analysis strictly below
 //! a cold solve with bit-identical results, shard-invariant responses,
-//! malformed-input resilience (down to request lines that are not
-//! valid UTF-8 or exceed the line cap), and one write per response
-//! line.
+//! budgeted solves that no other session perturbs, malformed-input
+//! resilience (down to request lines that are not valid UTF-8 or
+//! exceed the line cap), and one write per response line.
 
 use spllift_json::{parse_json, Json};
 use spllift_server::{Server, ServerOptions, MAX_REQUEST_LINE};
@@ -334,6 +334,33 @@ fn responses_are_byte_identical_for_every_shard_count() {
     let one = transcript(1);
     assert_eq!(one, transcript(2), "shards=2 diverges from shards=1");
     assert_eq!(one, transcript(8), "shards=8 diverges from shards=1");
+}
+
+/// A budget meters only its own session's BDD work: session `b`'s
+/// budgeted `analyze` answers the same bytes whether or not session `a`
+/// first solved another analysis of the same program. (Sessions of one
+/// program that share a BDD manager let `a`'s nodes and memo entries
+/// spare `b`'s budget, which then lands on a different lattice point.)
+#[test]
+fn budgeted_solve_is_independent_of_other_sessions_of_the_same_program() {
+    const LOAD_A: &str = r#"{"type":"load","session":"a","gen":"synthetic:4:120:7"}"#;
+    const LOAD_B: &str = r#"{"type":"load","session":"b","gen":"synthetic:4:120:7"}"#;
+    const ANALYZE_A: &str = r#"{"type":"analyze","session":"a","analysis":"reaching-defs"}"#;
+    let last_response = |lines: &[&str]| {
+        let mut srv = server(1);
+        lines.iter().map(|l| srv.handle_line(l).0).last().unwrap()
+    };
+    for budget in [r#""bdd_node_budget":20"#, r#""bdd_op_budget":60"#] {
+        let analyze_b =
+            format!(r#"{{"type":"analyze","session":"b","analysis":"taint",{budget}}}"#);
+        let alone = last_response(&[LOAD_B, &analyze_b]);
+        assert!(
+            alone.starts_with(r#"{"type":"ok","request":"analyze""#),
+            "{alone}"
+        );
+        let after_a = last_response(&[LOAD_A, LOAD_B, ANALYZE_A, &analyze_b]);
+        assert_eq!(after_a, alone, "{budget}");
+    }
 }
 
 /// [`analyze_req`] plus a `threads` field.

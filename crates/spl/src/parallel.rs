@@ -5,10 +5,9 @@
 //! These are the workspace's only thread fan-outs, because their work
 //! shares nothing: every A2 run, cross-check shard or fuzz seed reads
 //! the shared program and builds, uses and drops its *own* constraint
-//! context, so no two workers ever lock the same BDD manager. (Workers
-//! that share one manager serialize on its lock, which is why the
-//! Datalog engine and the server's query batches run on the calling
-//! thread; DESIGN.md §6.) The shard-map engine `map_shards`:
+//! context. A BDD manager is `!Send`, so it cannot be otherwise: a
+//! worker's manager is built inside the worker (DESIGN.md §6). The
+//! shard-map engine `map_shards`:
 //!
 //! 1. partitions the work-item slice into contiguous, ordered shards
 //!    ([`spllift_features::partition_slice`]),
@@ -171,12 +170,12 @@ pub struct A2CampaignOutcome {
 /// Runs the §6.1 bidirectional cross-check with configurations sharded
 /// across `opts.jobs` scoped threads.
 ///
-/// `make_ctx` is called once per worker: giving each worker a private
-/// constraint context keeps its scratch BDD nodes out of everyone
-/// else's unique-table shards. Each worker solves its own lifted
-/// instance — that repeats the cheap single-pass SPLLIFT solve per
-/// worker, but the A2 oracle (one full IFDS solve *per configuration*)
-/// dominates, which is the point of sharding by configuration.
+/// `make_ctx` is called once per worker, inside it: a BDD-backed
+/// context cannot leave the thread that built it. Each worker solves
+/// its own lifted instance — that repeats the cheap single-pass SPLLIFT
+/// solve per worker, but the A2 oracle (one full IFDS solve *per
+/// configuration*) dominates, which is the point of sharding by
+/// configuration.
 ///
 /// The merged mismatch vector is byte-identical to
 /// [`crate::crosscheck_with`] with the same `max_mismatches`, for every
@@ -192,8 +191,7 @@ pub fn crosscheck_parallel<'p, P, Ctx, F>(
 where
     P: IfdsProblem<ProgramIcfg<'p>> + Sync,
     P::Fact: Ord + Hash + Send + Sync,
-    Ctx: ConstraintContext + Sync,
-    Ctx::C: Send + Sync,
+    Ctx: ConstraintContext,
     F: Fn() -> Ctx + Sync,
 {
     let start = Instant::now();

@@ -87,19 +87,27 @@ for shards in 2 1; do
         | diff -u tests/serve/transcript.expected -
 done
 
-echo "== hostile-input smoke (deep nesting, a 4 MiB string) =="
+echo "== hostile-input smoke (deep nesting, a 4 MiB string, JSON escapes) =="
 # docs/PROTOCOL.md §Framing: a line nesting 100,000 arrays and a line
 # carrying a 4 MiB string each get one error line, and the server keeps
-# serving: the `stats` behind them is answered.
+# serving: the `stats` behind them is answered. Every escape RFC 8259
+# allows parses (an escaped surrogate pair, `\b`, `\f`); a lone
+# surrogate is one error line.
 hostile=$({
     head -c 100000 /dev/zero | tr '\0' '['
     printf '\n{"type":"bogus","pad":"'
     head -c $((4 << 20)) /dev/zero | tr '\0' 'x'
-    printf '"}\n{"type":"stats"}\n{"type":"shutdown"}\n'
+    printf '"}\n'
+    printf '%s\n' '{"type":"stats","pad":"\ud83e\udd80\b\f"}' \
+        '{"type":"stats","pad":"\udc00"}' '{"type":"stats"}' '{"type":"shutdown"}'
 } | ./target/release/spllift-cli serve)
-[ "$(echo "$hostile" | grep -c '^{"type":"error"')" -eq 2 ] \
-    || { echo "ci: expected two error lines for the hostile lines: $hostile" >&2; exit 1; }
+[ "$(echo "$hostile" | grep -c '^{"type":"error"')" -eq 3 ] \
+    || { echo "ci: expected three error lines for the hostile lines: $hostile" >&2; exit 1; }
 echo "$hostile" | sed -n 3p | grep -q '^{"type":"ok","request":"stats"' \
+    || { echo "ci: escaped surrogate pair, \\b or \\f not parsed: $hostile" >&2; exit 1; }
+echo "$hostile" | sed -n 4p | grep -q '^{"type":"error"' \
+    || { echo "ci: a lone surrogate was not answered with an error: $hostile" >&2; exit 1; }
+echo "$hostile" | sed -n 5p | grep -q '^{"type":"ok","request":"stats"' \
     || { echo "ci: the server stopped serving after the hostile lines: $hostile" >&2; exit 1; }
 
 echo "== serve --listen smoke (golden transcript over TCP) =="

@@ -64,7 +64,7 @@
 //! The `datalog` subcommand runs the lifted Datalog backend's reaching
 //! definitions (plus statement/method reachability) on the subject.
 //! `--dump-relations` prints every relation tuple with its feature
-//! constraint in the round-trippable dump format; `--crosscheck` also
+//! constraint in a line-oriented dump format; `--crosscheck` also
 //! solves with the IDE lifting and compares every fact's constraint
 //! digest in both directions, exiting non-zero on any disagreement.
 //! ```
@@ -171,7 +171,7 @@ REDUCE
 DATALOG OPTIONS
   --model FILE            feature model (file inputs only)
   --dump-relations        print every relation tuple with its feature
-                          constraint (round-trippable dump format)
+                          constraint (`# spllift datalog dump v1`)
   --crosscheck            also solve with the IDE lifting and compare
                           every fact's constraint digest, both directions
 ";
@@ -207,6 +207,12 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
+}
+
+/// `--help`/`-h` after a subcommand: print [`HELP`] and succeed.
+fn print_help() -> Result<(), String> {
+    print!("{HELP}");
+    Ok(())
 }
 
 fn run_serve(args: &[String]) -> Result<(), String> {
@@ -256,6 +262,7 @@ fn run_serve(args: &[String]) -> Result<(), String> {
                 }
                 opts.keep_features = Some(names);
             }
+            "--help" | "-h" => return print_help(),
             other => {
                 return Err(format!(
                     "unexpected serve argument `{other}` (try `spllift-cli help`)"
@@ -693,7 +700,12 @@ fn run_fuzz(args: &[String]) -> Result<(), String> {
             "--corpus-dir" => {
                 corpus_dir = Some(args.next().ok_or("--corpus-dir needs a directory")?);
             }
-            other => return Err(format!("unexpected fuzz argument `{other}` (try --help)")),
+            "--help" | "-h" => return print_help(),
+            other => {
+                return Err(format!(
+                    "unexpected fuzz argument `{other}` (try `spllift-cli help`)"
+                ))
+            }
         }
     }
 
@@ -745,10 +757,11 @@ fn run_datalog(args: &[String]) -> Result<(), String> {
             "--model" => model_file = Some(args.next().ok_or("--model needs a file")?),
             "--dump-relations" => dump_relations = true,
             "--crosscheck" => crosscheck = true,
+            "--help" | "-h" => return print_help(),
             other if !other.starts_with('-') && file.is_none() => file = Some(other.to_owned()),
             other => {
                 return Err(format!(
-                    "unexpected datalog argument `{other}` (try --help)"
+                    "unexpected datalog argument `{other}` (try `spllift-cli help`)"
                 ))
             }
         }
@@ -853,11 +866,17 @@ fn run_reduce(args: &[String]) -> Result<(), String> {
                 let v = args.next().ok_or("--inject-bug needs a value")?;
                 bug = parse_injected_bug(&v)?;
             }
+            "--help" | "-h" => return print_help(),
             other if !other.starts_with('-') && input.is_none() => input = Some(other.to_owned()),
-            other => return Err(format!("unexpected reduce argument `{other}` (try --help)")),
+            other => {
+                return Err(format!(
+                    "unexpected reduce argument `{other}` (try `spllift-cli help`)"
+                ))
+            }
         }
     }
-    let input = input.ok_or("reduce needs an input: gen:SEED:NF:NM or FILE.repro (try --help)")?;
+    let input = input
+        .ok_or("reduce needs an input: gen:SEED:NF:NM or FILE.repro (try `spllift-cli help`)")?;
 
     // gen: mode — emit the repro text of a (possibly mutated) generated
     // subject. This is the corpus-seeding tool.

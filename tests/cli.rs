@@ -167,13 +167,22 @@ fn help_lists_subcommands_formats_and_gen_syntax() {
             assert!(stdout.contains(needle), "{invocation:?} missing `{needle}`");
         }
     }
-    // `--help` after other analyze-mode arguments also prints it.
-    let out = cli()
-        .args(["examples_data/fig1.minijava", "--help"])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
+    // `--help` after other analyze-mode arguments, and `--help`/`-h`
+    // after every subcommand, also print it.
+    let mut invocations = vec![vec!["examples_data/fig1.minijava", "--help"]];
+    for sub in ["serve", "fuzz", "reduce", "datalog"] {
+        invocations.push(vec![sub, "--help"]);
+        invocations.push(vec![sub, "-h"]);
+    }
+    invocations.push(vec!["datalog", "gen:MM08", "--crosscheck", "--help"]);
+    for invocation in invocations {
+        let out = cli().args(&invocation).output().unwrap();
+        assert!(out.status.success(), "{invocation:?} must exit 0");
+        assert!(
+            String::from_utf8_lossy(&out.stdout).contains("USAGE"),
+            "{invocation:?}"
+        );
+    }
 }
 
 /// Every serve flag, exactly as the `serve` arg parser spells it. The
