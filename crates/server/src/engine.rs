@@ -6,7 +6,8 @@
 //!
 //! * **loaded artifacts** — fingerprinted parsed programs + feature
 //!   models ([`LoadedSpl`]), interned so N sessions that load the same
-//!   product line retain one copy,
+//!   product line retain one copy; the table holds them weakly, so an
+//!   artifact lives only as long as a session uses it,
 //! * the **cross-session solution cache** — LRU over
 //!   [`RenderedSolution`]s keyed by `(fingerprint, analysis, mode)`;
 //!   rendered solutions are manager-free (strings + `FeatureExpr`), so
@@ -30,7 +31,7 @@ use spllift_ide::IdeStats;
 use spllift_ir::{fingerprint, Program};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 /// One loaded product line: the parsed program, its feature universe,
 /// the optional feature-model constraint, and the fingerprint over all
@@ -135,7 +136,7 @@ pub struct Engine {
     /// Governance counters.
     pub gov: GovCounters,
     cache: Mutex<SolutionCache>,
-    artifacts: Mutex<FastMap<u64, Arc<LoadedSpl>>>,
+    artifacts: Mutex<FastMap<u64, Weak<LoadedSpl>>>,
     last_solve: Mutex<IdeStats>,
 }
 
@@ -153,15 +154,18 @@ impl Engine {
     }
 
     /// Interns a loaded artifact by fingerprint: if an identical product
-    /// line is already resident (another session loaded the same bytes),
+    /// line is already resident (another session holds the same bytes),
     /// the existing `Arc` is returned and the fresh copy is dropped.
+    /// Entries of artifacts no session holds any more are pruned first.
     pub fn intern(&self, spl: LoadedSpl) -> Arc<LoadedSpl> {
         let mut artifacts = self.artifacts.lock().expect("artifact lock");
-        Arc::clone(
-            artifacts
-                .entry(spl.fingerprint)
-                .or_insert_with(|| Arc::new(spl)),
-        )
+        artifacts.retain(|_, w| w.strong_count() > 0);
+        if let Some(live) = artifacts.get(&spl.fingerprint).and_then(Weak::upgrade) {
+            return live;
+        }
+        let spl = Arc::new(spl);
+        artifacts.insert(spl.fingerprint, Arc::downgrade(&spl));
+        spl
     }
 
     /// Cache lookup (counts a hit or miss).
@@ -185,7 +189,7 @@ impl Engine {
 
     /// Clears the solution cache (returns the number of entries
     /// dropped, for the `evict` response) and the artifact intern table
-    /// — sessions keep their own `Arc`s, so nothing in use is freed.
+    /// — the table holds no artifact alive, so nothing in use is freed.
     pub fn evict(&self) -> usize {
         self.artifacts.lock().expect("artifact lock").clear();
         self.cache.lock().expect("cache lock").clear()
@@ -210,3 +214,34 @@ const _: () = {
     assert_send_sync::<LoadedSpl>();
     assert_send_sync::<RenderedSolution>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spllift_benchgen::{parse_subject_spec, GeneratedSpl};
+
+    fn artifact(seed: u64) -> LoadedSpl {
+        let spec = format!("synthetic:3:40:{seed}");
+        let spl = GeneratedSpl::generate(parse_subject_spec(&spec).expect("spec"));
+        let model = Some(spl.model_expr());
+        let or_groups = spl.model.or_groups();
+        let GeneratedSpl { program, table, .. } = spl;
+        LoadedSpl::new(program, table, model, or_groups).expect("valid program")
+    }
+
+    /// A live artifact interns to the one shared `Arc`; once no session
+    /// holds it, the next intern drops its entry.
+    #[test]
+    fn intern_shares_live_artifacts_and_forgets_dropped_ones() {
+        let engine = Engine::new(ServerOptions::default());
+        let a = engine.intern(artifact(1));
+        assert!(Arc::ptr_eq(&a, &engine.intern(artifact(1))));
+        let b = engine.intern(artifact(2));
+        assert_eq!(engine.artifacts.lock().unwrap().len(), 2);
+        drop(b);
+        let c = engine.intern(artifact(3));
+        let table = engine.artifacts.lock().unwrap();
+        assert_eq!(table.len(), 2);
+        assert!(table.contains_key(&a.fingerprint) && table.contains_key(&c.fingerprint));
+    }
+}

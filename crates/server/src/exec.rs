@@ -9,11 +9,18 @@
 //! * **`stats`** broadcasts a snapshot job to every shard and merges
 //!   the replies with the engine's counters,
 //! * **`evict`** and **`shutdown`** act on the shared engine directly,
-//! * **session-scoped requests** (`load`/`analyze`/`query`/`edit`) hash
-//!   the session name to pick a shard and enqueue the job there.
+//! * **session-scoped requests** (`load`/`analyze`/`query`/`edit`) are
+//!   enqueued on the session's shard.
+//!
+//! A session is placed at its first `load`, on the shard with the
+//! fewest requests in flight (ties: fewest placed sessions, then lowest
+//! index), and never moves: its store and any quarantine entry live
+//! there. A request naming a session that was never loaded goes to the
+//! least busy shard without placing it; no shard holds that session,
+//! so the answer is the same from any of them.
 //!
 //! One shard is one worker thread owning the `ShardState` (sessions'
-//! slots, memos, and dirty sets) of every session that hashes to it. A
+//! slots, memos, and dirty sets) of every session placed on it. A
 //! session's requests execute on its shard in submission order, so each
 //! session's response stream is deterministic — byte-identical to a
 //! single-client server run — regardless of shard count or how many
@@ -27,12 +34,11 @@
 use crate::engine::Engine;
 use crate::handler::{obj, req_str, stats_obj, ShardSnapshot, ShardState};
 use crate::REQUEST_TYPES;
-use spllift_hash::FxHasher64;
 use spllift_json::{parse_json, Json};
-use std::hash::Hasher;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// The executor's answer to a submitted line.
@@ -65,11 +71,20 @@ struct Shard {
     inflight: Arc<AtomicUsize>,
 }
 
+/// The routing table: the shard of every placed session, and how many
+/// sessions each shard holds. Session names come from clients, so the
+/// table keeps the standard library's collision-resistant hasher.
+struct Routes {
+    shard: HashMap<String, usize>,
+    placed: Vec<usize>,
+}
+
 /// The sharded executor. Owns the worker threads; dropping it drains
 /// and joins them.
 pub struct Executor {
     engine: Arc<Engine>,
     shards: Vec<Shard>,
+    routes: Mutex<Routes>,
     workers: Vec<JoinHandle<()>>,
     accepting: AtomicBool,
 }
@@ -98,10 +113,15 @@ pub(crate) fn internal_error() -> String {
     flagged_error_line("internal", "shard worker lost".to_owned())
 }
 
-fn shard_of(session: &str, shards: usize) -> usize {
-    let mut h = FxHasher64::default();
-    h.write(session.as_bytes());
-    (h.finish() % shards as u64) as usize
+/// The shard a new session is placed on, given each shard's
+/// `(requests in flight, placed sessions)`: the fewest in flight, ties
+/// going to the fewest placed, then to the lowest index.
+fn least_busy(shards: impl IntoIterator<Item = (usize, usize)>) -> usize {
+    shards
+        .into_iter()
+        .enumerate()
+        .min_by_key(|&(i, (inflight, placed))| (inflight, placed, i))
+        .map_or(0, |(i, _)| i)
 }
 
 fn shard_worker(engine: Arc<Engine>, rx: mpsc::Receiver<Job>) {
@@ -128,8 +148,11 @@ fn shard_worker(engine: Arc<Engine>, rx: mpsc::Receiver<Job>) {
                     Ok(Err(msg)) => error_line(msg),
                     Err(payload) => state.isolate_panic(&session, &*payload).render(),
                 };
-                let _ = reply.send(text);
+                // Free the slot before answering: a client that sends its
+                // next request as soon as it reads this response must not
+                // find its own finished request still counted.
                 inflight.fetch_sub(1, Ordering::SeqCst);
+                let _ = reply.send(text);
             }
             Job::Snapshot { reply } => {
                 let _ = reply.send(state.snapshot());
@@ -160,6 +183,10 @@ impl Executor {
         Executor {
             engine,
             shards,
+            routes: Mutex::new(Routes {
+                shard: HashMap::new(),
+                placed: vec![0; n],
+            }),
             workers,
             accepting: AtomicBool::new(true),
         }
@@ -219,7 +246,7 @@ impl Executor {
                     Ok(s) => s.to_owned(),
                     Err(e) => return Submitted::Ready(error_line(e)),
                 };
-                let shard = &self.shards[shard_of(&session, self.shards.len())];
+                let shard = &self.shards[self.route(&session, ty == "load")];
                 // Admission control: bound the per-shard queue. The slot
                 // is claimed optimistically and released on rejection so
                 // racing submitters cannot overshoot the bound.
@@ -254,6 +281,25 @@ impl Executor {
                 REQUEST_TYPES.join("|")
             ))),
         }
+    }
+
+    /// The shard that serves `session`: where it was placed, else the
+    /// least busy one, where a `load` places it for good.
+    fn route(&self, session: &str, load: bool) -> usize {
+        let mut routes = self.routes.lock().expect("routes lock");
+        if let Some(&i) = routes.shard.get(session) {
+            return i;
+        }
+        let busy = self
+            .shards
+            .iter()
+            .map(|s| s.inflight.load(Ordering::SeqCst));
+        let i = least_busy(busy.zip(routes.placed.iter().copied()));
+        if load {
+            routes.shard.insert(session.to_owned(), i);
+            routes.placed[i] += 1;
+        }
+        i
     }
 
     /// Builds the merged `stats` response: a snapshot barrier over every
@@ -335,5 +381,83 @@ impl Drop for Executor {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ServerOptions;
+    use spllift_spl::FaultPlan;
+
+    #[test]
+    fn least_busy_orders_by_inflight_then_placed_then_index() {
+        assert_eq!(least_busy([(2, 0), (1, 5), (1, 3)]), 2);
+        assert_eq!(least_busy([(0, 4), (1, 0)]), 0);
+        assert_eq!(least_busy([(1, 2), (1, 1), (1, 1)]), 1);
+        assert_eq!(least_busy([(0, 0), (0, 0)]), 0);
+    }
+
+    /// Two shards admitting one request each; `victim`'s first
+    /// `analyze` stalls for 3.5 s (the `slow-edge` fault sleeps past the
+    /// 2.5 s per-rung deadline), holding its shard's only slot.
+    fn stalling_executor(victim: &str) -> Executor {
+        Executor::new(Arc::new(Engine::new(ServerOptions {
+            shards: 2,
+            max_inflight: 1,
+            solve_timeout_ms: Some(2500),
+            inject_fault: Some(FaultPlan::parse("slow-edge@1").expect("fault plan")),
+            fault_session: Some(victim.to_owned()),
+            ..ServerOptions::default()
+        })))
+    }
+
+    fn answer(submitted: Submitted) -> String {
+        match submitted {
+            Submitted::Pending(rx) => rx.recv().expect("shard answers"),
+            Submitted::Ready(line) | Submitted::Shutdown(line) => line,
+        }
+    }
+
+    fn load(session: &str) -> String {
+        format!(r#"{{"type":"load","session":"{session}","gen":"synthetic:3:40:5"}}"#)
+    }
+
+    fn analyze(session: &str) -> String {
+        format!(r#"{{"type":"analyze","session":"{session}","analysis":"taint"}}"#)
+    }
+
+    /// A hash of the name would put `c0s3` and `c1s3` on the same one of
+    /// two shards; placed by load, they land on different ones, so one's
+    /// stalled solve does not hold the other's `analyze` back.
+    #[test]
+    fn sessions_loaded_together_are_placed_on_different_shards() {
+        let exec = stalling_executor("c0s3");
+        for s in ["c0s3", "c1s3"] {
+            assert!(answer(exec.submit(&load(s))).contains(r#""request":"load""#));
+        }
+        let stalled = exec.submit(&analyze("c0s3"));
+        let other = answer(exec.submit(&analyze("c1s3")));
+        assert!(other.contains(r#""request":"analyze""#), "{other}");
+        let stalled = answer(stalled);
+        assert!(stalled.contains(r#""request":"analyze""#), "{stalled}");
+    }
+
+    /// A placed session never moves: while its own shard is stalled, a
+    /// re-`load` bounces instead of going to the idle shard. A request
+    /// for a session never loaded places nothing.
+    #[test]
+    fn a_placed_session_stays_on_its_shard() {
+        let exec = stalling_executor("s");
+        assert!(answer(exec.submit(&load("s"))).contains(r#""request":"load""#));
+        let stalled = exec.submit(&analyze("s"));
+        let reload = answer(exec.submit(&load("s")));
+        assert!(reload.contains(r#""error":"overloaded""#), "{reload}");
+        assert!(answer(stalled).contains(r#""request":"analyze""#));
+        let unknown = answer(exec.submit(&analyze("ghost")));
+        assert!(unknown.contains("unknown session `ghost`"), "{unknown}");
+        let routes = exec.routes.lock().expect("routes lock");
+        assert_eq!(routes.shard.keys().collect::<Vec<_>>(), ["s"]);
+        assert_eq!(routes.placed, [1, 0]);
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! A [`ShardState`] is the per-worker half of the executor: the stores
 //! (sessions) this shard owns, its quarantine list, and a handle to the
-//! shared [`Engine`]. Sessions are routed to shards by hashing the
-//! session name, so one session's requests are always handled by the
-//! same worker thread in submission order — the per-session response
-//! stream is deterministic no matter how many shards or connections
-//! the server runs.
+//! shared [`Engine`]. The executor places each session on one shard at
+//! its first `load` and never moves it, so one session's requests are
+//! always handled by the same worker thread in submission order — the
+//! per-session response stream is deterministic no matter how many
+//! shards or connections the server runs.
 //!
 //! Every request runs behind a panic-isolation barrier in the worker
 //! loop (`exec.rs`); [`ShardState::isolate_panic`] tears down and

@@ -17,9 +17,10 @@
 //!   **incremental re-analysis** (an `edit` dirties only the edited
 //!   method and its transitive callers), and per-request governance
 //!   budgets;
-//! * a session-sharded [`Executor`] — session names hash to shards, one
-//!   worker thread per shard, so concurrent sessions analyze in
-//!   parallel while each session's stream stays deterministic, with
+//! * a session-sharded [`Executor`] — one worker thread per shard, each
+//!   session placed on the least busy shard at its first `load` and
+//!   kept there, so concurrent sessions analyze in parallel while each
+//!   session's stream stays deterministic, with
 //!   **admission control** (per-shard in-flight bound) riding the
 //!   budget/quarantine machinery;
 //! * two transports: classic stdin/stdout (`spllift-cli serve`) and a
@@ -83,7 +84,8 @@ pub const REQUEST_TYPES: [&str; 7] = [
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
     /// Executor shards — concurrently analyzing session groups
-    /// (`--shards`). Sessions hash to shards; shard count never changes
+    /// (`--shards`). Each session stays on the shard its first `load`
+    /// was placed on; neither the shard count nor the placement changes
     /// response bytes, only parallelism.
     pub shards: usize,
     /// Per-shard in-flight request bound (`--max-inflight`): beyond it,

@@ -13,10 +13,11 @@
 //! budgeted solve meters only this session's work, and a `load` that
 //! replaces the session frees its nodes. Rendering turns each distinct
 //! constraint into its cube string and [`FeatureExpr`] once per
-//! solution: thousands of rows share a few dozen constraints. Queries
-//! and the cross-session solution cache read only the
-//! [`RenderedSolution`] — plain strings and [`FeatureExpr`]s, no BDD
-//! handles.
+//! solution, and every row of that constraint shares the one
+//! `Arc<FeatureExpr>`: thousands of rows share a few dozen
+//! constraints. Queries and the cross-session solution cache read only
+//! the [`RenderedSolution`] — plain strings and [`FeatureExpr`]s, no
+//! BDD handles.
 //!
 //! Each `(analysis, model-mode)` pair owns a slot with the
 //! [`SolverMemo`] of its most recent solve. An `edit` records the edited
@@ -42,6 +43,7 @@ use spllift_spl::{ChaosWrapper, FaultKind};
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -55,8 +57,9 @@ pub struct FactRow {
     /// Canonical sum-of-cubes constraint string.
     pub cube: String,
     /// The constraint as a manager-free feature expression, for
-    /// `holds_in` evaluation without the BDD manager.
-    pub expr: FeatureExpr,
+    /// `holds_in` evaluation without the BDD manager. Shared by every
+    /// row of the solution with the same constraint.
+    pub expr: Arc<FeatureExpr>,
     /// `true` when the constraint comes from a degraded (non-top-rung)
     /// solve — it is then weaker-or-equal to the precise one, and query
     /// responses flag it so reports stay honest.
@@ -70,8 +73,9 @@ pub struct ReachRow {
     pub stmt: String,
     /// Reachability constraint (sum of cubes).
     pub cube: String,
-    /// Manager-free form of the constraint.
-    pub expr: FeatureExpr,
+    /// Manager-free form of the constraint, shared like
+    /// [`FactRow::expr`].
+    pub expr: Arc<FeatureExpr>,
     /// See [`FactRow::degraded`].
     pub degraded: bool,
 }
@@ -105,22 +109,22 @@ pub struct RenderedSolution {
     pub digest: u64,
     /// Approximate retained size, for the cache's byte budget.
     pub bytes: usize,
-    fact_index: FastMap<(String, String), usize>,
-    reach_index: FastMap<String, usize>,
+    /// Statement key → its reach row and the range of its fact rows.
+    reach_index: FastMap<String, (usize, Range<usize>)>,
 }
 
 impl RenderedSolution {
-    /// The row for `(stmt, fact)`, if its constraint is satisfiable.
+    /// The row for `(stmt, fact)`, if its constraint is satisfiable (the
+    /// last such row, should two facts render alike).
     pub fn fact_row(&self, stmt: &str, fact: &str) -> Option<&FactRow> {
-        self.fact_index
-            .get(&(stmt.to_owned(), fact.to_owned()))
-            .map(|&i| &self.facts[i])
+        let (_, rows) = self.reach_index.get(stmt)?;
+        self.facts[rows.clone()].iter().rfind(|r| r.fact == fact)
     }
 
     /// The reachability row for `stmt`, if the statement belongs to an
     /// entry-reachable method.
     pub fn reach_row(&self, stmt: &str) -> Option<&ReachRow> {
-        self.reach_index.get(stmt).map(|&i| &self.reach[i])
+        self.reach_index.get(stmt).map(|(i, _)| &self.reach[*i])
     }
 }
 
@@ -135,41 +139,47 @@ where
 {
     let rung = point.name();
     let degraded = !point.is_full();
-    // Thousands of rows share a few dozen constraints: render each
-    // distinct one once. (A `Bdd` hashes by its node id, which never
-    // changes; the store it points into is what clippy sees as
+    // Thousands of rows share a few dozen constraints and facts: render
+    // each distinct one once. (A `Bdd` hashes by its node id, which
+    // never changes; the store it points into is what clippy sees as
     // mutable.)
     #[allow(clippy::mutable_key_type)]
-    let mut rendered: FastMap<Bdd, (String, FeatureExpr)> = FastMap::default();
+    let mut rendered: FastMap<Bdd, (String, Arc<FeatureExpr>)> = FastMap::default();
     let mut render = |c: Bdd| {
-        rendered
+        let (cube, expr) = rendered
             .entry(c)
-            .or_insert_with_key(|c| (c.to_cube_string(), ctx.to_expr(c)))
-            .clone()
+            .or_insert_with_key(|c| (c.to_cube_string(), Arc::new(ctx.to_expr(c))));
+        (cube.clone(), Arc::clone(expr))
     };
+    let mut names: FastMap<D, String> = FastMap::default();
     let mut facts = Vec::new();
     let mut reach = Vec::new();
+    let mut reach_index = FastMap::default();
     for m in icfg.methods() {
         for s in icfg.stmts_of(m) {
+            let stmt = s.to_string();
             let (cube, expr) = render(solution.reachability_of(s));
-            reach.push(ReachRow {
-                stmt: s.to_string(),
-                cube,
-                expr,
-                degraded,
-            });
+            let first = facts.len();
             let mut rows: Vec<(D, Bdd)> = solution.results_at(s).into_iter().collect();
             rows.sort_by(|a, b| a.0.cmp(&b.0));
             for (d, c) in rows {
                 let (cube, expr) = render(c);
+                let fact = names.entry(d).or_insert_with_key(|d| format!("{d:?}"));
                 facts.push(FactRow {
-                    stmt: s.to_string(),
-                    fact: format!("{d:?}"),
+                    stmt: stmt.clone(),
+                    fact: fact.clone(),
                     cube,
                     expr,
                     degraded,
                 });
             }
+            reach_index.insert(stmt.clone(), (reach.len(), first..facts.len()));
+            reach.push(ReachRow {
+                stmt,
+                cube,
+                expr,
+                degraded,
+            });
         }
     }
     let mut h = FxHasher64::default();
@@ -186,16 +196,6 @@ where
         row.cube.hash(&mut h);
         bytes += row.stmt.len() + row.cube.len() + 64;
     }
-    let fact_index = facts
-        .iter()
-        .enumerate()
-        .map(|(i, r)| ((r.stmt.clone(), r.fact.clone()), i))
-        .collect();
-    let reach_index = reach
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (r.stmt.clone(), i))
-        .collect();
     RenderedSolution {
         facts,
         reach,
@@ -204,7 +204,6 @@ where
         degraded,
         digest: h.finish(),
         bytes,
-        fact_index,
         reach_index,
     }
 }
@@ -354,8 +353,9 @@ fn slot_key(analysis: &str, mode: ModelMode) -> String {
 /// state. Confined to one executor shard so the session's responses
 /// keep their submission order.
 pub struct Store {
-    /// The loaded product line, shared with the engine's intern table
-    /// and any other session of the same fingerprint until edited.
+    /// The loaded product line, shared with any other session of the
+    /// same fingerprint (through the engine's intern table) until
+    /// edited.
     pub spl: Arc<LoadedSpl>,
     /// This session's constraint context: one BDD variable per feature
     /// of the artifact's table, in table order, in a manager no other
@@ -481,5 +481,73 @@ impl Store {
     ) -> Option<&Arc<RenderedSolution>> {
         let (fp, rc) = self.slots.get(&slot_key(analysis, mode))?.last.as_ref()?;
         (*fp == self.spl.fingerprint).then_some(rc)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spllift_benchgen::{parse_subject_spec, GeneratedSpl};
+
+    fn solve(analysis: &str) -> Arc<RenderedSolution> {
+        let spl = GeneratedSpl::generate(parse_subject_spec("synthetic:6:600:1").expect("spec"));
+        let model = Some(spl.model_expr());
+        let or_groups = spl.model.or_groups();
+        let GeneratedSpl { program, table, .. } = spl;
+        let spl = LoadedSpl::new(program, table, model, or_groups).expect("valid program");
+        Store::new(Arc::new(spl))
+            .analyze(
+                analysis,
+                ModelMode::OnEdges,
+                GovernorOptions::default(),
+                None,
+            )
+            .expect("unbudgeted solve completes")
+            .solution
+    }
+
+    /// Row lookups agree with a linear scan (the last match wins), rows
+    /// of one constraint share one expression, and the digest and byte
+    /// count are pinned: analyze responses carry the digest, and
+    /// `stats` reports the cache's bytes.
+    #[test]
+    fn rendered_rows_are_indexed_shared_and_digest_stable() {
+        for (analysis, digest, bytes) in [
+            ("taint", 0x4d6d_775b_9206_35df, 1_688_152),
+            ("reaching-defs", 0x2fdd_e1bb_6ea9_b121, 3_132_515),
+        ] {
+            let sol = solve(analysis);
+            assert_eq!((sol.digest, sol.bytes), (digest, bytes), "{analysis}");
+            // One pass over the rows: the last row of each key, as a
+            // linear scan from the back finds it.
+            let mut last_fact = BTreeMap::new();
+            for row in &sol.facts {
+                last_fact.insert((row.stmt.as_str(), row.fact.as_str()), row);
+            }
+            for row in &sol.facts {
+                let found = sol.fact_row(&row.stmt, &row.fact).expect("row");
+                assert!(std::ptr::eq(found, last_fact[&(&*row.stmt, &*row.fact)]));
+                assert!(sol.fact_row(&row.stmt, "NoSuchFact").is_none());
+            }
+            let mut last_reach = BTreeMap::new();
+            for row in &sol.reach {
+                last_reach.insert(row.stmt.as_str(), row);
+            }
+            for row in &sol.reach {
+                let found = sol.reach_row(&row.stmt).expect("row");
+                assert!(std::ptr::eq(found, last_reach[&*row.stmt]));
+            }
+            assert!(sol.reach_row("m99999:0").is_none());
+            assert!(sol.fact_row("m99999:0", &sol.facts[0].fact).is_none());
+            let mut shared: BTreeMap<&str, &Arc<FeatureExpr>> = BTreeMap::new();
+            let rows = sol.facts.iter().map(|r| (&r.cube, &r.expr));
+            for (cube, expr) in rows.chain(sol.reach.iter().map(|r| (&r.cube, &r.expr))) {
+                let first = shared.entry(cube).or_insert(expr);
+                assert!(
+                    Arc::ptr_eq(first, expr),
+                    "{analysis}: `{cube}` rendered twice"
+                );
+            }
+        }
     }
 }

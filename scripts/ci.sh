@@ -75,13 +75,14 @@ done
 
 echo "== serve smoke (golden transcript, shard-invariant) =="
 # Replays the committed request transcript through the resident analysis
-# server and diffs the responses byte-exactly — at two --shards values,
-# so both the protocol itself and its shard-invariance stay pinned. The
-# transcript covers a cache hit (zero propagations) and an incremental
-# re-analysis after an edit (same digest as the cold solve). The socket
-# transport's goldens (`tests/serve/socket-client*`) are replayed
-# concurrently by `tests/serve_socket.rs` in the test step.
-for shards in 2 1; do
+# server and diffs the responses byte-exactly — at three --shards
+# values, so both the protocol itself and its independence from session
+# placement stay pinned. The transcript covers a cache hit (zero
+# propagations) and an incremental re-analysis after an edit (same
+# digest as the cold solve). The socket transport's goldens
+# (`tests/serve/socket-client*`) are replayed concurrently by
+# `tests/serve_socket.rs` in the test step.
+for shards in 4 2 1; do
     ./target/release/spllift-cli serve --shards "$shards" \
         < tests/serve/transcript.requests \
         | diff -u tests/serve/transcript.expected -
@@ -145,21 +146,26 @@ echo "== chaos smoke (fault injection, golden per fault class) =="
 # committed golden: the victim session must be quarantined (panic) or
 # degraded down the abstraction ladder (budget/deadline), the healthy
 # session must be byte-identical to a fault-free run, and a re-load must
-# recover the victim at full precision.
-for fault in panic-in-flow bdd-blowup slow-edge; do
-    ./target/release/spllift-cli serve --inject-fault "$fault@2" \
-        < tests/serve/chaos.requests \
-        | diff -u "tests/serve/chaos-$fault.expected" -
+# recover the victim at full precision. Each golden is replayed at the
+# default shard count and at --shards 4 ($shards is unquoted on purpose:
+# empty, or one flag and its value): stdio serving is sequential, so
+# where the sessions are placed cannot change a byte.
+for shards in "" "--shards 4"; do
+    for fault in panic-in-flow bdd-blowup slow-edge; do
+        ./target/release/spllift-cli serve $shards --inject-fault "$fault@2" \
+            < tests/serve/chaos.requests \
+            | diff -u "tests/serve/chaos-$fault.expected" -
+    done
+    # budget-exhaust arms an exact BDD op budget on the victim's first
+    # analyze: the golden pins the full lattice descent (full and
+    # confound(Root) blow the meter, the keep_features-sparing
+    # projection answers), the degraded-point stats counter, and the
+    # full-precision unbudgeted retry.
+    ./target/release/spllift-cli serve $shards \
+        --inject-fault budget-exhaust@2000 --inject-fault-session victim \
+        < tests/serve/chaos-budget.requests \
+        | diff -u tests/serve/chaos-budget-exhaust.expected -
 done
-# budget-exhaust arms an exact BDD op budget on the victim's first
-# analyze: the golden pins the full lattice descent (full and
-# confound(Root) blow the meter, the keep_features-sparing projection
-# answers), the degraded-point stats counter, and the full-precision
-# unbudgeted retry.
-./target/release/spllift-cli serve \
-    --inject-fault budget-exhaust@2000 --inject-fault-session victim \
-    < tests/serve/chaos-budget.requests \
-    | diff -u tests/serve/chaos-budget-exhaust.expected -
 
 echo "== governed-solve smoke (lattice descent on the 99-feature chain subject) =="
 # A paper-scale subject under an op budget no full-precision solve can
