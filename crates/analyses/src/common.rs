@@ -2,32 +2,37 @@
 
 use spllift_ir::{Callee, LocalId, MethodId, Operand, Program, StmtKind, StmtRef};
 
-/// Pairs of (actual local in caller, formal local in callee) for the call
-/// at `call` targeting `callee` — including the receiver for virtual calls.
-pub fn arg_bindings(program: &Program, call: StmtRef, callee: MethodId) -> Vec<(LocalId, LocalId)> {
+/// Calls `f(actual, formal)` for each pair of (actual local in caller,
+/// formal local in callee) that the call at `call` targeting `callee`
+/// binds — the receiver first for virtual calls, then the arguments in
+/// order.
+pub fn for_each_binding(
+    program: &Program,
+    call: StmtRef,
+    callee: MethodId,
+    mut f: impl FnMut(LocalId, LocalId),
+) {
     let StmtKind::Invoke {
         callee: target,
         args,
         ..
     } = &program.stmt(call).kind
     else {
-        return Vec::new();
+        return;
     };
     let callee_body = program.body(callee);
-    let mut out = Vec::new();
     if let Callee::Virtual { base, .. } = target {
         if let Some(this) = callee_body.this_local {
-            out.push((*base, this));
+            f(*base, this);
         }
     }
     for (i, arg) in args.iter().enumerate() {
         if let Operand::Local(l) = arg {
             if let Some(&formal) = callee_body.param_locals.get(i) {
-                out.push((*l, formal));
+                f(*l, formal);
             }
         }
     }
-    out
 }
 
 /// The local receiving the call's return value, if any.
@@ -50,16 +55,16 @@ pub fn returned_local(program: &Program, exit: StmtRef) -> Option<LocalId> {
 
 /// The (unqualified) name of the method called at `call`, for source/sink
 /// matching, resolved through the static target or the virtual signature.
-pub(crate) fn called_name(program: &Program, call: StmtRef) -> Option<String> {
+pub(crate) fn called_name(program: &Program, call: StmtRef) -> Option<&str> {
     match &program.stmt(call).kind {
         StmtKind::Invoke {
             callee: Callee::Static(m),
             ..
-        } => Some(program.method(*m).name.clone()),
+        } => Some(&program.method(*m).name),
         StmtKind::Invoke {
             callee: Callee::Virtual { name, .. },
             ..
-        } => Some(name.clone()),
+        } => Some(name),
         _ => None,
     }
 }

@@ -38,7 +38,7 @@ mod taint;
 mod typestate;
 mod uninit;
 
-pub use common::{arg_bindings, result_local, returned_local};
+pub use common::{for_each_binding, result_local, returned_local};
 pub use kind::AnalysisKind;
 pub use linear_const::{CpFact, CpValue, LinearConstants, LinearEdge};
 pub use possible_types::{PossibleTypes, TypeFact};

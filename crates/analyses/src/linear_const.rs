@@ -175,42 +175,32 @@ impl<'p> IdeProblem<ProgramIcfg<'p>> for LinearConstants {
         curr: StmtRef,
         _succ: StmtRef,
         d: &CpFact,
-    ) -> Vec<(CpFact, LinearEdge)> {
+        out: &mut Vec<(CpFact, LinearEdge)>,
+    ) {
         let program = icfg.program();
         let kind = &program.stmt(curr).kind;
         if matches!(kind, StmtKind::Invoke { .. }) {
-            return self.flow_call_to_return(icfg, curr, curr, d);
+            return self.flow_call_to_return(icfg, curr, curr, d, out);
         }
-        match kind {
-            StmtKind::Assign { target, rvalue } => {
-                let t = CpFact::Local(*target);
-                match Self::linear_of(rvalue) {
-                    Some((source, edge)) => {
-                        if *d == source {
-                            let mut out = vec![(t, edge)];
-                            if source != t {
-                                out.push((*d, LinearEdge::ID));
-                            }
-                            out
-                        } else if *d == t {
-                            Vec::new() // strong update
-                        } else {
-                            vec![(*d, LinearEdge::ID)]
-                        }
-                    }
-                    None => {
-                        // Non-linear: the target is ⊥, generated from 0.
-                        if *d == CpFact::Zero {
-                            vec![(CpFact::Zero, LinearEdge::ID), (t, LinearEdge::Bot)]
-                        } else if *d == t {
-                            Vec::new()
-                        } else {
-                            vec![(*d, LinearEdge::ID)]
-                        }
-                    }
+        let StmtKind::Assign { target, rvalue } = kind else {
+            out.push((*d, LinearEdge::ID));
+            return;
+        };
+        let t = CpFact::Local(*target);
+        match Self::linear_of(rvalue) {
+            Some((source, edge)) if *d == source => {
+                out.push((t, edge));
+                if source != t {
+                    out.push((*d, LinearEdge::ID));
                 }
             }
-            _ => vec![(*d, LinearEdge::ID)],
+            // Non-linear: the target is ⊥, generated from 0.
+            None if *d == CpFact::Zero => {
+                out.extend([(CpFact::Zero, LinearEdge::ID), (t, LinearEdge::Bot)])
+            }
+            // Strong update.
+            _ if *d == t => {}
+            _ => out.push((*d, LinearEdge::ID)),
         }
     }
 
@@ -220,11 +210,12 @@ impl<'p> IdeProblem<ProgramIcfg<'p>> for LinearConstants {
         call: StmtRef,
         callee: MethodId,
         d: &CpFact,
-    ) -> Vec<(CpFact, LinearEdge)> {
+        out: &mut Vec<(CpFact, LinearEdge)>,
+    ) {
         match d {
             CpFact::Zero => {
                 // Constants passed as actuals enter through the zero fact.
-                let mut out = vec![(CpFact::Zero, LinearEdge::ID)];
+                out.push((CpFact::Zero, LinearEdge::ID));
                 if let StmtKind::Invoke { args, .. } = &icfg.program().stmt(call).kind {
                     let callee_body = icfg.program().body(callee);
                     for (i, a) in args.iter().enumerate() {
@@ -235,13 +226,12 @@ impl<'p> IdeProblem<ProgramIcfg<'p>> for LinearConstants {
                         }
                     }
                 }
-                out
             }
-            CpFact::Local(l) => arg_bindings(icfg.program(), call, callee)
-                .into_iter()
-                .filter(|(actual, _)| actual == l)
-                .map(|(_, formal)| (CpFact::Local(formal), LinearEdge::ID))
-                .collect(),
+            CpFact::Local(l) => for_each_binding(icfg.program(), call, callee, |actual, formal| {
+                if actual == *l {
+                    out.push((CpFact::Local(formal), LinearEdge::ID));
+                }
+            }),
         }
     }
 
@@ -253,11 +243,12 @@ impl<'p> IdeProblem<ProgramIcfg<'p>> for LinearConstants {
         exit: StmtRef,
         _return_site: StmtRef,
         d: &CpFact,
-    ) -> Vec<(CpFact, LinearEdge)> {
+        out: &mut Vec<(CpFact, LinearEdge)>,
+    ) {
         let program = icfg.program();
         match d {
             CpFact::Zero => {
-                let mut out = vec![(CpFact::Zero, LinearEdge::ID)];
+                out.push((CpFact::Zero, LinearEdge::ID));
                 // A constant return value flows out through zero.
                 if let StmtKind::Return {
                     value: Some(Operand::IntConst(c)),
@@ -267,16 +258,12 @@ impl<'p> IdeProblem<ProgramIcfg<'p>> for LinearConstants {
                         out.push((CpFact::Local(res), LinearEdge::Linear(0, *c)));
                     }
                 }
-                out
             }
             CpFact::Local(l) => {
                 if returned_local(program, exit) == Some(*l) {
-                    result_local(program, call)
-                        .map(|r| (CpFact::Local(r), LinearEdge::ID))
-                        .into_iter()
-                        .collect()
-                } else {
-                    Vec::new()
+                    out.extend(
+                        result_local(program, call).map(|r| (CpFact::Local(r), LinearEdge::ID)),
+                    );
                 }
             }
         }
@@ -288,11 +275,12 @@ impl<'p> IdeProblem<ProgramIcfg<'p>> for LinearConstants {
         call: StmtRef,
         _return_site: StmtRef,
         d: &CpFact,
-    ) -> Vec<(CpFact, LinearEdge)> {
+        out: &mut Vec<(CpFact, LinearEdge)>,
+    ) {
         let res = result_local(icfg.program(), call);
         match d {
-            CpFact::Local(l) if Some(*l) == res => Vec::new(),
-            other => vec![(*other, LinearEdge::ID)],
+            CpFact::Local(l) if Some(*l) == res => {}
+            other => out.push((*other, LinearEdge::ID)),
         }
     }
 }

@@ -52,67 +52,49 @@ impl<'p> IfdsProblem<ProgramIcfg<'p>> for PossibleTypes {
         curr: StmtRef,
         _succ: StmtRef,
         d: &TypeFact,
-    ) -> Vec<TypeFact> {
+        out: &mut Vec<TypeFact>,
+    ) {
         let program = icfg.program();
         match &program.stmt(curr).kind {
             StmtKind::Assign { target, rvalue } => {
-                let kills_target = matches!(d, TypeFact::Local(l, _) if l == target);
-                match rvalue {
-                    Rvalue::New(c) => {
-                        if *d == TypeFact::Zero {
-                            vec![TypeFact::Zero, TypeFact::Local(*target, *c)]
-                        } else if kills_target {
-                            Vec::new()
-                        } else {
-                            vec![*d]
-                        }
+                // The class the assignment copies into `target` from `d`.
+                let copied = match (rvalue, d) {
+                    (Rvalue::New(c), TypeFact::Zero) => Some(*c),
+                    (Rvalue::Use(Operand::Local(src)), TypeFact::Local(l, c)) if l == src => {
+                        Some(*c)
                     }
-                    Rvalue::Use(Operand::Local(src)) => match d {
-                        TypeFact::Local(l, c) if l == src => {
-                            vec![*d, TypeFact::Local(*target, *c)]
-                        }
-                        _ if kills_target => Vec::new(),
-                        _ => vec![*d],
-                    },
-                    Rvalue::FieldLoad { field, .. } => match d {
-                        TypeFact::Field(f, c) if f == field => {
-                            vec![*d, TypeFact::Local(*target, *c)]
-                        }
-                        _ if kills_target => Vec::new(),
-                        _ => vec![*d],
-                    },
-                    Rvalue::ArrayLoad { .. } => match d {
-                        TypeFact::ArrayElem(c) => {
-                            vec![*d, TypeFact::Local(*target, *c)]
-                        }
-                        _ if kills_target => Vec::new(),
-                        _ => vec![*d],
-                    },
+                    (Rvalue::FieldLoad { field, .. }, TypeFact::Field(f, c)) if f == field => {
+                        Some(*c)
+                    }
+                    (Rvalue::ArrayLoad { .. }, TypeFact::ArrayElem(c)) => Some(*c),
                     // Arithmetic / constants produce no reference types.
-                    _ => {
-                        if kills_target {
-                            Vec::new()
-                        } else {
-                            vec![*d]
-                        }
+                    _ => None,
+                };
+                match copied {
+                    Some(c) => out.extend([*d, TypeFact::Local(*target, c)]),
+                    None if matches!(d, TypeFact::Local(l, _) if l == target) => {}
+                    None => out.push(*d),
+                }
+            }
+            StmtKind::FieldStore { field, value, .. } => {
+                out.push(*d);
+                if let TypeFact::Local(l, c) = d {
+                    if value.as_local() == Some(*l) {
+                        // Weak update: gen, never kill.
+                        out.push(TypeFact::Field(*field, *c));
                     }
                 }
             }
-            StmtKind::FieldStore { field, value, .. } => match d {
-                TypeFact::Local(l, c) if value.as_local().is_some_and(|v| v == *l) => {
-                    // Weak update: gen, never kill.
-                    vec![*d, TypeFact::Field(*field, *c)]
+            StmtKind::ArrayStore { value, .. } => {
+                out.push(*d);
+                if let TypeFact::Local(l, c) = d {
+                    if value.as_local() == Some(*l) {
+                        out.push(TypeFact::ArrayElem(*c));
+                    }
                 }
-                _ => vec![*d],
-            },
-            StmtKind::ArrayStore { value, .. } => match d {
-                TypeFact::Local(l, c) if value.as_local().is_some_and(|v| v == *l) => {
-                    vec![*d, TypeFact::ArrayElem(*c)]
-                }
-                _ => vec![*d],
-            },
-            StmtKind::Invoke { .. } => self.flow_call_to_return(icfg, curr, curr, d),
-            _ => vec![*d],
+            }
+            StmtKind::Invoke { .. } => self.flow_call_to_return(icfg, curr, curr, d, out),
+            _ => out.push(*d),
         }
     }
 
@@ -122,16 +104,17 @@ impl<'p> IfdsProblem<ProgramIcfg<'p>> for PossibleTypes {
         call: StmtRef,
         callee: MethodId,
         d: &TypeFact,
-    ) -> Vec<TypeFact> {
+        out: &mut Vec<TypeFact>,
+    ) {
         match d {
-            TypeFact::Zero => vec![TypeFact::Zero],
-            TypeFact::Field(f, c) => vec![TypeFact::Field(*f, *c)],
-            TypeFact::ArrayElem(c) => vec![TypeFact::ArrayElem(*c)],
-            TypeFact::Local(l, c) => arg_bindings(icfg.program(), call, callee)
-                .into_iter()
-                .filter(|(actual, _)| actual == l)
-                .map(|(_, formal)| TypeFact::Local(formal, *c))
-                .collect(),
+            TypeFact::Zero | TypeFact::Field(..) | TypeFact::ArrayElem(_) => out.push(*d),
+            TypeFact::Local(l, c) => {
+                for_each_binding(icfg.program(), call, callee, |actual, formal| {
+                    if actual == *l {
+                        out.push(TypeFact::Local(formal, *c));
+                    }
+                })
+            }
         }
     }
 
@@ -143,20 +126,14 @@ impl<'p> IfdsProblem<ProgramIcfg<'p>> for PossibleTypes {
         exit: StmtRef,
         _return_site: StmtRef,
         d: &TypeFact,
-    ) -> Vec<TypeFact> {
+        out: &mut Vec<TypeFact>,
+    ) {
         let program = icfg.program();
         match d {
-            TypeFact::Zero => vec![TypeFact::Zero],
-            TypeFact::Field(f, c) => vec![TypeFact::Field(*f, *c)],
-            TypeFact::ArrayElem(c) => vec![TypeFact::ArrayElem(*c)],
+            TypeFact::Zero | TypeFact::Field(..) | TypeFact::ArrayElem(_) => out.push(*d),
             TypeFact::Local(l, c) => {
                 if returned_local(program, exit) == Some(*l) {
-                    result_local(program, call)
-                        .map(|r| TypeFact::Local(r, *c))
-                        .into_iter()
-                        .collect()
-                } else {
-                    Vec::new()
+                    out.extend(result_local(program, call).map(|r| TypeFact::Local(r, *c)));
                 }
             }
         }
@@ -168,11 +145,12 @@ impl<'p> IfdsProblem<ProgramIcfg<'p>> for PossibleTypes {
         call: StmtRef,
         _return_site: StmtRef,
         d: &TypeFact,
-    ) -> Vec<TypeFact> {
+        out: &mut Vec<TypeFact>,
+    ) {
         let res = result_local(icfg.program(), call);
         match d {
-            TypeFact::Local(l, _) if Some(*l) == res => Vec::new(),
-            other => vec![*other],
+            TypeFact::Local(l, _) if Some(*l) == res => {}
+            other => out.push(*other),
         }
     }
 }

@@ -49,23 +49,23 @@ impl<'p> IfdsProblem<ProgramIcfg<'p>> for ReachingDefs {
         curr: StmtRef,
         _succ: StmtRef,
         d: &DefFact,
-    ) -> Vec<DefFact> {
+        out: &mut Vec<DefFact>,
+    ) {
         let program = icfg.program();
         let kind = &program.stmt(curr).kind;
         if matches!(kind, StmtKind::Invoke { .. }) {
-            return self.flow_call_to_return(icfg, curr, curr, d);
+            return self.flow_call_to_return(icfg, curr, curr, d, out);
         }
         let def = kind.def();
         match d {
             DefFact::Zero => {
-                let mut out = vec![DefFact::Zero];
+                out.push(DefFact::Zero);
                 if let Some(t) = def {
                     out.push(DefFact::Def { site: curr, var: t });
                 }
-                out
             }
-            DefFact::Def { var, .. } if Some(*var) == def => Vec::new(),
-            other => vec![*other],
+            DefFact::Def { var, .. } if Some(*var) == def => {}
+            other => out.push(*other),
         }
     }
 
@@ -75,17 +75,20 @@ impl<'p> IfdsProblem<ProgramIcfg<'p>> for ReachingDefs {
         call: StmtRef,
         callee: MethodId,
         d: &DefFact,
-    ) -> Vec<DefFact> {
+        out: &mut Vec<DefFact>,
+    ) {
         match d {
-            DefFact::Zero => vec![DefFact::Zero],
-            DefFact::Def { site, var } => arg_bindings(icfg.program(), call, callee)
-                .into_iter()
-                .filter(|(actual, _)| actual == var)
-                .map(|(_, formal)| DefFact::Def {
-                    site: *site,
-                    var: formal,
+            DefFact::Zero => out.push(DefFact::Zero),
+            DefFact::Def { site, var } => {
+                for_each_binding(icfg.program(), call, callee, |actual, formal| {
+                    if actual == *var {
+                        out.push(DefFact::Def {
+                            site: *site,
+                            var: formal,
+                        });
+                    }
                 })
-                .collect(),
+            }
         }
     }
 
@@ -97,21 +100,17 @@ impl<'p> IfdsProblem<ProgramIcfg<'p>> for ReachingDefs {
         exit: StmtRef,
         _return_site: StmtRef,
         d: &DefFact,
-    ) -> Vec<DefFact> {
+        out: &mut Vec<DefFact>,
+    ) {
         let program = icfg.program();
         match d {
-            DefFact::Zero => vec![DefFact::Zero],
+            DefFact::Zero => out.push(DefFact::Zero),
             DefFact::Def { site, var } => {
                 if returned_local(program, exit) == Some(*var) {
-                    result_local(program, call)
-                        .map(|r| DefFact::Def {
-                            site: *site,
-                            var: r,
-                        })
-                        .into_iter()
-                        .collect()
-                } else {
-                    Vec::new()
+                    out.extend(result_local(program, call).map(|r| DefFact::Def {
+                        site: *site,
+                        var: r,
+                    }));
                 }
             }
         }
@@ -123,19 +122,19 @@ impl<'p> IfdsProblem<ProgramIcfg<'p>> for ReachingDefs {
         call: StmtRef,
         _return_site: StmtRef,
         d: &DefFact,
-    ) -> Vec<DefFact> {
+        out: &mut Vec<DefFact>,
+    ) {
         let res = result_local(icfg.program(), call);
         match d {
             DefFact::Zero => {
-                let mut out = vec![DefFact::Zero];
+                out.push(DefFact::Zero);
                 if let Some(r) = res {
                     // The call statement itself is a definition of `r`.
                     out.push(DefFact::Def { site: call, var: r });
                 }
-                out
             }
-            DefFact::Def { var, .. } if Some(*var) == res => Vec::new(),
-            other => vec![*other],
+            DefFact::Def { var, .. } if Some(*var) == res => {}
+            other => out.push(*other),
         }
     }
 }

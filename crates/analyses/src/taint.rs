@@ -72,15 +72,15 @@ impl TaintAnalysis {
     }
 
     fn is_source(&self, icfg: &ProgramIcfg<'_>, call: StmtRef) -> bool {
-        called_name(icfg.program(), call).is_some_and(|n| self.sources.contains(&n))
+        called_name(icfg.program(), call).is_some_and(|n| self.sources.contains(n))
     }
 
     fn is_sink(&self, icfg: &ProgramIcfg<'_>, call: StmtRef) -> bool {
-        called_name(icfg.program(), call).is_some_and(|n| self.sinks.contains(&n))
+        called_name(icfg.program(), call).is_some_and(|n| self.sinks.contains(n))
     }
 
     fn is_sanitizer(&self, icfg: &ProgramIcfg<'_>, call: StmtRef) -> bool {
-        called_name(icfg.program(), call).is_some_and(|n| self.sanitizers.contains(&n))
+        called_name(icfg.program(), call).is_some_and(|n| self.sanitizers.contains(n))
     }
 
     /// All source→sink flows in a solved instance.
@@ -130,79 +130,47 @@ impl<'p> IfdsProblem<ProgramIcfg<'p>> for TaintAnalysis {
         curr: StmtRef,
         _succ: StmtRef,
         d: &TaintFact,
-    ) -> Vec<TaintFact> {
+        out: &mut Vec<TaintFact>,
+    ) {
         let program = icfg.program();
         match &program.stmt(curr).kind {
-            StmtKind::Assign { target, rvalue } => match rvalue {
-                Rvalue::Use(Operand::Local(src)) => {
-                    if *d == TaintFact::Local(*src) {
-                        vec![*d, TaintFact::Local(*target)]
-                    } else if *d == TaintFact::Local(*target) {
-                        Vec::new()
-                    } else {
-                        vec![*d]
-                    }
-                }
-                Rvalue::Binary(_, a, b) => {
-                    let tainted_src = [a, b]
+            StmtKind::Assign { target, rvalue } => {
+                let target = TaintFact::Local(*target);
+                let tainted_src = match rvalue {
+                    Rvalue::Use(Operand::Local(src)) => *d == TaintFact::Local(*src),
+                    Rvalue::Binary(_, a, b) => [a, b]
                         .iter()
                         .filter_map(|o| o.as_local())
-                        .any(|l| *d == TaintFact::Local(l));
-                    if tainted_src {
-                        vec![*d, TaintFact::Local(*target)]
-                    } else if *d == TaintFact::Local(*target) {
-                        Vec::new()
-                    } else {
-                        vec![*d]
-                    }
+                        .any(|l| *d == TaintFact::Local(l)),
+                    Rvalue::FieldLoad { field, .. } => *d == TaintFact::Field(*field),
+                    Rvalue::ArrayLoad { .. } => *d == TaintFact::ArrayElem,
+                    // Constants and fresh allocations are clean.
+                    _ => false,
+                };
+                if tainted_src {
+                    out.extend([*d, target]);
+                } else if *d != target {
+                    out.push(*d);
                 }
-                Rvalue::FieldLoad { field, .. } => {
-                    if *d == TaintFact::Field(*field) {
-                        vec![*d, TaintFact::Local(*target)]
-                    } else if *d == TaintFact::Local(*target) {
-                        Vec::new()
-                    } else {
-                        vec![*d]
-                    }
-                }
-                Rvalue::ArrayLoad { .. } => {
-                    if *d == TaintFact::ArrayElem {
-                        vec![*d, TaintFact::Local(*target)]
-                    } else if *d == TaintFact::Local(*target) {
-                        Vec::new()
-                    } else {
-                        vec![*d]
-                    }
-                }
-                // Constants and fresh allocations are clean.
-                _ => {
-                    if *d == TaintFact::Local(*target) {
-                        Vec::new()
-                    } else {
-                        vec![*d]
-                    }
-                }
-            },
+            }
             StmtKind::FieldStore { field, value, .. } => {
                 // Weak update: generate, never kill field taint.
+                out.push(*d);
                 if value.as_local().is_some_and(|l| *d == TaintFact::Local(l)) {
-                    vec![*d, TaintFact::Field(*field)]
-                } else {
-                    vec![*d]
+                    out.push(TaintFact::Field(*field));
                 }
             }
             StmtKind::ArrayStore { value, .. } => {
                 // Weak update on the array summary cell.
+                out.push(*d);
                 if value.as_local().is_some_and(|l| *d == TaintFact::Local(l)) {
-                    vec![*d, TaintFact::ArrayElem]
-                } else {
-                    vec![*d]
+                    out.push(TaintFact::ArrayElem);
                 }
             }
             // An invoke with no resolvable callee body flows as a normal
             // statement; treat it like the call-to-return function.
-            StmtKind::Invoke { .. } => self.flow_call_to_return(icfg, curr, curr, d),
-            _ => vec![*d],
+            StmtKind::Invoke { .. } => self.flow_call_to_return(icfg, curr, curr, d, out),
+            _ => out.push(*d),
         }
     }
 
@@ -212,16 +180,17 @@ impl<'p> IfdsProblem<ProgramIcfg<'p>> for TaintAnalysis {
         call: StmtRef,
         callee: MethodId,
         d: &TaintFact,
-    ) -> Vec<TaintFact> {
+        out: &mut Vec<TaintFact>,
+    ) {
         match d {
-            TaintFact::Zero => vec![TaintFact::Zero],
-            TaintFact::Field(f) => vec![TaintFact::Field(*f)],
-            TaintFact::ArrayElem => vec![TaintFact::ArrayElem],
-            TaintFact::Local(l) => arg_bindings(icfg.program(), call, callee)
-                .into_iter()
-                .filter(|(actual, _)| actual == l)
-                .map(|(_, formal)| TaintFact::Local(formal))
-                .collect(),
+            TaintFact::Zero | TaintFact::Field(_) | TaintFact::ArrayElem => out.push(*d),
+            TaintFact::Local(l) => {
+                for_each_binding(icfg.program(), call, callee, |actual, formal| {
+                    if actual == *l {
+                        out.push(TaintFact::Local(formal));
+                    }
+                })
+            }
         }
     }
 
@@ -233,22 +202,17 @@ impl<'p> IfdsProblem<ProgramIcfg<'p>> for TaintAnalysis {
         exit: StmtRef,
         _return_site: StmtRef,
         d: &TaintFact,
-    ) -> Vec<TaintFact> {
+        out: &mut Vec<TaintFact>,
+    ) {
         let program = icfg.program();
         match d {
-            TaintFact::Zero => vec![TaintFact::Zero],
-            TaintFact::Field(f) => vec![TaintFact::Field(*f)],
-            TaintFact::ArrayElem => vec![TaintFact::ArrayElem],
+            TaintFact::Zero | TaintFact::Field(_) | TaintFact::ArrayElem => out.push(*d),
             TaintFact::Local(l) => {
-                let mut out = Vec::new();
                 // A sanitizer's return value is clean regardless of what
                 // its body computed.
                 if !self.is_sanitizer(icfg, call) && returned_local(program, exit) == Some(*l) {
-                    if let Some(res) = result_local(program, call) {
-                        out.push(TaintFact::Local(res));
-                    }
+                    out.extend(result_local(program, call).map(TaintFact::Local));
                 }
-                out
             }
         }
     }
@@ -259,23 +223,21 @@ impl<'p> IfdsProblem<ProgramIcfg<'p>> for TaintAnalysis {
         call: StmtRef,
         _return_site: StmtRef,
         d: &TaintFact,
-    ) -> Vec<TaintFact> {
+        out: &mut Vec<TaintFact>,
+    ) {
         let program = icfg.program();
         let res = result_local(program, call);
         match d {
             // Source calls taint their result.
             TaintFact::Zero => {
-                let mut out = vec![TaintFact::Zero];
+                out.push(TaintFact::Zero);
                 if self.is_source(icfg, call) {
-                    if let Some(r) = res {
-                        out.push(TaintFact::Local(r));
-                    }
+                    out.extend(res.map(TaintFact::Local));
                 }
-                out
             }
             // The call overwrites its result local.
-            TaintFact::Local(l) if Some(*l) == res => Vec::new(),
-            other => vec![*other],
+            TaintFact::Local(l) if Some(*l) == res => {}
+            other => out.push(*other),
         }
     }
 }

@@ -84,9 +84,9 @@ impl Typestate {
 
     fn protocol_effect(&self, icfg: &ProgramIcfg<'_>, s: StmtRef) -> Option<State> {
         let name = called_name(icfg.program(), s)?;
-        if self.open_methods.contains(&name) {
+        if self.open_methods.iter().any(|m| m == name) {
             Some(State::Open)
-        } else if self.close_methods.contains(&name) {
+        } else if self.close_methods.iter().any(|m| m == name) {
             Some(State::Closed)
         } else {
             None
@@ -96,27 +96,25 @@ impl Typestate {
     /// Applies the protocol at a call site to a fact (used both for the
     /// call-to-return function and for invokes treated as normal
     /// statements).
-    fn through_call(&self, icfg: &ProgramIcfg<'_>, call: StmtRef, d: &StateFact) -> Vec<StateFact> {
-        let program = icfg.program();
-        let res = result_local(program, call);
+    fn through_call(
+        &self,
+        icfg: &ProgramIcfg<'_>,
+        call: StmtRef,
+        d: &StateFact,
+        out: &mut Vec<StateFact>,
+    ) {
         match d {
-            StateFact::Zero => {
-                let mut out = vec![StateFact::Zero];
-                // Allocation via factory? No: allocations are Assign/New,
-                // handled in flow_normal. Nothing generated here.
-                let _ = &mut out;
-                out
-            }
+            // Allocations are Assign/New, handled in flow_normal: a call
+            // generates nothing.
+            StateFact::Zero => out.push(StateFact::Zero),
+            // The call overwrites its result local.
+            StateFact::Local(l, _) if Some(*l) == result_local(icfg.program(), call) => {}
             StateFact::Local(l, state) => {
-                if Some(*l) == res {
-                    return Vec::new(); // result overwritten
-                }
-                match (Self::receiver(icfg, call), self.protocol_effect(icfg, call)) {
-                    (Some(base), Some(new_state)) if base == *l => {
-                        vec![StateFact::Local(*l, new_state)]
-                    }
-                    _ => vec![StateFact::Local(*l, *state)],
-                }
+                let state = match (Self::receiver(icfg, call), self.protocol_effect(icfg, call)) {
+                    (Some(base), Some(new_state)) if base == *l => new_state,
+                    _ => *state,
+                };
+                out.push(StateFact::Local(*l, state));
             }
         }
     }
@@ -134,7 +132,7 @@ impl Typestate {
                 let Some(name) = called_name(icfg.program(), s) else {
                     continue;
                 };
-                if !self.use_methods.contains(&name) {
+                if !self.use_methods.iter().any(|m| m == name) {
                     continue;
                 }
                 let Some(base) = Self::receiver(icfg, s) else {
@@ -170,33 +168,25 @@ impl<'p> IfdsProblem<ProgramIcfg<'p>> for Typestate {
         curr: StmtRef,
         _succ: StmtRef,
         d: &StateFact,
-    ) -> Vec<StateFact> {
+        out: &mut Vec<StateFact>,
+    ) {
         let program = icfg.program();
         match &program.stmt(curr).kind {
-            StmtKind::Assign { target, rvalue } => match rvalue {
-                Rvalue::New(c) if *c == self.tracked => {
-                    if *d == StateFact::Zero {
-                        vec![StateFact::Zero, StateFact::Local(*target, State::Closed)]
-                    } else if matches!(d, StateFact::Local(l, _) if l == target) {
-                        Vec::new()
-                    } else {
-                        vec![*d]
+            StmtKind::Assign { target, rvalue } => {
+                let kills_target = matches!(d, StateFact::Local(l, _) if l == target);
+                match (rvalue, d) {
+                    (Rvalue::New(c), StateFact::Zero) if *c == self.tracked => {
+                        out.extend([StateFact::Zero, StateFact::Local(*target, State::Closed)])
                     }
+                    (Rvalue::Use(Operand::Local(src)), StateFact::Local(l, st)) if l == src => {
+                        out.extend([*d, StateFact::Local(*target, *st)])
+                    }
+                    _ if kills_target => {}
+                    _ => out.push(*d),
                 }
-                Rvalue::Use(Operand::Local(src)) => match d {
-                    StateFact::Local(l, st) if l == src => {
-                        vec![*d, StateFact::Local(*target, *st)]
-                    }
-                    StateFact::Local(l, _) if l == target => Vec::new(),
-                    other => vec![*other],
-                },
-                _ => match d {
-                    StateFact::Local(l, _) if l == target => Vec::new(),
-                    other => vec![*other],
-                },
-            },
-            StmtKind::Invoke { .. } => self.through_call(icfg, curr, d),
-            _ => vec![*d],
+            }
+            StmtKind::Invoke { .. } => self.through_call(icfg, curr, d, out),
+            _ => out.push(*d),
         }
     }
 
@@ -206,14 +196,17 @@ impl<'p> IfdsProblem<ProgramIcfg<'p>> for Typestate {
         call: StmtRef,
         callee: MethodId,
         d: &StateFact,
-    ) -> Vec<StateFact> {
+        out: &mut Vec<StateFact>,
+    ) {
         match d {
-            StateFact::Zero => vec![StateFact::Zero],
-            StateFact::Local(l, st) => arg_bindings(icfg.program(), call, callee)
-                .into_iter()
-                .filter(|(actual, _)| actual == l)
-                .map(|(_, formal)| StateFact::Local(formal, *st))
-                .collect(),
+            StateFact::Zero => out.push(StateFact::Zero),
+            StateFact::Local(l, st) => {
+                for_each_binding(icfg.program(), call, callee, |actual, formal| {
+                    if actual == *l {
+                        out.push(StateFact::Local(formal, *st));
+                    }
+                })
+            }
         }
     }
 
@@ -225,18 +218,14 @@ impl<'p> IfdsProblem<ProgramIcfg<'p>> for Typestate {
         exit: StmtRef,
         _return_site: StmtRef,
         d: &StateFact,
-    ) -> Vec<StateFact> {
+        out: &mut Vec<StateFact>,
+    ) {
         let program = icfg.program();
         match d {
-            StateFact::Zero => vec![StateFact::Zero],
+            StateFact::Zero => out.push(StateFact::Zero),
             StateFact::Local(l, st) => {
                 if returned_local(program, exit) == Some(*l) {
-                    result_local(program, call)
-                        .map(|r| StateFact::Local(r, *st))
-                        .into_iter()
-                        .collect()
-                } else {
-                    Vec::new()
+                    out.extend(result_local(program, call).map(|r| StateFact::Local(r, *st)));
                 }
             }
         }
@@ -248,7 +237,8 @@ impl<'p> IfdsProblem<ProgramIcfg<'p>> for Typestate {
         call: StmtRef,
         _return_site: StmtRef,
         d: &StateFact,
-    ) -> Vec<StateFact> {
+        out: &mut Vec<StateFact>,
+    ) {
         // When the callee has a body and the receiver is passed in, the
         // protocol transition already happens inside the callee; we still
         // apply the transition here because the receiver local itself is
@@ -256,6 +246,6 @@ impl<'p> IfdsProblem<ProgramIcfg<'p>> for Typestate {
         // bind it to `this` — whose state flows back only through
         // returns). Applying the transition at the call site keeps the
         // receiver's caller-side state in sync.
-        self.through_call(icfg, call, d)
+        self.through_call(icfg, call, d, out)
     }
 }

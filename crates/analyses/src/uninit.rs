@@ -34,12 +34,14 @@ impl UninitVars {
 
     /// Locals of `m` that start out uninitialized: everything except
     /// parameters and `this`.
-    fn initially_uninit(icfg: &ProgramIcfg<'_>, m: MethodId) -> Vec<LocalId> {
+    fn initially_uninit<'a>(
+        icfg: &'a ProgramIcfg<'_>,
+        m: MethodId,
+    ) -> impl Iterator<Item = LocalId> + 'a {
         let body = icfg.program().body(m);
         (0..body.locals.len() as u32)
             .map(LocalId)
             .filter(|l| !body.param_locals.contains(l) && body.this_local != Some(*l))
-            .collect()
     }
 
     /// Statements of the solved program that *use* a potentially
@@ -79,39 +81,32 @@ impl<'p> IfdsProblem<ProgramIcfg<'p>> for UninitVars {
         curr: StmtRef,
         _succ: StmtRef,
         d: &UninitFact,
-    ) -> Vec<UninitFact> {
+        out: &mut Vec<UninitFact>,
+    ) {
         let program = icfg.program();
         let kind = &program.stmt(curr).kind;
         // The synthetic entry nop generates "uninitialized" for every
         // non-parameter local.
         if curr.index == 0 {
-            return match d {
-                UninitFact::Zero => {
-                    let mut out = vec![UninitFact::Zero];
-                    out.extend(
-                        Self::initially_uninit(icfg, curr.method)
-                            .into_iter()
-                            .map(UninitFact::Local),
-                    );
-                    out
-                }
-                other => vec![*other],
-            };
+            out.push(*d);
+            if *d == UninitFact::Zero {
+                out.extend(Self::initially_uninit(icfg, curr.method).map(UninitFact::Local));
+            }
+            return;
         }
         if matches!(kind, StmtKind::Invoke { .. }) {
-            return self.flow_call_to_return(icfg, curr, curr, d);
+            return self.flow_call_to_return(icfg, curr, curr, d, out);
         }
-        match kind {
-            StmtKind::Assign { target, rvalue } => match d {
-                // Uninitializedness propagates through reads: x = y + 1
-                // with y uninit leaves x possibly uninit (garbage).
-                UninitFact::Local(l) if rvalue.uses().contains(l) => {
-                    vec![*d, UninitFact::Local(*target)]
-                }
-                UninitFact::Local(l) if l == target => Vec::new(),
-                other => vec![*other],
-            },
-            _ => vec![*d],
+        match (kind, d) {
+            // Uninitializedness propagates through reads: x = y + 1
+            // with y uninit leaves x possibly uninit (garbage).
+            (StmtKind::Assign { target, rvalue }, UninitFact::Local(l))
+                if rvalue.uses().any(|u| u == *l) =>
+            {
+                out.extend([*d, UninitFact::Local(*target)])
+            }
+            (StmtKind::Assign { target, .. }, UninitFact::Local(l)) if l == target => {}
+            _ => out.push(*d),
         }
     }
 
@@ -121,14 +116,17 @@ impl<'p> IfdsProblem<ProgramIcfg<'p>> for UninitVars {
         call: StmtRef,
         callee: MethodId,
         d: &UninitFact,
-    ) -> Vec<UninitFact> {
+        out: &mut Vec<UninitFact>,
+    ) {
         match d {
-            UninitFact::Zero => vec![UninitFact::Zero],
-            UninitFact::Local(l) => arg_bindings(icfg.program(), call, callee)
-                .into_iter()
-                .filter(|(actual, _)| actual == l)
-                .map(|(_, formal)| UninitFact::Local(formal))
-                .collect(),
+            UninitFact::Zero => out.push(UninitFact::Zero),
+            UninitFact::Local(l) => {
+                for_each_binding(icfg.program(), call, callee, |actual, formal| {
+                    if actual == *l {
+                        out.push(UninitFact::Local(formal));
+                    }
+                })
+            }
         }
     }
 
@@ -140,18 +138,14 @@ impl<'p> IfdsProblem<ProgramIcfg<'p>> for UninitVars {
         exit: StmtRef,
         _return_site: StmtRef,
         d: &UninitFact,
-    ) -> Vec<UninitFact> {
+        out: &mut Vec<UninitFact>,
+    ) {
         let program = icfg.program();
         match d {
-            UninitFact::Zero => vec![UninitFact::Zero],
+            UninitFact::Zero => out.push(UninitFact::Zero),
             UninitFact::Local(l) => {
                 if returned_local(program, exit) == Some(*l) {
-                    result_local(program, call)
-                        .map(UninitFact::Local)
-                        .into_iter()
-                        .collect()
-                } else {
-                    Vec::new()
+                    out.extend(result_local(program, call).map(UninitFact::Local));
                 }
             }
         }
@@ -163,11 +157,12 @@ impl<'p> IfdsProblem<ProgramIcfg<'p>> for UninitVars {
         call: StmtRef,
         _return_site: StmtRef,
         d: &UninitFact,
-    ) -> Vec<UninitFact> {
+        out: &mut Vec<UninitFact>,
+    ) {
         let res = result_local(icfg.program(), call);
         match d {
-            UninitFact::Local(l) if Some(*l) == res => Vec::new(),
-            other => vec![*other],
+            UninitFact::Local(l) if Some(*l) == res => {}
+            other => out.push(*other),
         }
     }
 }

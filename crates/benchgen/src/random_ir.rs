@@ -57,7 +57,7 @@ pub fn random_spl(seed: u64, nfeatures: usize, nmethods: usize) -> RandomSpl {
 
     let annotation = |rng: &mut SplitMix64| -> FeatureExpr {
         match rng.gen_range(0..8u32) {
-            0 | 1 | 2 | 3 => FeatureExpr::True,
+            0..=3 => FeatureExpr::True,
             4 => FeatureExpr::var(features[rng.gen_range(0..features.len())]),
             5 => FeatureExpr::var(features[rng.gen_range(0..features.len())]).not(),
             6 => FeatureExpr::var(features[rng.gen_range(0..features.len())])

@@ -1,6 +1,7 @@
 //! Feature-annotated ICFGs and the lifted CFG view.
 
 use spllift_features::FeatureExpr;
+use spllift_hash::FastMap;
 use spllift_ifds::Icfg;
 use spllift_ir::{ProgramIcfg, StmtKind};
 
@@ -57,24 +58,40 @@ impl AnnotatedIcfg for ProgramIcfg<'_> {
 /// plain product analyses (A1) run on the inner graph of the derived
 /// product, where no statement is annotated and the views coincide.
 #[derive(Debug)]
-pub struct LiftedIcfg<'g, G> {
+pub struct LiftedIcfg<'g, G: Icfg> {
     inner: &'g G,
+    /// The full successor list of each statement that gains its
+    /// disabled fall-through edge; every other statement's successors
+    /// are the inner graph's.
+    disabled: FastMap<G::Stmt, Vec<G::Stmt>>,
 }
 
 impl<'g, G: AnnotatedIcfg> LiftedIcfg<'g, G> {
-    /// Wraps `inner`.
+    /// Wraps `inner`, adding the disabled fall-through edges of its
+    /// annotated `goto`s and `return`s.
     pub fn new(inner: &'g G) -> Self {
-        LiftedIcfg { inner }
+        let mut disabled = FastMap::default();
+        for m in inner.methods() {
+            for s in inner.stmts_of(m) {
+                if !(inner.is_unconditional_branch(s) || inner.is_exit(s)) {
+                    continue;
+                }
+                let Some(ft) = inner.fall_through_of(s) else {
+                    continue;
+                };
+                let succs = inner.successors_of(s);
+                if succs.contains(&ft) || inner.annotation(s) == FeatureExpr::True {
+                    continue;
+                }
+                disabled.insert(s, succs.iter().copied().chain([ft]).collect());
+            }
+        }
+        LiftedIcfg { inner, disabled }
     }
 
     /// The wrapped graph.
     pub fn inner(&self) -> &'g G {
         self.inner
-    }
-
-    fn needs_disabled_edge(&self, s: G::Stmt) -> bool {
-        self.inner.annotation(s) != FeatureExpr::True
-            && (self.inner.is_unconditional_branch(s) || self.inner.is_exit(s))
     }
 }
 
@@ -94,27 +111,22 @@ impl<G: AnnotatedIcfg> Icfg for LiftedIcfg<'_, G> {
         self.inner.method_of(s)
     }
 
-    fn successors_of(&self, s: G::Stmt) -> Vec<G::Stmt> {
-        let mut succs = self.inner.successors_of(s);
-        if self.needs_disabled_edge(s) {
-            if let Some(ft) = self.inner.fall_through_of(s) {
-                if !succs.contains(&ft) {
-                    succs.push(ft);
-                }
-            }
+    fn successors_of(&self, s: G::Stmt) -> &[G::Stmt] {
+        match self.disabled.get(&s) {
+            Some(succs) => succs,
+            None => self.inner.successors_of(s),
         }
-        succs
     }
 
     fn is_call(&self, s: G::Stmt) -> bool {
         self.inner.is_call(s)
     }
 
-    fn callees_of(&self, s: G::Stmt) -> Vec<G::Method> {
+    fn callees_of(&self, s: G::Stmt) -> &[G::Method] {
         self.inner.callees_of(s)
     }
 
-    fn return_sites_of(&self, s: G::Stmt) -> Vec<G::Stmt> {
+    fn return_sites_of(&self, s: G::Stmt) -> &[G::Stmt] {
         self.inner.return_sites_of(s)
     }
 

@@ -8,6 +8,7 @@ use spllift_features::{
 use spllift_hash::{FastMap, FastSet};
 use spllift_ide::{IdeProblem, IdeSolver, IdeSolverOptions, IdeStats, SolveAbort, SolverMemo};
 use spllift_ifds::{IfdsProblem, SolveLimits};
+use std::cell::{RefCell, RefMut};
 use std::time::{Duration, Instant};
 
 /// How the product line's feature model is taken into account.
@@ -36,12 +37,18 @@ pub enum ModelMode {
 /// enabled/disabled cases are precomputed (including the feature-model
 /// conjunction, depending on [`ModelMode`]).
 #[derive(Debug)]
-pub struct LiftedProblem<'a, G: AnnotatedIcfg, P, Ctx: ConstraintContext> {
+pub struct LiftedProblem<'a, G: AnnotatedIcfg, P: IfdsProblem<G>, Ctx: ConstraintContext> {
     problem: &'a P,
     ctx: &'a Ctx,
     model: Ctx::C,
     /// stmt → (enabled-case constraint, disabled-case constraint).
     ann: FastMap<G::Stmt, (Ctx::C, Ctx::C)>,
+    /// The constraints of a statement `ann` does not list:
+    /// `(true, false)`.
+    unannotated: (Ctx::C, Ctx::C),
+    /// The original problem's flow results, lifted from here straight
+    /// into the solver's buffer.
+    scratch: RefCell<Vec<P::Fact>>,
 }
 
 impl<'a, G, P, Ctx> LiftedProblem<'a, G, P, Ctx>
@@ -85,12 +92,7 @@ where
                 ann.insert(s, (en, dis));
             }
         }
-        LiftedProblem {
-            problem,
-            ctx,
-            model: model_c,
-            ann,
-        }
+        Self::with_constraints(problem, ctx, model_c, ann)
     }
 
     /// Lifts `problem` at an arbitrary point of the variability-
@@ -171,12 +173,7 @@ where
                 changed_methods.insert(m);
             }
         }
-        let lifted = LiftedProblem {
-            problem,
-            ctx,
-            model: model_c,
-            ann,
-        };
+        let lifted = Self::with_constraints(problem, ctx, model_c, ann);
         let impact = AbstractionImpact {
             model_changed,
             changed_methods,
@@ -208,11 +205,22 @@ where
                 ann.insert(s, (en, dis));
             }
         }
+        Self::with_constraints(problem, ctx, ctx.tt(), ann)
+    }
+
+    fn with_constraints(
+        problem: &'a P,
+        ctx: &'a Ctx,
+        model: Ctx::C,
+        ann: FastMap<G::Stmt, (Ctx::C, Ctx::C)>,
+    ) -> Self {
         LiftedProblem {
             problem,
             ctx,
-            model: ctx.tt(),
+            model,
             ann,
+            unannotated: (ctx.tt(), ctx.ff()),
+            scratch: RefCell::new(Vec::new()),
         }
     }
 
@@ -221,54 +229,51 @@ where
         self.ctx
     }
 
-    fn constraints_of(&self, s: G::Stmt) -> (Ctx::C, Ctx::C) {
-        self.ann
-            .get(&s)
-            .cloned()
-            .unwrap_or_else(|| (self.ctx.tt(), self.ctx.ff()))
+    fn constraints_of(&self, s: G::Stmt) -> (&Ctx::C, &Ctx::C) {
+        let (en, dis) = self.ann.get(&s).unwrap_or(&self.unannotated);
+        (en, dis)
     }
 
-    /// Disjoins `(fact, constraint)` into `out`, merging duplicates
-    /// (an edge annotated `F` in one case and `¬F` in the other becomes
+    /// Disjoins `(fact, c)` into the entries of `out` from `start` on —
+    /// the ones this flow evaluation appended — merging duplicates (an
+    /// edge annotated `F` in one case and `¬F` in the other becomes
     /// unconditional — the solid edges of Fig. 4).
-    fn push(out: &mut Vec<(P::Fact, ConstraintEdge<Ctx::C>)>, fact: P::Fact, c: Ctx::C) {
+    fn push(
+        out: &mut Vec<(P::Fact, ConstraintEdge<Ctx::C>)>,
+        start: usize,
+        fact: P::Fact,
+        c: &Ctx::C,
+    ) {
         if c.is_false() {
             return;
         }
-        if let Some(entry) = out.iter_mut().find(|(f, _)| *f == fact) {
-            entry.1 = ConstraintEdge(entry.1 .0.or(&c));
+        if let Some(entry) = out[start..].iter_mut().find(|(f, _)| *f == fact) {
+            entry.1 = ConstraintEdge(entry.1 .0.or(c));
         } else {
-            out.push((fact, ConstraintEdge(c)));
+            out.push((fact, ConstraintEdge(c.clone())));
         }
     }
 
-    /// Original flow labeled `enabled`, plus the identity flow labeled
-    /// `disabled` — the generic disjunction of Fig. 4a.
-    fn lift_with_identity(
-        &self,
-        orig: Vec<P::Fact>,
-        fact: &P::Fact,
-        enabled: &Ctx::C,
-        disabled: &Ctx::C,
-    ) -> Vec<(P::Fact, ConstraintEdge<Ctx::C>)> {
-        let mut out = Vec::with_capacity(orig.len() + 1);
-        for d in orig {
-            Self::push(&mut out, d, enabled.clone());
-        }
-        Self::push(&mut out, fact.clone(), disabled.clone());
-        out
+    /// Runs one flow function of the original problem into the scratch
+    /// buffer and returns the buffer, holding its facts.
+    fn original(&self, flow: impl FnOnce(&mut Vec<P::Fact>)) -> RefMut<'_, Vec<P::Fact>> {
+        let mut facts = self.scratch.borrow_mut();
+        facts.clear();
+        flow(&mut facts);
+        facts
     }
 
-    fn lift_plain(
-        &self,
-        orig: Vec<P::Fact>,
-        enabled: &Ctx::C,
-    ) -> Vec<(P::Fact, ConstraintEdge<Ctx::C>)> {
-        let mut out = Vec::with_capacity(orig.len());
-        for d in orig {
-            Self::push(&mut out, d, enabled.clone());
+    /// Disjoins every fact of `facts` into `out` under `c`, emptying
+    /// `facts`.
+    fn push_all(
+        out: &mut Vec<(P::Fact, ConstraintEdge<Ctx::C>)>,
+        start: usize,
+        facts: &mut Vec<P::Fact>,
+        c: &Ctx::C,
+    ) {
+        for d in facts.drain(..) {
+            Self::push(out, start, d, c);
         }
-        out
     }
 }
 
@@ -314,52 +319,44 @@ where
         curr: G::Stmt,
         succ: G::Stmt,
         fact: &P::Fact,
-    ) -> Vec<(P::Fact, ConstraintEdge<Ctx::C>)> {
+        out: &mut Vec<(P::Fact, ConstraintEdge<Ctx::C>)>,
+    ) {
         let inner = icfg.inner();
         let (en, dis) = self.constraints_of(curr);
-        let fall_through = inner.fall_through_of(curr);
-        let target = inner.branch_target_of(curr);
-
-        if inner.is_exit(curr) {
+        let start = out.len();
+        // Which of the two cases flows along `curr → succ`: the original
+        // flow when `curr` is enabled, the identity when it is disabled.
+        let (original, identity) = if inner.is_exit(curr) {
             // Only reached for the synthetic disabled-exit fall-through
             // edge: the return does not execute, identity under ¬F.
-            debug_assert_eq!(Some(succ), fall_through);
-            return self.lift_with_identity(Vec::new(), fact, &en, &dis);
-        }
-        if inner.is_unconditional_branch(curr) {
+            debug_assert_eq!(Some(succ), inner.fall_through_of(curr));
+            (false, true)
+        } else if inner.is_unconditional_branch(curr) {
             // Fig. 4b: to the target under F; fall through under ¬F.
-            let mut out = Vec::new();
-            if Some(succ) == target {
-                for d in self.problem.flow_normal(inner, curr, succ, fact) {
-                    Self::push(&mut out, d, en.clone());
-                }
-            }
-            if Some(succ) == fall_through {
-                Self::push(&mut out, fact.clone(), dis.clone());
-            }
-            return out;
-        }
-        if inner.is_conditional_branch(curr) {
+            (
+                Some(succ) == inner.branch_target_of(curr),
+                Some(succ) == inner.fall_through_of(curr),
+            )
+        } else if inner.is_conditional_branch(curr) {
             // Fig. 4c: normal flow to both outcomes under F; identity to
             // the fall-through under ¬F.
-            let mut out = Vec::new();
-            if Some(succ) == target || Some(succ) == fall_through {
-                for d in self.problem.flow_normal(inner, curr, succ, fact) {
-                    Self::push(&mut out, d, en.clone());
-                }
-            }
-            if Some(succ) == fall_through {
-                Self::push(&mut out, fact.clone(), dis.clone());
-            }
-            return out;
+            let fall_through = Some(succ) == inner.fall_through_of(curr);
+            (
+                fall_through || Some(succ) == inner.branch_target_of(curr),
+                fall_through,
+            )
+        } else {
+            // Fig. 4a: plain statements.
+            (true, true)
+        };
+        if original {
+            let mut facts =
+                self.original(|facts| self.problem.flow_normal(inner, curr, succ, fact, facts));
+            Self::push_all(out, start, &mut facts, en);
         }
-        // Fig. 4a: plain statements.
-        self.lift_with_identity(
-            self.problem.flow_normal(inner, curr, succ, fact),
-            fact,
-            &en,
-            &dis,
-        )
+        if identity {
+            Self::push(out, start, fact.clone(), dis);
+        }
     }
 
     fn flow_call(
@@ -368,13 +365,15 @@ where
         call: G::Stmt,
         callee: G::Method,
         fact: &P::Fact,
-    ) -> Vec<(P::Fact, ConstraintEdge<Ctx::C>)> {
+        out: &mut Vec<(P::Fact, ConstraintEdge<Ctx::C>)>,
+    ) {
         // Fig. 4d: call flow under F; kill-all under ¬F.
-        let (en, _) = self.constraints_of(call);
-        self.lift_plain(
-            self.problem.flow_call(icfg.inner(), call, callee, fact),
-            &en,
-        )
+        let start = out.len();
+        let mut facts = self.original(|facts| {
+            self.problem
+                .flow_call(icfg.inner(), call, callee, fact, facts)
+        });
+        Self::push_all(out, start, &mut facts, self.constraints_of(call).0);
     }
 
     fn flow_return(
@@ -385,16 +384,17 @@ where
         exit: G::Stmt,
         return_site: G::Stmt,
         fact: &P::Fact,
-    ) -> Vec<(P::Fact, ConstraintEdge<Ctx::C>)> {
+        out: &mut Vec<(P::Fact, ConstraintEdge<Ctx::C>)>,
+    ) {
         // Return flow exists only when both the call and the return
         // statement are enabled.
-        let (en_call, _) = self.constraints_of(call);
-        let (en_exit, _) = self.constraints_of(exit);
-        self.lift_plain(
+        let start = out.len();
+        let mut facts = self.original(|facts| {
             self.problem
-                .flow_return(icfg.inner(), call, callee, exit, return_site, fact),
-            &en_call.and(&en_exit),
-        )
+                .flow_return(icfg.inner(), call, callee, exit, return_site, fact, facts)
+        });
+        let enabled = self.constraints_of(call).0.and(self.constraints_of(exit).0);
+        Self::push_all(out, start, &mut facts, &enabled);
     }
 
     fn flow_call_to_return(
@@ -403,17 +403,18 @@ where
         call: G::Stmt,
         return_site: G::Stmt,
         fact: &P::Fact,
-    ) -> Vec<(P::Fact, ConstraintEdge<Ctx::C>)> {
+        out: &mut Vec<(P::Fact, ConstraintEdge<Ctx::C>)>,
+    ) {
         // Fig. 4a applied at the call site: the call's intra-procedural
         // effect under F, identity under ¬F.
         let (en, dis) = self.constraints_of(call);
-        self.lift_with_identity(
+        let start = out.len();
+        let mut facts = self.original(|facts| {
             self.problem
-                .flow_call_to_return(icfg.inner(), call, return_site, fact),
-            fact,
-            &en,
-            &dis,
-        )
+                .flow_call_to_return(icfg.inner(), call, return_site, fact, facts)
+        });
+        Self::push_all(out, start, &mut facts, en);
+        Self::push(out, start, fact.clone(), dis);
     }
 
     fn initial_seeds(&self, icfg: &LiftedIcfg<'g, G>) -> Vec<(G::Stmt, P::Fact)> {
@@ -621,7 +622,7 @@ fn transitive_callers<G: AnnotatedIcfg>(
     let mut callers_of: FastMap<G::Method, Vec<G::Method>> = FastMap::default();
     for m in icfg.methods() {
         for s in icfg.calls_in(m) {
-            for callee in icfg.callees_of(s) {
+            for &callee in icfg.callees_of(s) {
                 callers_of.entry(callee).or_default().push(m);
             }
         }

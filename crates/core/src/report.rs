@@ -78,27 +78,34 @@ where
         };
         edges.push(format!("  n{from} -> n{to}{style};"));
     };
+    let mut buf = Vec::new();
     for m in icfg.methods() {
         for s in icfg.stmts_of(m) {
             for d in facts_at(s) {
                 let from = intern(icfg.stmt_label(s), format!("{d:?}"), &mut nodes);
                 if icfg.is_call(s) {
-                    for q in icfg.callees_of(s) {
+                    for &q in icfg.callees_of(s) {
                         let sp = icfg.start_point_of(q);
-                        for (d3, ef) in lifted.flow_call(icfg, s, q, &d) {
+                        buf.clear();
+                        lifted.flow_call(icfg, s, q, &d, &mut buf);
+                        for (d3, ef) in buf.drain(..) {
                             let to = intern(icfg.stmt_label(sp), format!("{d3:?}"), &mut nodes);
                             emit(from, to, &ef.0, &mut edges);
                         }
                     }
-                    for r in icfg.return_sites_of(s) {
-                        for (d3, ef) in lifted.flow_call_to_return(icfg, s, r, &d) {
+                    for &r in icfg.return_sites_of(s) {
+                        buf.clear();
+                        lifted.flow_call_to_return(icfg, s, r, &d, &mut buf);
+                        for (d3, ef) in buf.drain(..) {
                             let to = intern(icfg.stmt_label(r), format!("{d3:?}"), &mut nodes);
                             emit(from, to, &ef.0, &mut edges);
                         }
                     }
                 } else {
-                    for succ in icfg.successors_of(s) {
-                        for (d3, ef) in lifted.flow_normal(icfg, s, succ, &d) {
+                    for &succ in icfg.successors_of(s) {
+                        buf.clear();
+                        lifted.flow_normal(icfg, s, succ, &d, &mut buf);
+                        for (d3, ef) in buf.drain(..) {
                             let to = intern(icfg.stmt_label(succ), format!("{d3:?}"), &mut nodes);
                             emit(from, to, &ef.0, &mut edges);
                         }

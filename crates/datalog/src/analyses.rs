@@ -22,7 +22,7 @@
 use crate::engine::{
     evaluate, neg, pos, Atom, Database, DatalogError, DatalogProgram, EvalStats, RelId, Term,
 };
-use spllift_analyses::{arg_bindings, result_local, returned_local, DefFact};
+use spllift_analyses::{for_each_binding, result_local, returned_local, DefFact};
 use spllift_bdd::Bdd;
 use spllift_core::LiftedIcfg;
 use spllift_features::{BddConstraintContext, ConstraintContext, FeatureExpr};
@@ -468,21 +468,21 @@ fn seed_database(
                 // Call-to-return edges run the original flow (which
                 // kills/generates the result local) when enabled and
                 // the identity when disabled.
-                for r in icfg.return_sites_of(s) {
+                for &r in icfg.return_sites_of(s) {
                     let er = encode_stmt(r);
                     db.insert(rels.act, vec![es, er], en.clone());
                     db.insert(rels.idn, vec![es, er], dis.clone());
                     db.insert(rels.retsite, vec![es, er], tt.clone());
                 }
-                for callee in icfg.callees_of(s) {
+                for &callee in icfg.callees_of(s) {
                     db.insert(rels.callstmt, vec![es, callee.0 as u64], en.clone());
-                    for (actual, formal) in arg_bindings(ir, s, callee) {
+                    for_each_binding(ir, s, callee, |actual, formal| {
                         db.insert(
                             rels.bind,
                             vec![es, callee.0 as u64, actual.0 as u64, formal.0 as u64],
                             tt.clone(),
                         );
-                    }
+                    });
                 }
                 if let Some(r) = result_local(ir, s) {
                     db.insert(rels.resl, vec![es, r.0 as u64], tt.clone());
@@ -495,7 +495,7 @@ fn seed_database(
                 StmtKind::Return { .. } => {
                     // An enabled exit leaves via the return edge; only
                     // the disabled fall-through is a normal edge.
-                    for succ in lifted.successors_of(s) {
+                    for &succ in lifted.successors_of(s) {
                         db.insert(rels.idn, vec![es, encode_stmt(succ)], dis.clone());
                     }
                     db.insert(rels.exitstmt, vec![me, es], tt.clone());
@@ -507,7 +507,7 @@ fn seed_database(
                 StmtKind::Goto { .. } => {
                     let target = icfg.branch_target_of(s).expect("goto has a target");
                     let ft = icfg.fall_through_of(s);
-                    for succ in lifted.successors_of(s) {
+                    for &succ in lifted.successors_of(s) {
                         if succ == target {
                             db.insert(rels.act, vec![es, encode_stmt(succ)], en.clone());
                         }
@@ -518,7 +518,7 @@ fn seed_database(
                 }
                 StmtKind::If { .. } => {
                     let ft = icfg.fall_through_of(s);
-                    for succ in lifted.successors_of(s) {
+                    for &succ in lifted.successors_of(s) {
                         db.insert(rels.act, vec![es, encode_stmt(succ)], en.clone());
                         if Some(succ) == ft {
                             db.insert(rels.idn, vec![es, encode_stmt(succ)], dis.clone());
@@ -526,7 +526,7 @@ fn seed_database(
                     }
                 }
                 _ => {
-                    for succ in lifted.successors_of(s) {
+                    for &succ in lifted.successors_of(s) {
                         let er = encode_stmt(succ);
                         db.insert(rels.act, vec![es, er], en.clone());
                         db.insert(rels.idn, vec![es, er], dis.clone());
@@ -623,7 +623,7 @@ impl DatalogSolution {
             .filter(|(cols, _)| cols[0] == es)
             .map(|(cols, c)| (decode_fact(&cols[1..4]), c.clone()))
             .collect();
-        out.sort_by(|(a, _), (b, _)| a.cmp(b));
+        out.sort_by_key(|(fact, _)| *fact);
         out
     }
 
@@ -635,7 +635,7 @@ impl DatalogSolution {
             map.entry(s).or_default().push((fact, c.clone()));
         }
         for facts in map.values_mut() {
-            facts.sort_by(|(a, _), (b, _)| a.cmp(b));
+            facts.sort_by_key(|(fact, _)| *fact);
         }
         map
     }

@@ -127,6 +127,7 @@ impl FeatureExpr {
 
     /// `¬self`, with double negations collapsed.
     #[must_use]
+    #[allow(clippy::should_implement_trait)] // chains like `and`/`or`, which have no operator either
     pub fn not(self) -> Self {
         match self {
             FeatureExpr::Not(inner) => *inner,

@@ -8,6 +8,9 @@
 
 use crate::{EdgeFn, IdeProblem};
 use spllift_ifds::{Icfg, IfdsProblem};
+use std::cell::RefCell;
+use std::fmt::Debug;
+use std::hash::Hash;
 
 /// The binary value lattice: `Holds` (⊥) or `Top` (fact does not hold).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,28 +61,46 @@ impl EdgeFn<Binary> for BinaryEdge {
 ///
 /// A fact holds at `n` in the IFDS solution iff the embedded IDE solution
 /// computes `Binary::Holds` for it — asserted by this crate's tests.
+///
+/// `D` is the problem's fact type; the embedding keeps one scratch buffer
+/// of facts, which each flow function fills through the IFDS problem and
+/// drains into the IDE output buffer.
 #[derive(Debug)]
-pub struct IfdsAsIde<'p, P> {
+pub struct IfdsAsIde<'p, P, D> {
     problem: &'p P,
+    scratch: RefCell<Vec<D>>,
 }
 
-impl<'p, P> IfdsAsIde<'p, P> {
+impl<'p, P, D> IfdsAsIde<'p, P, D> {
     /// Embeds `problem`.
     pub fn new(problem: &'p P) -> Self {
-        IfdsAsIde { problem }
+        IfdsAsIde {
+            problem,
+            scratch: RefCell::new(Vec::new()),
+        }
+    }
+
+    /// Runs one IFDS flow function into the scratch buffer and appends
+    /// its facts to `out`, each under the identity edge.
+    fn embed(&self, out: &mut Vec<(D, BinaryEdge)>, flow: impl FnOnce(&mut Vec<D>)) {
+        let mut facts = self.scratch.borrow_mut();
+        facts.clear();
+        flow(&mut facts);
+        out.extend(facts.drain(..).map(|d| (d, BinaryEdge::Id)));
     }
 }
 
-impl<G, P> IdeProblem<G> for IfdsAsIde<'_, P>
+impl<G, P, D> IdeProblem<G> for IfdsAsIde<'_, P, D>
 where
     G: Icfg,
-    P: IfdsProblem<G>,
+    P: IfdsProblem<G, Fact = D>,
+    D: Clone + Eq + Hash + Debug,
 {
-    type Fact = P::Fact;
+    type Fact = D;
     type Value = Binary;
     type EF = BinaryEdge;
 
-    fn zero(&self) -> P::Fact {
+    fn zero(&self) -> D {
         self.problem.zero()
     }
 
@@ -108,13 +129,12 @@ where
         icfg: &G,
         curr: G::Stmt,
         succ: G::Stmt,
-        fact: &P::Fact,
-    ) -> Vec<(P::Fact, BinaryEdge)> {
-        self.problem
-            .flow_normal(icfg, curr, succ, fact)
-            .into_iter()
-            .map(|d| (d, BinaryEdge::Id))
-            .collect()
+        fact: &D,
+        out: &mut Vec<(D, BinaryEdge)>,
+    ) {
+        self.embed(out, |facts| {
+            self.problem.flow_normal(icfg, curr, succ, fact, facts)
+        });
     }
 
     fn flow_call(
@@ -122,13 +142,12 @@ where
         icfg: &G,
         call: G::Stmt,
         callee: G::Method,
-        fact: &P::Fact,
-    ) -> Vec<(P::Fact, BinaryEdge)> {
-        self.problem
-            .flow_call(icfg, call, callee, fact)
-            .into_iter()
-            .map(|d| (d, BinaryEdge::Id))
-            .collect()
+        fact: &D,
+        out: &mut Vec<(D, BinaryEdge)>,
+    ) {
+        self.embed(out, |facts| {
+            self.problem.flow_call(icfg, call, callee, fact, facts)
+        });
     }
 
     fn flow_return(
@@ -138,13 +157,13 @@ where
         callee: G::Method,
         exit: G::Stmt,
         return_site: G::Stmt,
-        fact: &P::Fact,
-    ) -> Vec<(P::Fact, BinaryEdge)> {
-        self.problem
-            .flow_return(icfg, call, callee, exit, return_site, fact)
-            .into_iter()
-            .map(|d| (d, BinaryEdge::Id))
-            .collect()
+        fact: &D,
+        out: &mut Vec<(D, BinaryEdge)>,
+    ) {
+        self.embed(out, |facts| {
+            self.problem
+                .flow_return(icfg, call, callee, exit, return_site, fact, facts)
+        });
     }
 
     fn flow_call_to_return(
@@ -152,16 +171,16 @@ where
         icfg: &G,
         call: G::Stmt,
         return_site: G::Stmt,
-        fact: &P::Fact,
-    ) -> Vec<(P::Fact, BinaryEdge)> {
-        self.problem
-            .flow_call_to_return(icfg, call, return_site, fact)
-            .into_iter()
-            .map(|d| (d, BinaryEdge::Id))
-            .collect()
+        fact: &D,
+        out: &mut Vec<(D, BinaryEdge)>,
+    ) {
+        self.embed(out, |facts| {
+            self.problem
+                .flow_call_to_return(icfg, call, return_site, fact, facts)
+        });
     }
 
-    fn initial_seeds(&self, icfg: &G) -> Vec<(G::Stmt, P::Fact)> {
+    fn initial_seeds(&self, icfg: &G) -> Vec<(G::Stmt, D)> {
         self.problem.initial_seeds(icfg)
     }
 }

@@ -13,8 +13,8 @@
 //!
 //! * [`EdgeFn`] — distributive value-transformers attached to exploded
 //!   supergraph edges (compose / join / apply),
-//! * [`IdeProblem`] — the four flow-function classes, each returning
-//!   (fact, edge-function) pairs,
+//! * [`IdeProblem`] — the four flow-function classes, each appending
+//!   (fact, edge-function) pairs to a buffer the solver owns,
 //! * [`IdeSolver`] — the two-phase solver with summary functions,
 //! * [`embed_ifds`](binary::IfdsAsIde) — the binary-domain embedding that
 //!   proves every IFDS problem is an IDE problem (paper §2.4).

@@ -16,6 +16,11 @@ use std::hash::Hash;
 /// does not hold" in SPLLIFT's reading) and the seed value
 /// [`seed_value`](IdeProblem::seed_value) assumed at the entry points
 /// (the paper initializes the program start node with `true`, §3.4).
+///
+/// As in [`spllift_ifds::IfdsProblem`], every flow function *appends* its
+/// `(target fact, edge function)` pairs to the caller-owned buffer `out`
+/// and leaves the entries already there alone; the solver clears and
+/// reuses its buffers, and queues the appended pairs in order.
 pub trait IdeProblem<G: Icfg> {
     /// A data-flow fact.
     type Fact: Clone + Eq + Hash + Debug;
@@ -46,7 +51,8 @@ pub trait IdeProblem<G: Icfg> {
         curr: G::Stmt,
         succ: G::Stmt,
         fact: &Self::Fact,
-    ) -> Vec<(Self::Fact, Self::EF)>;
+        out: &mut Vec<(Self::Fact, Self::EF)>,
+    );
 
     /// Flow from a call site into a callee.
     fn flow_call(
@@ -55,10 +61,11 @@ pub trait IdeProblem<G: Icfg> {
         call: G::Stmt,
         callee: G::Method,
         fact: &Self::Fact,
-    ) -> Vec<(Self::Fact, Self::EF)>;
+        out: &mut Vec<(Self::Fact, Self::EF)>,
+    );
 
     /// Flow from a callee exit back to a return site.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments)] // the four program points of a return edge, plus the buffer
     fn flow_return(
         &self,
         icfg: &G,
@@ -67,7 +74,8 @@ pub trait IdeProblem<G: Icfg> {
         exit: G::Stmt,
         return_site: G::Stmt,
         fact: &Self::Fact,
-    ) -> Vec<(Self::Fact, Self::EF)>;
+        out: &mut Vec<(Self::Fact, Self::EF)>,
+    );
 
     /// Intra-procedural flow across a call site.
     fn flow_call_to_return(
@@ -76,7 +84,8 @@ pub trait IdeProblem<G: Icfg> {
         call: G::Stmt,
         return_site: G::Stmt,
         fact: &Self::Fact,
-    ) -> Vec<(Self::Fact, Self::EF)>;
+        out: &mut Vec<(Self::Fact, Self::EF)>,
+    );
 
     /// Initial seeds; default: `0` at every entry point.
     fn initial_seeds(&self, icfg: &G) -> Vec<(G::Stmt, Self::Fact)> {

@@ -55,9 +55,35 @@ pub struct IdeSolverOptions {
     pub poll_budget: bool,
 }
 
+/// `(stmt, entry fact) → target fact → jump function`, each entry with
+/// its pending flag (see [`JumpEntry`]).
+type JumpTable<S, D, EF> = FastMap<(S, D), FastMap<D, JumpEntry<EF>>>;
+
+/// `(method, entry fact) → (exit stmt, exit fact) → summary`.
+type EndSummaries<M, S, D, EF> = FastMap<(M, D), FastMap<(S, D), EF>>;
+
+/// `(callee, entry fact) → {(call stmt, fact at call, caller sp fact)}`.
+type Incoming<M, S, D> = FastMap<(M, D), FastSet<(S, D, D)>>;
+
+/// Phase 2's values: `stmt → fact → value`.
+type Values<S, D, V> = FastMap<S, FastMap<D, V>>;
+
+/// Phase 2's values for a solve of problem `P` over `G`.
+type ValuesOf<G, P> =
+    Values<<G as Icfg>::Stmt, <P as IdeProblem<G>>::Fact, <P as IdeProblem<G>>::Value>;
+
+/// The memo type of a solve of problem `P` over `G`.
+type MemoOf<G, P> = SolverMemo<
+    <G as Icfg>::Method,
+    <G as Icfg>::Stmt,
+    <P as IdeProblem<G>>::Fact,
+    <P as IdeProblem<G>>::EF,
+>;
+
 /// Reusable Phase-1 artifacts of a completed solve: jump functions and
-/// Reps–Horwitz–Sagiv end summaries, keyed exactly as Phase 1 keeps
-/// them. [`IdeSolver::try_solve_seeded`] consumes a memo to warm-start an
+/// Reps–Horwitz–Sagiv end summaries — Phase 1's own tables, moved out of
+/// the solve at its fixpoint (where every pending flag is clear).
+/// [`IdeSolver::try_solve_seeded`] consumes a memo to warm-start an
 /// *incremental* re-solve: entries belonging to methods the caller
 /// declares clean are preloaded at their fixpoint, so the solver only
 /// re-tabulates the dirty region; entries for dirty methods are
@@ -70,10 +96,8 @@ pub struct IdeSolverOptions {
 /// unchanged code, so they are final, and the warm solve's fixpoint —
 /// and therefore its values — is identical to a cold solve's.
 pub struct SolverMemo<M, S, D, EF> {
-    /// `(stmt, entry-fact) → target-fact → jump function`, at fixpoint.
-    jump: FastMap<(S, D), FastMap<D, EF>>,
-    /// `(method, entry-fact) → (exit stmt, exit fact) → summary`.
-    end_summary: FastMap<(M, D), FastMap<(S, D), EF>>,
+    jump: JumpTable<S, D, EF>,
+    end_summary: EndSummaries<M, S, D, EF>,
 }
 
 impl<M, S, D, EF> Default for SolverMemo<M, S, D, EF> {
@@ -111,7 +135,7 @@ where
 {
     /// Values keyed per statement, then per fact — so per-statement
     /// queries (`results_at`) are O(facts at that statement).
-    values: FastMap<G::Stmt, FastMap<D, V>>,
+    values: Values<G::Stmt, D, V>,
     top: V,
     zero: D,
     stats: IdeStats,
@@ -148,8 +172,8 @@ where
     /// Governed, incremental solve: warm-starts Phase 1 from `memo`,
     /// keeping the retained jump functions and end summaries of every
     /// method `m` with `clean(m)`, and re-tabulating everything else.
-    /// Returns the solution together with a fresh memo for the *next*
-    /// solve.
+    /// Returns the solution together with the memo for the *next*
+    /// solve: this solve's Phase-1 tables, moved, not copied.
     ///
     /// The caller guarantees the clean-set closure documented on
     /// [`SolverMemo`]; with it, the result is identical to a cold
@@ -165,32 +189,25 @@ where
         problem: &P,
         icfg: &G,
         options: IdeSolverOptions,
-        memo: &SolverMemo<G::Method, G::Stmt, D, P::EF>,
+        memo: &MemoOf<G, P>,
         clean: &dyn Fn(G::Method) -> bool,
-    ) -> Result<(Self, SolverMemo<G::Method, G::Stmt, D, P::EF>), SolveAbort>
+    ) -> Result<(Self, MemoOf<G, P>), SolveAbort>
     where
         P: IdeProblem<G, Fact = D, Value = V>,
     {
-        // Preload clean methods' Phase-1 state. Jump entries enter with
-        // a cleared pending flag: they are already at fixpoint, so the
-        // initial seeds re-joining the identity edge find no change and
-        // queue nothing — a fully clean program re-solves with zero
+        // Preload clean methods' Phase-1 state. The memo's jump entries
+        // carry cleared pending flags: they are already at fixpoint, so
+        // the initial seeds re-joining the identity edge find no change
+        // and queue nothing — a fully clean program re-solves with zero
         // propagations.
-        let mut jump: FastMap<(G::Stmt, P::Fact), FastMap<P::Fact, JumpEntry<P::EF>>> =
-            FastMap::default();
+        let mut jump: JumpTable<G::Stmt, D, P::EF> = FastMap::default();
         for (key, fns) in &memo.jump {
             if clean(icfg.method_of(key.0)) {
-                jump.insert(
-                    key.clone(),
-                    fns.iter()
-                        .map(|(d, f)| (d.clone(), (f.clone(), false)))
-                        .collect(),
-                );
+                jump.insert(key.clone(), fns.clone());
             }
         }
-        let mut end_summary: FastMap<(G::Method, P::Fact), FastMap<(G::Stmt, P::Fact), P::EF>> =
-            FastMap::default();
-        let mut sealed: FastSet<(G::Method, P::Fact)> = FastSet::default();
+        let mut end_summary: EndSummaries<G::Method, G::Stmt, D, P::EF> = FastMap::default();
+        let mut sealed: FastSet<(G::Method, D)> = FastSet::default();
         for (key, summaries) in &memo.end_summary {
             if clean(key.0) {
                 sealed.insert(key.clone());
@@ -198,23 +215,24 @@ where
             }
         }
         let mut phase1 = Phase1::<G, P> {
-            jump,
-            worklist: VecDeque::new(),
+            tab: Tabulation {
+                jump,
+                worklist: VecDeque::new(),
+                stats: IdeStats::default(),
+            },
             incoming: FastMap::default(),
             end_summary,
             sealed,
-            stats: IdeStats::default(),
+            normal_buf: Vec::new(),
+            call_buf: Vec::new(),
+            ret_buf: Vec::new(),
         };
         phase1.run(problem, icfg, &options)?;
-        let (values, stats) = phase2(problem, icfg, &phase1.jump, phase1.stats, &options)?;
-        let next_memo = SolverMemo {
-            jump: phase1
-                .jump
-                .into_iter()
-                .map(|(k, fns)| (k, fns.into_iter().map(|(d, (f, _))| (d, f)).collect()))
-                .collect(),
-            end_summary: phase1.end_summary,
-        };
+        let Phase1 {
+            tab, end_summary, ..
+        } = phase1;
+        let mut stats = tab.stats;
+        let values = phase2(problem, icfg, &tab.jump, &mut stats, &options)?;
         Ok((
             IdeSolver {
                 values,
@@ -222,7 +240,10 @@ where
                 zero: problem.zero(),
                 stats,
             },
-            next_memo,
+            SolverMemo {
+                jump: tab.jump,
+                end_summary,
+            },
         ))
     }
 
@@ -275,24 +296,35 @@ where
 /// flag rides on map lookups `propagate`/`run` perform anyway).
 type JumpEntry<EF> = (EF, bool);
 
-/// Phase-1 state. Jump functions are keyed `(stmt, d1) → d2 → EF`, where
-/// `d1` is the fact at the start point of `stmt`'s method.
-struct Phase1<G: Icfg, P: IdeProblem<G>> {
-    jump: FastMap<(G::Stmt, P::Fact), FastMap<P::Fact, JumpEntry<P::EF>>>,
+/// What [`Tabulation::propagate`] writes: the jump table, the worklist
+/// and the counters. Jump functions are keyed `(stmt, d1) → d2 → EF`,
+/// where `d1` is the fact at the start point of `stmt`'s method.
+struct Tabulation<G: Icfg, P: IdeProblem<G>> {
+    jump: JumpTable<G::Stmt, P::Fact, P::EF>,
     worklist: VecDeque<(P::Fact, G::Stmt, P::Fact)>,
-    /// (callee, entry fact) → {(call stmt, fact at call, caller sp fact)}.
-    incoming: FastMap<(G::Method, P::Fact), FastSet<(G::Stmt, P::Fact, P::Fact)>>,
-    /// (callee, entry fact) → (exit stmt, exit fact) → summary EF.
-    end_summary: FastMap<(G::Method, P::Fact), FastMap<(G::Stmt, P::Fact), P::EF>>,
+    stats: IdeStats,
+}
+
+/// Phase-1 state. The caller and end-summary tables sit beside the
+/// [`Tabulation`], so a call or exit reads them in place while it
+/// propagates.
+struct Phase1<G: Icfg, P: IdeProblem<G>> {
+    tab: Tabulation<G, P>,
+    incoming: Incoming<G::Method, G::Stmt, P::Fact>,
+    end_summary: EndSummaries<G::Method, G::Stmt, P::Fact, P::EF>,
     /// `(method, entry fact)` keys whose end summaries were preloaded
     /// from a [`SolverMemo`] and are known final: calls reaching such an
     /// entry apply the cached summaries without re-tabulating the callee
     /// body for that entry fact.
     sealed: FastSet<(G::Method, P::Fact)>,
-    stats: IdeStats,
+    /// Flow-result buffers, one per nesting level: a call's return flows
+    /// are evaluated while its call flow's results are still being read.
+    normal_buf: Vec<(P::Fact, P::EF)>,
+    call_buf: Vec<(P::Fact, P::EF)>,
+    ret_buf: Vec<(P::Fact, P::EF)>,
 }
 
-impl<G, P> Phase1<G, P>
+impl<G, P> Tabulation<G, P>
 where
     G: Icfg,
     P: IdeProblem<G>,
@@ -346,37 +378,45 @@ where
         *queued = false;
         Some(f.clone())
     }
+}
 
+impl<G, P> Phase1<G, P>
+where
+    G: Icfg,
+    P: IdeProblem<G>,
+{
     fn run(&mut self, problem: &P, icfg: &G, options: &IdeSolverOptions) -> Result<(), SolveAbort> {
         let governed = options.limits.armed() || options.poll_budget;
         for (sp, fact) in problem.initial_seeds(icfg) {
-            self.propagate(fact.clone(), sp, fact, problem.id_edge());
+            self.tab
+                .propagate(fact.clone(), sp, fact, problem.id_edge());
         }
-        while let Some((d1, n, d2)) = self.worklist.pop_front() {
-            self.stats.propagations += 1;
+        while let Some((d1, n, d2)) = self.tab.worklist.pop_front() {
+            self.tab.stats.propagations += 1;
             if governed {
-                governance_check(options, self.stats.propagations, problem)?;
+                governance_check(options, self.tab.stats.propagations, problem)?;
             }
             // Snapshot of the (current) jump function for this triple;
             // clears its pending flag.
-            let Some(f) = self.take_jump(n, &d1, &d2) else {
+            let Some(f) = self.tab.take_jump(n, &d1, &d2) else {
                 continue;
             };
-            let method = icfg.method_of(n);
             if icfg.is_call(n) {
                 self.process_call(problem, icfg, &d1, n, &d2, &f);
             } else {
                 if icfg.is_exit(n) {
-                    self.process_exit(problem, icfg, method, &d1, n, &d2, &f);
+                    self.process_exit(problem, icfg, &d1, n, &d2, &f);
                 }
                 // Exit statements normally have no successors, but in a
                 // lifted SPL graph a *disabled* return falls through
                 // (paper Fig. 4): propagate normal flow along any extra
                 // successors the ICFG reports.
-                for succ in icfg.successors_of(n) {
-                    self.stats.flow_evals += 1;
-                    for (d3, g) in problem.flow_normal(icfg, n, succ, &d2) {
-                        self.propagate(d1.clone(), succ, d3, f.compose_with(&g));
+                for &succ in icfg.successors_of(n) {
+                    self.tab.stats.flow_evals += 1;
+                    self.normal_buf.clear();
+                    problem.flow_normal(icfg, n, succ, &d2, &mut self.normal_buf);
+                    for (d3, g) in self.normal_buf.drain(..) {
+                        self.tab.propagate(d1.clone(), succ, d3, f.compose_with(&g));
                     }
                 }
             }
@@ -393,60 +433,64 @@ where
         d2: &P::Fact,
         f: &P::EF,
     ) {
-        for callee in icfg.callees_of(n) {
-            self.stats.flow_evals += 1;
-            for (d3, g_call) in problem.flow_call(icfg, n, callee, d2) {
+        for &callee in icfg.callees_of(n) {
+            self.tab.stats.flow_evals += 1;
+            self.call_buf.clear();
+            problem.flow_call(icfg, n, callee, d2, &mut self.call_buf);
+            for (d3, g_call) in self.call_buf.iter() {
                 let sp = icfg.start_point_of(callee);
                 let key = (callee, d3.clone());
                 // Callee-local jump functions start from the identity —
-                // unless this entry is sealed (its summaries were
+                // unless this entry is self.sealed (its summaries were
                 // preloaded at fixpoint), in which case re-tabulating
                 // the callee body would be pure wasted work.
                 if !self.sealed.contains(&key) {
-                    self.propagate(d3.clone(), sp, d3.clone(), problem.id_edge());
+                    self.tab
+                        .propagate(d3.clone(), sp, d3.clone(), problem.id_edge());
                 }
                 self.incoming
                     .entry(key.clone())
                     .or_default()
                     .insert((n, d2.clone(), d1.clone()));
-                let summaries: Vec<((G::Stmt, P::Fact), P::EF)> = self
-                    .end_summary
-                    .get(&key)
-                    .map(|m| m.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
-                    .unwrap_or_default();
+                let Some(summaries) = self.end_summary.get(&key) else {
+                    continue;
+                };
                 for ((exit, d4), f_summary) in summaries {
-                    for r in icfg.return_sites_of(n) {
-                        self.stats.flow_evals += 1;
-                        for (d5, g_ret) in problem.flow_return(icfg, n, callee, exit, r, &d4) {
+                    for &r in icfg.return_sites_of(n) {
+                        self.tab.stats.flow_evals += 1;
+                        self.ret_buf.clear();
+                        problem.flow_return(icfg, n, callee, *exit, r, d4, &mut self.ret_buf);
+                        for (d5, g_ret) in self.ret_buf.drain(..) {
                             let composed = f
-                                .compose_with(&g_call)
-                                .compose_with(&f_summary)
+                                .compose_with(g_call)
+                                .compose_with(f_summary)
                                 .compose_with(&g_ret);
-                            self.propagate(d1.clone(), r, d5, composed);
+                            self.tab.propagate(d1.clone(), r, d5, composed);
                         }
                     }
                 }
             }
         }
-        for r in icfg.return_sites_of(n) {
-            self.stats.flow_evals += 1;
-            for (d3, g) in problem.flow_call_to_return(icfg, n, r, d2) {
-                self.propagate(d1.clone(), r, d3, f.compose_with(&g));
+        for &r in icfg.return_sites_of(n) {
+            self.tab.stats.flow_evals += 1;
+            self.normal_buf.clear();
+            problem.flow_call_to_return(icfg, n, r, d2, &mut self.normal_buf);
+            for (d3, g) in self.normal_buf.drain(..) {
+                self.tab.propagate(d1.clone(), r, d3, f.compose_with(&g));
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn process_exit(
         &mut self,
         problem: &P,
         icfg: &G,
-        method: G::Method,
         d1: &P::Fact,
         n: G::Stmt,
         d2: &P::Fact,
         f: &P::EF,
     ) {
+        let method = icfg.method_of(n);
         let key = (method, d1.clone());
         let entry = self
             .end_summary
@@ -472,28 +516,30 @@ where
         if !changed {
             return;
         }
-        let callers: Vec<(G::Stmt, P::Fact, P::Fact)> = self
-            .incoming
-            .get(&key)
-            .map(|s| s.iter().cloned().collect())
-            .unwrap_or_default();
+        let Some(callers) = self.incoming.get(&key) else {
+            return;
+        };
         for (call, d2c, d1c) in callers {
-            let Some(f_prefix) = self.jump_of(call, &d1c, &d2c) else {
+            let Some(f_prefix) = self.tab.jump_of(*call, d1c, d2c) else {
                 continue;
             };
-            self.stats.flow_evals += 1;
-            for (d3, g_call) in problem.flow_call(icfg, call, method, &d2c) {
-                if d3 != *d1 {
+            self.tab.stats.flow_evals += 1;
+            self.call_buf.clear();
+            problem.flow_call(icfg, *call, method, d2c, &mut self.call_buf);
+            for (d3, g_call) in self.call_buf.iter() {
+                if d3 != d1 {
                     continue;
                 }
-                for r in icfg.return_sites_of(call) {
-                    self.stats.flow_evals += 1;
-                    for (d5, g_ret) in problem.flow_return(icfg, call, method, n, r, d2) {
+                for &r in icfg.return_sites_of(*call) {
+                    self.tab.stats.flow_evals += 1;
+                    self.ret_buf.clear();
+                    problem.flow_return(icfg, *call, method, n, r, d2, &mut self.ret_buf);
+                    for (d5, g_ret) in self.ret_buf.drain(..) {
                         let composed = f_prefix
-                            .compose_with(&g_call)
-                            .compose_with(&f.clone())
+                            .compose_with(g_call)
+                            .compose_with(f)
                             .compose_with(&g_ret);
-                        self.propagate(d1c.clone(), r, d5, composed);
+                        self.tab.propagate(d1c.clone(), r, d5, composed);
                     }
                 }
             }
@@ -520,24 +566,26 @@ where
 }
 
 /// Phase 2: propagate concrete values to all procedure entries, then
-/// evaluate every jump function once.
+/// evaluate every jump function once. Counts its value updates in
+/// `stats`.
 fn phase2<G, P>(
     problem: &P,
     icfg: &G,
-    jump: &FastMap<(G::Stmt, P::Fact), FastMap<P::Fact, JumpEntry<P::EF>>>,
-    mut stats: IdeStats,
+    jump: &JumpTable<G::Stmt, P::Fact, P::EF>,
+    stats: &mut IdeStats,
     options: &IdeSolverOptions,
-) -> Result<(FastMap<G::Stmt, FastMap<P::Fact, P::Value>>, IdeStats), SolveAbort>
+) -> Result<ValuesOf<G, P>, SolveAbort>
 where
     G: Icfg,
     P: IdeProblem<G>,
 {
     let governed = options.limits.armed() || options.poll_budget;
-    let mut values: FastMap<G::Stmt, FastMap<P::Fact, P::Value>> = FastMap::default();
+    let mut values: ValuesOf<G, P> = FastMap::default();
     let mut worklist: VecDeque<(G::Method, P::Fact)> = VecDeque::new();
+    let mut call_buf: Vec<(P::Fact, P::EF)> = Vec::new();
     let top = problem.top();
 
-    let update = |values: &mut FastMap<G::Stmt, FastMap<P::Fact, P::Value>>,
+    let update = |values: &mut ValuesOf<G, P>,
                   stats: &mut IdeStats,
                   stmt: G::Stmt,
                   fact: P::Fact,
@@ -559,13 +607,7 @@ where
     };
 
     for (sp, fact) in problem.initial_seeds(icfg) {
-        if update(
-            &mut values,
-            &mut stats,
-            sp,
-            fact.clone(),
-            problem.seed_value(),
-        ) {
+        if update(&mut values, stats, sp, fact.clone(), problem.seed_value()) {
             worklist.push_back((icfg.method_of(sp), fact));
         }
     }
@@ -590,14 +632,16 @@ where
                 if vc == top {
                     continue;
                 }
-                for callee in icfg.callees_of(call) {
-                    for (d3, g) in problem.flow_call(icfg, call, callee, d2) {
+                for &callee in icfg.callees_of(call) {
+                    call_buf.clear();
+                    problem.flow_call(icfg, call, callee, d2, &mut call_buf);
+                    for (d3, g) in call_buf.drain(..) {
                         let nv = g.apply(&vc);
                         if nv == top {
                             continue;
                         }
                         let spq = icfg.start_point_of(callee);
-                        if update(&mut values, &mut stats, spq, d3.clone(), nv) {
+                        if update(&mut values, stats, spq, d3.clone(), nv) {
                             worklist.push_back((callee, d3));
                         }
                     }
@@ -630,7 +674,7 @@ where
                 if nv == top {
                     continue;
                 }
-                update(&mut values, &mut stats, n, d2.clone(), nv);
+                update(&mut values, stats, n, d2.clone(), nv);
             }
         }
     }
@@ -642,5 +686,5 @@ where
         governance_check(options, stats.propagations, problem)?;
     }
 
-    Ok((values, stats))
+    Ok(values)
 }

@@ -92,50 +92,54 @@ impl IdeProblem<SimpleGraph> for ConstProp {
         CpEdge::Id
     }
 
-    fn flow_normal(&self, g: &SimpleGraph, curr: u32, _succ: u32, d: &Fact) -> Vec<(Fact, CpEdge)> {
+    fn flow_normal(
+        &self,
+        g: &SimpleGraph,
+        curr: u32,
+        _succ: u32,
+        d: &Fact,
+        out: &mut Vec<(Fact, CpEdge)>,
+    ) {
         let parts: Vec<&str> = g.label(curr).split_whitespace().collect();
         match parts.as_slice() {
             ["set", x, c] => {
                 let c: i64 = c.parse().unwrap();
                 if d == "0" {
-                    vec![(zero(), CpEdge::Id), ((*x).to_owned(), CpEdge::Const(c))]
-                } else if d == x {
-                    vec![]
-                } else {
-                    vec![(d.clone(), CpEdge::Id)]
+                    out.extend([(zero(), CpEdge::Id), ((*x).to_owned(), CpEdge::Const(c))]);
+                } else if d != x {
+                    out.push((d.clone(), CpEdge::Id));
                 }
             }
             ["copy", x, y] => {
                 if d == x {
-                    vec![((*x).to_owned(), CpEdge::Id), ((*y).to_owned(), CpEdge::Id)]
-                } else if d == y {
-                    vec![]
-                } else {
-                    vec![(d.clone(), CpEdge::Id)]
+                    out.extend([((*x).to_owned(), CpEdge::Id), ((*y).to_owned(), CpEdge::Id)]);
+                } else if d != y {
+                    out.push((d.clone(), CpEdge::Id));
                 }
             }
-            ["cut", x] => {
-                if d == x {
-                    vec![((*x).to_owned(), CpEdge::Kill)]
-                } else {
-                    vec![(d.clone(), CpEdge::Id)]
-                }
-            }
-            _ => vec![(d.clone(), CpEdge::Id)],
+            ["cut", x] if d == x => out.push(((*x).to_owned(), CpEdge::Kill)),
+            _ => out.push((d.clone(), CpEdge::Id)),
         }
     }
 
-    fn flow_call(&self, g: &SimpleGraph, call: u32, _callee: u32, d: &Fact) -> Vec<(Fact, CpEdge)> {
-        let parts: Vec<&str> = g.label(call).split_whitespace().collect();
+    fn flow_call(
+        &self,
+        g: &SimpleGraph,
+        call: u32,
+        _callee: u32,
+        d: &Fact,
+        out: &mut Vec<(Fact, CpEdge)>,
+    ) {
         if d == "0" {
-            return vec![(zero(), CpEdge::Id)];
+            out.push((zero(), CpEdge::Id));
+            return;
         }
+        let parts: Vec<&str> = g.label(call).split_whitespace().collect();
         if let Some(i) = parts.iter().position(|&p| p == "pass") {
             if parts.get(i + 1) == Some(&d.as_str()) {
-                return vec![("arg".into(), CpEdge::Id)];
+                out.push(("arg".into(), CpEdge::Id));
             }
         }
-        Vec::new()
     }
 
     fn flow_return(
@@ -146,14 +150,13 @@ impl IdeProblem<SimpleGraph> for ConstProp {
         _exit: u32,
         _r: u32,
         d: &Fact,
-    ) -> Vec<(Fact, CpEdge)> {
+        out: &mut Vec<(Fact, CpEdge)>,
+    ) {
         if d == "ret" {
             if let Some(pos) = g.label(call).find(" into ") {
-                let y = g.label(call)[pos + 6..].trim().to_owned();
-                return vec![(y, CpEdge::Id)];
+                out.push((g.label(call)[pos + 6..].trim().to_owned(), CpEdge::Id));
             }
         }
-        Vec::new()
     }
 
     fn flow_call_to_return(
@@ -162,14 +165,14 @@ impl IdeProblem<SimpleGraph> for ConstProp {
         call: u32,
         _r: u32,
         d: &Fact,
-    ) -> Vec<(Fact, CpEdge)> {
+        out: &mut Vec<(Fact, CpEdge)>,
+    ) {
         if let Some(pos) = g.label(call).find(" into ") {
-            let y = g.label(call)[pos + 6..].trim();
-            if d == y {
-                return Vec::new();
+            if d == g.label(call)[pos + 6..].trim() {
+                return;
             }
         }
-        vec![(d.clone(), CpEdge::Id)]
+        out.push((d.clone(), CpEdge::Id));
     }
 }
 
@@ -357,28 +360,35 @@ impl IfdsProblem<SimpleGraph> for GenKill {
         "0".into()
     }
 
-    fn flow_normal(&self, g: &SimpleGraph, curr: u32, _succ: u32, d: &String) -> Vec<String> {
+    fn flow_normal(
+        &self,
+        g: &SimpleGraph,
+        curr: u32,
+        _succ: u32,
+        d: &String,
+        out: &mut Vec<String>,
+    ) {
         let parts: Vec<&str> = g.label(curr).split_whitespace().collect();
         match parts.as_slice() {
-            ["gen", x] if d == "0" => vec!["0".into(), (*x).to_owned()],
-            ["kill", x] if d == x => vec![],
-            ["copy", x, y] if d == x => vec![(*x).to_owned(), (*y).to_owned()],
-            ["copy", _, y] if d == y => vec![],
-            _ => vec![d.clone()],
+            ["gen", x] if d == "0" => out.extend(["0".into(), (*x).to_owned()]),
+            ["kill", x] if d == x => {}
+            ["copy", x, y] if d == x => out.extend([(*x).to_owned(), (*y).to_owned()]),
+            ["copy", _, y] if d == y => {}
+            _ => out.push(d.clone()),
         }
     }
 
-    fn flow_call(&self, g: &SimpleGraph, call: u32, _q: u32, d: &String) -> Vec<String> {
-        let parts: Vec<&str> = g.label(call).split_whitespace().collect();
+    fn flow_call(&self, g: &SimpleGraph, call: u32, _q: u32, d: &String, out: &mut Vec<String>) {
         if d == "0" {
-            return vec!["0".into()];
+            out.push("0".into());
+            return;
         }
+        let parts: Vec<&str> = g.label(call).split_whitespace().collect();
         if let Some(i) = parts.iter().position(|&p| p == "pass") {
             if parts.get(i + 1) == Some(&d.as_str()) {
-                return vec!["arg".into()];
+                out.push("arg".into());
             }
         }
-        Vec::new()
     }
 
     fn flow_return(
@@ -389,16 +399,15 @@ impl IfdsProblem<SimpleGraph> for GenKill {
         _e: u32,
         _r: u32,
         d: &String,
-    ) -> Vec<String> {
+        out: &mut Vec<String>,
+    ) {
         if d == "0" {
-            return vec!["0".into()];
-        }
-        if d == "ret" {
+            out.push("0".into());
+        } else if d == "ret" {
             if let Some(pos) = g.label(call).find(" into ") {
-                return vec![g.label(call)[pos + 6..].trim().to_owned()];
+                out.push(g.label(call)[pos + 6..].trim().to_owned());
             }
         }
-        Vec::new()
     }
 }
 

@@ -34,16 +34,19 @@ pub trait Icfg {
 
     /// Intra-procedural successors of `s`. For a call statement these are
     /// its return sites; for an exit statement this is empty.
-    fn successors_of(&self, s: Self::Stmt) -> Vec<Self::Stmt>;
+    ///
+    /// The adjacency queries return slices into tables the graph builds
+    /// once, so the solvers' inner loops never allocate to walk an edge.
+    fn successors_of(&self, s: Self::Stmt) -> &[Self::Stmt];
 
     /// `true` iff `s` is a call statement.
     fn is_call(&self, s: Self::Stmt) -> bool;
 
     /// The methods possibly called at call site `s` (per the call graph).
-    fn callees_of(&self, s: Self::Stmt) -> Vec<Self::Method>;
+    fn callees_of(&self, s: Self::Stmt) -> &[Self::Method];
 
     /// The return sites of call site `s` (its intra-procedural successors).
-    fn return_sites_of(&self, s: Self::Stmt) -> Vec<Self::Stmt> {
+    fn return_sites_of(&self, s: Self::Stmt) -> &[Self::Stmt] {
         self.successors_of(s)
     }
 

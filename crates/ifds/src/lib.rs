@@ -32,10 +32,20 @@
 //! impl IfdsProblem<SimpleGraph> for Gen {
 //!     type Fact = &'static str;
 //!     fn zero(&self) -> &'static str { "0" }
-//!     fn flow_normal(&self, g: &SimpleGraph, curr: u32, _succ: u32, d: &&'static str)
-//!         -> Vec<&'static str>
-//!     {
-//!         if g.label(curr) == "gen" && *d == "0" { vec!["0", "x"] } else { vec![*d] }
+//!     // Flow functions append their target facts to a buffer the
+//!     // solver owns and reuses.
+//!     fn flow_normal(
+//!         &self,
+//!         g: &SimpleGraph,
+//!         curr: u32,
+//!         _succ: u32,
+//!         d: &&'static str,
+//!         out: &mut Vec<&'static str>,
+//!     ) {
+//!         out.push(*d);
+//!         if g.label(curr) == "gen" && *d == "0" {
+//!             out.push("x");
+//!         }
 //!     }
 //! }
 //!

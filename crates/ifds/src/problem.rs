@@ -18,6 +18,13 @@ use std::hash::Hash;
 /// input fact unchanged is the usual default. Facts are *generated* by
 /// returning them from a flow function applied to `0`, and *killed* by not
 /// returning them.
+///
+/// Every flow function *appends* its target facts to the caller-owned
+/// buffer `out`, in a deterministic order, and leaves the entries already
+/// in `out` alone. The solvers clear and reuse one buffer per nesting
+/// level, so evaluating a flow function allocates nothing once the
+/// buffers have grown; the order of the appended facts is the order in
+/// which the solver queues them.
 pub trait IfdsProblem<G: Icfg> {
     /// A data-flow fact.
     type Fact: Clone + Eq + Hash + Debug;
@@ -35,9 +42,10 @@ pub trait IfdsProblem<G: Icfg> {
         curr: G::Stmt,
         succ: G::Stmt,
         fact: &Self::Fact,
-    ) -> Vec<Self::Fact> {
+        out: &mut Vec<Self::Fact>,
+    ) {
         let _ = (icfg, curr, succ);
-        vec![fact.clone()]
+        out.push(fact.clone());
     }
 
     /// Flow from call site `call` into `callee` (actual→formal transfer).
@@ -50,12 +58,11 @@ pub trait IfdsProblem<G: Icfg> {
         call: G::Stmt,
         callee: G::Method,
         fact: &Self::Fact,
-    ) -> Vec<Self::Fact> {
+        out: &mut Vec<Self::Fact>,
+    ) {
         let _ = (icfg, call, callee);
         if *fact == self.zero() {
-            vec![self.zero()]
-        } else {
-            Vec::new()
+            out.push(self.zero());
         }
     }
 
@@ -63,6 +70,7 @@ pub trait IfdsProblem<G: Icfg> {
     /// `call` (return-value transfer).
     ///
     /// The default maps `0` to `0` and kills everything else.
+    #[allow(clippy::too_many_arguments)] // the four program points of a return edge, plus the buffer
     fn flow_return(
         &self,
         icfg: &G,
@@ -71,12 +79,11 @@ pub trait IfdsProblem<G: Icfg> {
         exit: G::Stmt,
         return_site: G::Stmt,
         fact: &Self::Fact,
-    ) -> Vec<Self::Fact> {
+        out: &mut Vec<Self::Fact>,
+    ) {
         let _ = (icfg, call, callee, exit, return_site);
         if *fact == self.zero() {
-            vec![self.zero()]
-        } else {
-            Vec::new()
+            out.push(self.zero());
         }
     }
 
@@ -90,9 +97,10 @@ pub trait IfdsProblem<G: Icfg> {
         call: G::Stmt,
         return_site: G::Stmt,
         fact: &Self::Fact,
-    ) -> Vec<Self::Fact> {
+        out: &mut Vec<Self::Fact>,
+    ) {
         let _ = (icfg, call, return_site);
-        vec![fact.clone()]
+        out.push(fact.clone());
     }
 
     /// Initial seeds: facts assumed to hold at the start points of the

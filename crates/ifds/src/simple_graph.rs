@@ -109,16 +109,16 @@ impl Icfg for SimpleGraph {
         self.stmts[s as usize].method
     }
 
-    fn successors_of(&self, s: u32) -> Vec<u32> {
-        self.stmts[s as usize].succs.clone()
+    fn successors_of(&self, s: u32) -> &[u32] {
+        &self.stmts[s as usize].succs
     }
 
     fn is_call(&self, s: u32) -> bool {
         self.stmts[s as usize].kind == StmtKind::Call
     }
 
-    fn callees_of(&self, s: u32) -> Vec<u32> {
-        self.stmts[s as usize].callees.clone()
+    fn callees_of(&self, s: u32) -> &[u32] {
+        &self.stmts[s as usize].callees
     }
 
     fn is_exit(&self, s: u32) -> bool {

@@ -133,11 +133,15 @@ where
             path_edges: FastSet::default(),
             worklist: VecDeque::new(),
             predecessors: FastMap::default(),
-            incoming: FastMap::default(),
-            end_summary: FastMap::default(),
             results: FastMap::default(),
             stats: SolverStats::default(),
         };
+        let mut incoming: Incoming<G, D> = FastMap::default();
+        let mut end_summary: EndSummaries<G, D> = FastMap::default();
+        // One flow-result buffer per nesting level: a call's return flows
+        // are evaluated while its call flow's results are still read.
+        let mut buf: Vec<D> = Vec::new();
+        let mut ret_buf: Vec<D> = Vec::new();
 
         for (sp, fact) in problem.initial_seeds(icfg) {
             state.propagate(fact.clone(), sp, fact, None);
@@ -151,62 +155,64 @@ where
             let method = icfg.method_of(n);
             if icfg.is_call(n) {
                 // Call flows into callees.
-                for callee in icfg.callees_of(n) {
+                for &callee in icfg.callees_of(n) {
                     state.stats.flow_evals += 1;
-                    for d3 in problem.flow_call(icfg, n, callee, &d2) {
+                    buf.clear();
+                    problem.flow_call(icfg, n, callee, &d2, &mut buf);
+                    for d3 in &buf {
                         let sp = icfg.start_point_of(callee);
                         state.propagate(d3.clone(), sp, d3.clone(), Some((n, d2.clone())));
                         let inc_key = (callee, d3.clone());
-                        state.incoming.entry(inc_key.clone()).or_default().insert((
+                        incoming.entry(inc_key.clone()).or_default().insert((
                             n,
                             d2.clone(),
                             d1.clone(),
                         ));
                         // Apply already-known summaries for this callee
                         // entry fact.
-                        let summaries: Vec<(G::Stmt, D)> = state
-                            .end_summary
-                            .get(&inc_key)
-                            .map(|s| s.iter().cloned().collect())
-                            .unwrap_or_default();
+                        let Some(summaries) = end_summary.get(&inc_key) else {
+                            continue;
+                        };
                         for (exit, d4) in summaries {
-                            for r in icfg.return_sites_of(n) {
+                            for &r in icfg.return_sites_of(n) {
                                 state.stats.flow_evals += 1;
-                                for d5 in problem.flow_return(icfg, n, callee, exit, r, &d4) {
-                                    state.propagate(d1.clone(), r, d5, Some((exit, d4.clone())));
+                                ret_buf.clear();
+                                problem.flow_return(icfg, n, callee, *exit, r, d4, &mut ret_buf);
+                                for d5 in ret_buf.drain(..) {
+                                    state.propagate(d1.clone(), r, d5, Some((*exit, d4.clone())));
                                 }
                             }
                         }
                     }
                 }
                 // Intra-procedural flow across the call.
-                for r in icfg.return_sites_of(n) {
+                for &r in icfg.return_sites_of(n) {
                     state.stats.flow_evals += 1;
-                    for d3 in problem.flow_call_to_return(icfg, n, r, &d2) {
+                    buf.clear();
+                    problem.flow_call_to_return(icfg, n, r, &d2, &mut buf);
+                    for d3 in buf.drain(..) {
                         state.propagate(d1.clone(), r, d3, Some((n, d2.clone())));
                     }
                 }
-            } else if icfg.is_exit(n) {
-                // Record an end summary and resolve pending callers.
-                let key = (method, d1.clone());
-                if state
-                    .end_summary
-                    .entry(key.clone())
-                    .or_default()
-                    .insert((n, d2.clone()))
-                {
-                    state.stats.summaries += 1;
-                }
-                let callers: Vec<(G::Stmt, D, D)> = state
-                    .incoming
-                    .get(&key)
-                    .map(|s| s.iter().cloned().collect())
-                    .unwrap_or_default();
-                for (call, _d2_caller, d1_caller) in callers {
-                    for r in icfg.return_sites_of(call) {
-                        state.stats.flow_evals += 1;
-                        for d5 in problem.flow_return(icfg, call, method, n, r, &d2) {
-                            state.propagate(d1_caller.clone(), r, d5, Some((n, d2.clone())));
+            } else {
+                if icfg.is_exit(n) {
+                    // Record an end summary and resolve pending callers.
+                    let key = (method, d1.clone());
+                    if end_summary
+                        .entry(key.clone())
+                        .or_default()
+                        .insert((n, d2.clone()))
+                    {
+                        state.stats.summaries += 1;
+                    }
+                    for (call, _d2_caller, d1_caller) in incoming.get(&key).into_iter().flatten() {
+                        for &r in icfg.return_sites_of(*call) {
+                            state.stats.flow_evals += 1;
+                            buf.clear();
+                            problem.flow_return(icfg, *call, method, n, r, &d2, &mut buf);
+                            for d5 in buf.drain(..) {
+                                state.propagate(d1_caller.clone(), r, d5, Some((n, d2.clone())));
+                            }
                         }
                     }
                 }
@@ -214,16 +220,11 @@ where
                 // lifted SPL graph a *disabled* return falls through
                 // (paper Fig. 4): propagate normal flow along any extra
                 // successors the ICFG reports.
-                for succ in icfg.successors_of(n) {
+                for &succ in icfg.successors_of(n) {
                     state.stats.flow_evals += 1;
-                    for d3 in problem.flow_normal(icfg, n, succ, &d2) {
-                        state.propagate(d1.clone(), succ, d3, Some((n, d2.clone())));
-                    }
-                }
-            } else {
-                for succ in icfg.successors_of(n) {
-                    state.stats.flow_evals += 1;
-                    for d3 in problem.flow_normal(icfg, n, succ, &d2) {
+                    buf.clear();
+                    problem.flow_normal(icfg, n, succ, &d2, &mut buf);
+                    for d3 in buf.drain(..) {
                         state.propagate(d1.clone(), succ, d3, Some((n, d2.clone())));
                     }
                 }
@@ -291,14 +292,19 @@ where
     }
 }
 
+/// (callee, entry fact) → callers: (call stmt, fact at call, caller sp fact).
+type Incoming<G, D> = FastMap<(<G as Icfg>::Method, D), FastSet<(<G as Icfg>::Stmt, D, D)>>;
+
+/// (method, entry fact) → exits: (exit stmt, exit fact).
+type EndSummaries<G, D> = FastMap<(<G as Icfg>::Method, D), FastSet<(<G as Icfg>::Stmt, D)>>;
+
+/// What [`State::propagate`] writes. The caller and end-summary tables
+/// live beside it, so a solve can read them in place while it
+/// propagates.
 struct State<G: Icfg, D: Clone + Eq + std::hash::Hash> {
     path_edges: FastSet<PathEdge<G::Stmt, D>>,
     worklist: VecDeque<PathEdge<G::Stmt, D>>,
     predecessors: FastMap<(G::Stmt, D), (G::Stmt, D)>,
-    /// (callee, entry fact) → callers: (call stmt, fact at call, caller sp fact).
-    incoming: FastMap<(G::Method, D), FastSet<(G::Stmt, D, D)>>,
-    /// (method, entry fact) → exits: (exit stmt, exit fact).
-    end_summary: FastMap<(G::Method, D), FastSet<(G::Stmt, D)>>,
     results: FastMap<G::Stmt, FastSet<D>>,
     stats: SolverStats,
 }

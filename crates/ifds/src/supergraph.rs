@@ -42,12 +42,15 @@ where
     for s in solver.statements() {
         facts_by_stmt.insert(s, solver.results_at(s).into_iter().collect());
     }
+    let mut buf = Vec::new();
     for (&s, facts) in &facts_by_stmt {
         for d in facts {
             if icfg.is_call(s) {
-                for callee in icfg.callees_of(s) {
+                for &callee in icfg.callees_of(s) {
                     let sp = icfg.start_point_of(callee);
-                    for d3 in problem.flow_call(icfg, s, callee, d) {
+                    buf.clear();
+                    problem.flow_call(icfg, s, callee, d, &mut buf);
+                    for d3 in buf.drain(..) {
                         out.insert(ExplodedEdge {
                             from_stmt: icfg.stmt_label(s),
                             from_fact: fact_label(d),
@@ -57,8 +60,10 @@ where
                         });
                     }
                 }
-                for r in icfg.return_sites_of(s) {
-                    for d3 in problem.flow_call_to_return(icfg, s, r, d) {
+                for &r in icfg.return_sites_of(s) {
+                    buf.clear();
+                    problem.flow_call_to_return(icfg, s, r, d, &mut buf);
+                    for d3 in buf.drain(..) {
                         out.insert(ExplodedEdge {
                             from_stmt: icfg.stmt_label(s),
                             from_fact: fact_label(d),
@@ -75,8 +80,10 @@ where
                         if !icfg.callees_of(call).contains(&icfg.method_of(s)) {
                             continue;
                         }
-                        for r in icfg.return_sites_of(call) {
-                            for d5 in problem.flow_return(icfg, call, icfg.method_of(s), s, r, d) {
+                        for &r in icfg.return_sites_of(call) {
+                            buf.clear();
+                            problem.flow_return(icfg, call, icfg.method_of(s), s, r, d, &mut buf);
+                            for d5 in buf.drain(..) {
                                 out.insert(ExplodedEdge {
                                     from_stmt: icfg.stmt_label(s),
                                     from_fact: fact_label(d),
@@ -89,8 +96,10 @@ where
                     }
                 }
             } else {
-                for succ in icfg.successors_of(s) {
-                    for d3 in problem.flow_normal(icfg, s, succ, d) {
+                for &succ in icfg.successors_of(s) {
+                    buf.clear();
+                    problem.flow_normal(icfg, s, succ, d, &mut buf);
+                    for d3 in buf.drain(..) {
                         out.insert(ExplodedEdge {
                             from_stmt: icfg.stmt_label(s),
                             from_fact: fact_label(d),

@@ -23,49 +23,45 @@ impl IfdsProblem<SimpleGraph> for LabelTaint {
         zero()
     }
 
-    fn flow_normal(&self, g: &SimpleGraph, curr: u32, _succ: u32, d: &Fact) -> Vec<Fact> {
+    fn flow_normal(&self, g: &SimpleGraph, curr: u32, _succ: u32, d: &Fact, out: &mut Vec<Fact>) {
         let label = g.label(curr);
         let mut parts = label.split_whitespace();
         match (parts.next(), parts.next(), parts.next()) {
             (Some("gen"), Some(x), _) => {
+                out.push(d.clone());
                 if d == "0" {
-                    vec![zero(), x.to_owned()]
-                } else {
-                    vec![d.clone()]
+                    out.push(x.to_owned());
                 }
             }
             (Some("kill"), Some(x), _) => {
-                if d == x {
-                    vec![]
-                } else {
-                    vec![d.clone()]
+                if d != x {
+                    out.push(d.clone());
                 }
             }
             (Some("copy"), Some(x), Some(y)) => {
                 if d == x {
-                    vec![x.to_owned(), y.to_owned()]
-                } else if d == y {
-                    vec![] // strong update
-                } else {
-                    vec![d.clone()]
+                    out.extend([x.to_owned(), y.to_owned()]);
+                } else if d != y {
+                    // `d == y` is a strong update: nothing flows.
+                    out.push(d.clone());
                 }
             }
-            _ => vec![d.clone()],
+            _ => out.push(d.clone()),
         }
     }
 
-    fn flow_call(&self, g: &SimpleGraph, call: u32, _callee: u32, d: &Fact) -> Vec<Fact> {
+    fn flow_call(&self, g: &SimpleGraph, call: u32, _callee: u32, d: &Fact, out: &mut Vec<Fact>) {
         // "call pass X": actual X becomes formal "arg" in the callee.
-        let parts: Vec<&str> = g.label(call).split_whitespace().collect();
         if d == "0" {
-            return vec![zero()];
+            out.push(zero());
+            return;
         }
+        let parts: Vec<&str> = g.label(call).split_whitespace().collect();
         if let Some(i) = parts.iter().position(|&p| p == "pass") {
             if parts.get(i + 1) == Some(&d.as_str()) {
-                return vec!["arg".into()];
+                out.push("arg".into());
             }
         }
-        Vec::new()
     }
 
     fn flow_return(
@@ -76,19 +72,20 @@ impl IfdsProblem<SimpleGraph> for LabelTaint {
         _exit: u32,
         _ret_site: u32,
         d: &Fact,
-    ) -> Vec<Fact> {
+        out: &mut Vec<Fact>,
+    ) {
         // At "call ... into Y", the callee fact "ret" maps to Y.
         if d == "0" {
-            return vec![zero()];
+            out.push(zero());
+            return;
         }
         let label = g.label(call);
         if let Some(pos) = label.find(" into ") {
             let y = &label[pos + 6..];
             if d == "ret" {
-                return vec![y.trim().to_owned()];
+                out.push(y.trim().to_owned());
             }
         }
-        Vec::new()
     }
 
     fn flow_call_to_return(
@@ -97,16 +94,17 @@ impl IfdsProblem<SimpleGraph> for LabelTaint {
         call: u32,
         _ret_site: u32,
         d: &Fact,
-    ) -> Vec<Fact> {
+        out: &mut Vec<Fact>,
+    ) {
         // The call assigns its result into Y, so kill Y across the call.
         let label = g.label(call);
         if let Some(pos) = label.find(" into ") {
             let y = label[pos + 6..].trim();
             if d == y {
-                return Vec::new();
+                return;
             }
         }
-        vec![d.clone()]
+        out.push(d.clone());
     }
 }
 

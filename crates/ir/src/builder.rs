@@ -98,14 +98,15 @@ impl ProgramBuilder {
     pub fn method_body(&self, method: MethodId) -> MethodBuilder {
         let m = &self.program.methods[method.index()];
         let mut locals = Vec::new();
-        let this_local = if m.is_static || m.class.is_none() {
-            None
-        } else {
-            locals.push(Local {
-                name: "this".into(),
-                ty: Type::Ref(m.class.expect("instance method has a class")),
-            });
-            Some(LocalId(0))
+        let this_local = match m.class {
+            Some(class) if !m.is_static => {
+                locals.push(Local {
+                    name: "this".into(),
+                    ty: Type::Ref(class),
+                });
+                Some(LocalId(0))
+            }
+            _ => None,
         };
         let mut param_locals = Vec::new();
         for (i, &ty) in m.params.iter().enumerate() {

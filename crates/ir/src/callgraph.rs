@@ -2,7 +2,8 @@
 
 use crate::types::*;
 use crate::Hierarchy;
-use std::collections::{BTreeSet, HashMap};
+use spllift_hash::FastMap;
+use std::collections::BTreeSet;
 
 /// A call graph: per-call-site targets plus the reachable-method set,
 /// computed by a worklist from the program's entry points.
@@ -14,18 +15,18 @@ use std::collections::{BTreeSet, HashMap};
 /// SPLLIFT and the baselines).
 #[derive(Debug, Clone)]
 pub struct CallGraph {
-    targets: HashMap<StmtRef, Vec<MethodId>>,
+    targets: FastMap<StmtRef, Vec<MethodId>>,
     reachable: BTreeSet<MethodId>,
     /// Call sites per callee, for reverse queries.
-    callers: HashMap<MethodId, Vec<StmtRef>>,
+    callers: FastMap<MethodId, Vec<StmtRef>>,
 }
 
 impl CallGraph {
     /// Builds the call graph of `program` using `hierarchy` for virtual
     /// dispatch.
     pub fn build(program: &Program, hierarchy: &Hierarchy) -> Self {
-        let mut targets: HashMap<StmtRef, Vec<MethodId>> = HashMap::new();
-        let mut callers: HashMap<MethodId, Vec<StmtRef>> = HashMap::new();
+        let mut targets: FastMap<StmtRef, Vec<MethodId>> = FastMap::default();
+        let mut callers: FastMap<MethodId, Vec<StmtRef>> = FastMap::default();
         let mut reachable: BTreeSet<MethodId> = BTreeSet::new();
         let mut worklist: Vec<MethodId> = program.entry_points().to_vec();
         while let Some(m) = worklist.pop() {
@@ -110,7 +111,7 @@ pub fn transitive_callers(
     roots: &BTreeSet<MethodId>,
 ) -> BTreeSet<MethodId> {
     // callee → callers, over all bodies.
-    let mut callers: HashMap<MethodId, Vec<MethodId>> = HashMap::new();
+    let mut callers: FastMap<MethodId, Vec<MethodId>> = FastMap::default();
     for m in program.methods_with_body() {
         let body = program.body(m);
         for stmt in &body.stmts {

@@ -10,24 +10,94 @@ use spllift_ifds::Icfg;
 ///
 /// Construction builds the class hierarchy and the call graph; this is the
 /// analogue of the "Soot/CG" preprocessing step the paper times separately
-/// in Table 2.
+/// in Table 2. It also tabulates every statement's successors and its
+/// callees that have bodies, so the adjacency queries the solvers make
+/// per propagation return slices of these tables.
 #[derive(Debug)]
 pub struct ProgramIcfg<'p> {
     program: &'p Program,
     hierarchy: Hierarchy,
     call_graph: CallGraph,
+    /// Dense id of each method's statement 0; the statement at `index`
+    /// of method `m` has dense id `first_stmt[m] + index`.
+    first_stmt: Vec<u32>,
+    successors: Adjacency<StmtRef>,
+    callees: Adjacency<MethodId>,
+}
+
+/// One list per statement, flattened: the list of the statement with
+/// dense id `k` is `items[starts[k]..starts[k + 1]]`.
+#[derive(Debug)]
+struct Adjacency<T> {
+    starts: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T> Adjacency<T> {
+    /// An empty table with room for the lists of `stmts` statements.
+    fn with_capacity(stmts: usize) -> Self {
+        let mut starts = Vec::with_capacity(stmts + 1);
+        starts.push(0);
+        Adjacency {
+            starts,
+            items: Vec::with_capacity(stmts),
+        }
+    }
+
+    /// Appends the list of the next statement.
+    fn push(&mut self, list: impl IntoIterator<Item = T>) {
+        self.items.extend(list);
+        self.starts.push(self.items.len() as u32);
+    }
+
+    fn get(&self, k: usize) -> &[T] {
+        &self.items[self.starts[k] as usize..self.starts[k + 1] as usize]
+    }
 }
 
 impl<'p> ProgramIcfg<'p> {
-    /// Builds hierarchy + call graph for `program`.
+    /// Builds hierarchy + call graph for `program`, and the adjacency
+    /// tables of every method body.
     pub fn new(program: &'p Program) -> Self {
         let hierarchy = Hierarchy::new(program);
         let call_graph = CallGraph::build(program, &hierarchy);
+        let stmts = program.stmt_count();
+        let mut first_stmt = Vec::with_capacity(program.methods().len());
+        let mut successors = Adjacency::with_capacity(stmts);
+        let mut callees = Adjacency::with_capacity(stmts);
+        for (i, method) in program.methods().iter().enumerate() {
+            first_stmt.push(successors.starts.len() as u32 - 1);
+            if method.body.is_none() {
+                continue;
+            }
+            for s in program.stmts_of(MethodId(i as u32)) {
+                successors.push(program.successors_of(s));
+                let targets = match program.stmt(s).kind {
+                    StmtKind::Invoke { .. } => call_graph.callees_of(s),
+                    _ => &[],
+                };
+                callees.push(
+                    targets
+                        .iter()
+                        .copied()
+                        .filter(|&m| program.method(m).body.is_some()),
+                );
+            }
+        }
         ProgramIcfg {
             program,
             hierarchy,
             call_graph,
+            first_stmt,
+            successors,
+            callees,
         }
+    }
+
+    /// The dense id of `s` in the adjacency tables.
+    fn slot(&self, s: StmtRef) -> usize {
+        debug_assert!((s.index as usize) < self.program.body(s.method).stmts.len());
+        self.first_stmt[s.method.index()] as usize + s.index as usize
     }
 
     /// The underlying program.
@@ -78,8 +148,8 @@ impl Icfg for ProgramIcfg<'_> {
         s.method
     }
 
-    fn successors_of(&self, s: StmtRef) -> Vec<StmtRef> {
-        self.program.successors_of(s)
+    fn successors_of(&self, s: StmtRef) -> &[StmtRef] {
+        self.successors.get(self.slot(s))
     }
 
     fn is_call(&self, s: StmtRef) -> bool {
@@ -87,13 +157,8 @@ impl Icfg for ProgramIcfg<'_> {
             && !self.call_graph.callees_of(s).is_empty()
     }
 
-    fn callees_of(&self, s: StmtRef) -> Vec<MethodId> {
-        self.call_graph
-            .callees_of(s)
-            .iter()
-            .copied()
-            .filter(|&m| self.program.method(m).body.is_some())
-            .collect()
+    fn callees_of(&self, s: StmtRef) -> &[MethodId] {
+        self.callees.get(self.slot(s))
     }
 
     fn is_exit(&self, s: StmtRef) -> bool {

@@ -52,6 +52,7 @@ pub fn fig1() -> Fig1 {
     let mut pb = ProgramBuilder::new();
     let secret = pb.declare_method("secret", None, &[], Some(Type::Int), true);
     let print = pb.declare_method("print", None, &[Type::Int], None, true);
+    #[allow(clippy::disallowed_names)] // Fig. 1 of the paper names this method `foo`
     let foo = pb.declare_method("foo", None, &[Type::Int], Some(Type::Int), true);
     let main = pb.declare_method("main", None, &[], None, true);
 

@@ -119,13 +119,13 @@ mod cfg {
             index: 2,
         };
         assert_eq!(
-            p.successors_of(s0),
+            p.successors_of(s0).collect::<Vec<_>>(),
             vec![StmtRef {
                 method: ex.foo,
                 index: 1
             }]
         );
-        assert!(p.successors_of(s2).is_empty(), "return has no successors");
+        assert_eq!(p.successors_of(s2).count(), 0, "return has no successors");
     }
 
     #[test]
@@ -144,8 +144,7 @@ mod cfg {
             method: m,
             index: 1,
         };
-        let succs = p.successors_of(s_if);
-        assert_eq!(succs.len(), 2);
+        assert_eq!(p.successors_of(s_if).count(), 2);
         assert_eq!(
             p.fall_through_of(s_if),
             Some(StmtRef {
@@ -553,7 +552,7 @@ mod properties {
             let m = MethodId(0);
             let n = p.body(m).stmts.len() as u32;
             for s in p.stmts_of(m) {
-                let succs = p.successors_of(s);
+                let succs: Vec<StmtRef> = p.successors_of(s).collect();
                 for succ in &succs {
                     assert!(succ.index < n);
                 }

@@ -186,20 +186,17 @@ pub enum Rvalue {
 }
 
 impl Rvalue {
-    /// Locals read by this rvalue.
-    pub fn uses(&self) -> Vec<LocalId> {
-        match self {
-            Rvalue::Use(op) => op.as_local().into_iter().collect(),
-            Rvalue::Binary(_, a, b) => a.as_local().into_iter().chain(b.as_local()).collect(),
-            Rvalue::New(_) => Vec::new(),
-            Rvalue::FieldLoad { base, .. } => base.and_then(|b| b.as_local()).into_iter().collect(),
-            Rvalue::NewArray { len, .. } => len.as_local().into_iter().collect(),
-            Rvalue::ArrayLoad { base, index } => base
-                .as_local()
-                .into_iter()
-                .chain(index.as_local())
-                .collect(),
-        }
+    /// Locals read by this rvalue, in operand order.
+    pub fn uses(&self) -> impl Iterator<Item = LocalId> {
+        let (first, second) = match self {
+            Rvalue::Use(op) => (op.as_local(), None),
+            Rvalue::Binary(_, a, b) => (a.as_local(), b.as_local()),
+            Rvalue::New(_) => (None, None),
+            Rvalue::FieldLoad { base, .. } => (base.and_then(|b| b.as_local()), None),
+            Rvalue::NewArray { len, .. } => (len.as_local(), None),
+            Rvalue::ArrayLoad { base, index } => (base.as_local(), index.as_local()),
+        };
+        first.into_iter().chain(second)
     }
 }
 
@@ -296,7 +293,7 @@ impl StmtKind {
     pub fn uses(&self) -> Vec<LocalId> {
         match self {
             StmtKind::Nop => Vec::new(),
-            StmtKind::Assign { rvalue, .. } => rvalue.uses(),
+            StmtKind::Assign { rvalue, .. } => rvalue.uses().collect(),
             StmtKind::FieldStore { base, value, .. } => base
                 .and_then(|b| b.as_local())
                 .into_iter()
@@ -569,32 +566,19 @@ impl Program {
     /// Intra-procedural successors of `s` in the *product-line* CFG:
     /// both branch outcomes for `if`, the target for `goto`, nothing after
     /// `return`, and fall-through otherwise.
-    pub fn successors_of(&self, s: StmtRef) -> Vec<StmtRef> {
-        let body = self.body(s.method);
-        let next = |i: u32| -> Option<StmtRef> {
-            (((i + 1) as usize) < body.stmts.len()).then_some(StmtRef {
-                method: s.method,
-                index: i + 1,
-            })
+    pub fn successors_of(&self, s: StmtRef) -> impl Iterator<Item = StmtRef> {
+        let at = |index: u32| StmtRef {
+            method: s.method,
+            index,
         };
-        match &body.stmts[s.index as usize].kind {
-            StmtKind::Return { .. } => Vec::new(),
-            StmtKind::Goto { target } => {
-                vec![StmtRef {
-                    method: s.method,
-                    index: *target,
-                }]
-            }
-            StmtKind::If { target, .. } => {
-                let mut v: Vec<StmtRef> = next(s.index).into_iter().collect();
-                v.push(StmtRef {
-                    method: s.method,
-                    index: *target,
-                });
-                v
-            }
-            _ => next(s.index).into_iter().collect(),
-        }
+        let next = self.fall_through_of(s);
+        let (first, second) = match &self.stmt(s).kind {
+            StmtKind::Return { .. } => (None, None),
+            StmtKind::Goto { target } => (Some(at(*target)), None),
+            StmtKind::If { target, .. } => (next, Some(at(*target))),
+            _ => (next, None),
+        };
+        first.into_iter().chain(second)
     }
 
     /// The fall-through successor (`index + 1`), if in range. This is the

@@ -500,14 +500,17 @@ impl ShardState {
         })
     }
 
-    /// Arms the injected fault for this request if the plan's trigger
+    /// Arms the injected fault for a solve if the plan's trigger
     /// matches, patching implicit budgets so the fault class has a
-    /// meter to trip (a blowup needs an op budget, a stall a deadline).
-    fn armed_fault(&self, seq: u64, gov: &mut GovernorOptions) -> Option<ChaosSpec> {
+    /// meter to trip (a blowup needs an op budget, a stall a deadline),
+    /// and counts it. Called only once a solve is certain to run with
+    /// it: a request for an unknown session, or one answered from the
+    /// cache, injects nothing.
+    fn armed_fault(engine: &Engine, seq: u64, gov: &mut GovernorOptions) -> Option<ChaosSpec> {
         if seq == 0 {
             return None;
         }
-        let plan = self.engine.opts.inject_fault.filter(|p| p.trigger == seq)?;
+        let plan = engine.opts.inject_fault.filter(|p| p.trigger == seq)?;
         match plan.kind {
             FaultKind::BddBlowup => {
                 gov.max_bdd_ops = gov.max_bdd_ops.or(Some(FAULT_OP_BUDGET));
@@ -525,17 +528,11 @@ impl ShardState {
                 // (rather than `.or()`) so the plan wins even when a
                 // server-wide budget is configured.
                 gov.max_bdd_ops = Some(plan.ops);
-                self.engine
-                    .gov
-                    .faults_injected
-                    .fetch_add(1, Ordering::SeqCst);
+                engine.gov.faults_injected.fetch_add(1, Ordering::SeqCst);
                 return None;
             }
         }
-        self.engine
-            .gov
-            .faults_injected
-            .fetch_add(1, Ordering::SeqCst);
+        engine.gov.faults_injected.fetch_add(1, Ordering::SeqCst);
         let allowance = gov
             .timeout
             .unwrap_or(Duration::from_millis(FAULT_TIMEOUT_MS));
@@ -559,7 +556,6 @@ impl ShardState {
             Some(fs) if fs == name => self.stores.get(name).map_or(0, |s| s.analyze_seq + 1),
             Some(_) => 0,
         };
-        let chaos = self.armed_fault(trigger_seq, &mut gov);
         let engine = Arc::clone(&self.engine);
         let store = self
             .stores
@@ -583,6 +579,7 @@ impl ShardState {
                 )
             }
             None => {
+                let chaos = Self::armed_fault(&engine, trigger_seq, &mut gov);
                 let out = match store.analyze(&analysis, mode, gov, chaos.as_ref()) {
                     Ok(out) => out,
                     Err(e) => {

@@ -250,6 +250,7 @@ pub struct ChaosSpec {
     pub slow_for: Duration,
 }
 
+#[allow(clippy::too_many_arguments)] // one solve's inputs, its governance and the session slot
 fn analyze_generic<P, D>(
     problem: &P,
     program: &Program,

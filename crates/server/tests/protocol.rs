@@ -3,10 +3,12 @@
 //! a cold solve with bit-identical results, shard-invariant responses,
 //! budgeted solves that no other session perturbs, malformed-input
 //! resilience (down to request lines that are not valid UTF-8 or
-//! exceed the line cap), and one write per response line.
+//! exceed the line cap), one write per response line, and an injected
+//! fault counted only when a solve runs with it.
 
 use spllift_json::{parse_json, Json};
 use spllift_server::{Server, ServerOptions, MAX_REQUEST_LINE};
+use spllift_spl::{FaultPlan, PANIC_IN_FLOW_MESSAGE};
 
 /// A taint subject in the repro text format (so statement indices are
 /// pinned): `main` calls `secret` → `h2` → `h1` and `h3`; the `y = 0`
@@ -612,4 +614,48 @@ fn cache_evicts_least_recently_used_under_entry_budget() {
     // The taint entry is gone (miss), the types entry survives as LRU.
     let again = send(&mut srv, &analyze_req("s"));
     assert_ne!(text(&again, "solve"), "cached");
+}
+
+/// Replays `requests` through a server armed with the fault `plan`, and
+/// returns `stats.governance`'s `faults_injected` and `analyze_requests`
+/// with the number of responses that report the injected panic.
+fn fault_counters(plan: &str, requests: &[Json]) -> (u64, u64, u64) {
+    let mut srv = Server::new(ServerOptions {
+        inject_fault: Some(FaultPlan::parse(plan).expect("fault plan")),
+        ..ServerOptions::default()
+    });
+    let fired = requests
+        .iter()
+        .filter(|req| {
+            let resp = send(&mut srv, req);
+            resp.get("message").and_then(Json::as_str) == Some(PANIC_IN_FLOW_MESSAGE)
+        })
+        .count() as u64;
+    let stats = send(&mut srv, &obj(&[("type", Json::str("stats"))]));
+    let governance = field(&stats, "governance");
+    (
+        num(governance, "faults_injected"),
+        num(governance, "analyze_requests"),
+        fired,
+    )
+}
+
+#[test]
+fn an_injected_fault_is_counted_only_when_a_solve_runs_with_it() {
+    // The trigger ordinal is an `analyze` of a session never loaded: it
+    // is answered `unknown session`, and `s` then solves clean.
+    let ghost = [analyze_req("ghost"), load_req("s"), analyze_req("s")];
+    assert_eq!(fault_counters("panic-in-flow@1", &ghost), (0, 2, 0));
+    // The trigger ordinal is answered from the cross-session cache: `b`
+    // holds the program `a` already solved.
+    let cached = [
+        load_req("a"),
+        analyze_req("a"),
+        load_req("b"),
+        analyze_req("b"),
+    ];
+    assert_eq!(fault_counters("panic-in-flow@2", &cached), (0, 2, 0));
+    // A cold solve at the trigger ordinal runs with the fault.
+    let cold = [load_req("s"), analyze_req("s")];
+    assert_eq!(fault_counters("panic-in-flow@1", &cold), (1, 1, 1));
 }

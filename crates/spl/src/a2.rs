@@ -66,7 +66,8 @@ where
         curr: G::Stmt,
         succ: G::Stmt,
         fact: &P::Fact,
-    ) -> Vec<P::Fact> {
+        out: &mut Vec<P::Fact>,
+    ) {
         let inner = icfg.inner();
         let enabled = self.config.satisfies(&inner.annotation(curr));
         let fall_through = inner.fall_through_of(curr);
@@ -75,25 +76,23 @@ where
         if inner.is_exit(curr) {
             // Normal flow out of an exit exists only when it is disabled
             // (the synthetic fall-through edge).
-            return if enabled || Some(succ) != fall_through {
-                Vec::new()
-            } else {
-                vec![fact.clone()]
-            };
+            if !enabled && Some(succ) == fall_through {
+                out.push(fact.clone());
+            }
+            return;
         }
         if !enabled {
             // Disabled: identity to the fall-through successor only.
-            return if Some(succ) == fall_through {
-                vec![fact.clone()]
-            } else {
-                Vec::new()
-            };
+            if Some(succ) == fall_through {
+                out.push(fact.clone());
+            }
+            return;
         }
         if inner.is_unconditional_branch(curr) && Some(succ) != target {
             // Enabled goto: flow only to its target.
-            return Vec::new();
+            return;
         }
-        self.problem.flow_normal(inner, curr, succ, fact)
+        self.problem.flow_normal(inner, curr, succ, fact, out)
     }
 
     fn flow_call(
@@ -102,12 +101,13 @@ where
         call: G::Stmt,
         callee: G::Method,
         fact: &P::Fact,
-    ) -> Vec<P::Fact> {
+        out: &mut Vec<P::Fact>,
+    ) {
         let inner = icfg.inner();
-        if !self.config.satisfies(&inner.annotation(call)) {
-            return Vec::new(); // kill-all: the call never happens
+        // A disabled call kills all: it never happens.
+        if self.config.satisfies(&inner.annotation(call)) {
+            self.problem.flow_call(inner, call, callee, fact, out)
         }
-        self.problem.flow_call(inner, call, callee, fact)
     }
 
     fn flow_return(
@@ -118,15 +118,15 @@ where
         exit: G::Stmt,
         return_site: G::Stmt,
         fact: &P::Fact,
-    ) -> Vec<P::Fact> {
+        out: &mut Vec<P::Fact>,
+    ) {
         let inner = icfg.inner();
-        if !self.config.satisfies(&inner.annotation(call))
-            || !self.config.satisfies(&inner.annotation(exit))
+        if self.config.satisfies(&inner.annotation(call))
+            && self.config.satisfies(&inner.annotation(exit))
         {
-            return Vec::new();
+            self.problem
+                .flow_return(inner, call, callee, exit, return_site, fact, out)
         }
-        self.problem
-            .flow_return(inner, call, callee, exit, return_site, fact)
     }
 
     fn flow_call_to_return(
@@ -135,13 +135,15 @@ where
         call: G::Stmt,
         return_site: G::Stmt,
         fact: &P::Fact,
-    ) -> Vec<P::Fact> {
+        out: &mut Vec<P::Fact>,
+    ) {
         let inner = icfg.inner();
-        if !self.config.satisfies(&inner.annotation(call)) {
-            return vec![fact.clone()]; // the call is absent: identity
+        if self.config.satisfies(&inner.annotation(call)) {
+            self.problem
+                .flow_call_to_return(inner, call, return_site, fact, out)
+        } else {
+            out.push(fact.clone()); // the call is absent: identity
         }
-        self.problem
-            .flow_call_to_return(inner, call, return_site, fact)
     }
 
     fn initial_seeds(&self, icfg: &LiftedIcfg<'g, G>) -> Vec<(G::Stmt, P::Fact)> {

@@ -253,9 +253,16 @@ where
         self.inner.zero()
     }
 
-    fn flow_normal(&self, icfg: &G, curr: G::Stmt, succ: G::Stmt, fact: &P::Fact) -> Vec<P::Fact> {
+    fn flow_normal(
+        &self,
+        icfg: &G,
+        curr: G::Stmt,
+        succ: G::Stmt,
+        fact: &P::Fact,
+        out: &mut Vec<P::Fact>,
+    ) {
         self.trip();
-        self.inner.flow_normal(icfg, curr, succ, fact)
+        self.inner.flow_normal(icfg, curr, succ, fact, out)
     }
 
     fn flow_call(
@@ -264,9 +271,10 @@ where
         call: G::Stmt,
         callee: G::Method,
         fact: &P::Fact,
-    ) -> Vec<P::Fact> {
+        out: &mut Vec<P::Fact>,
+    ) {
         self.trip();
-        self.inner.flow_call(icfg, call, callee, fact)
+        self.inner.flow_call(icfg, call, callee, fact, out)
     }
 
     fn flow_return(
@@ -277,10 +285,11 @@ where
         exit: G::Stmt,
         return_site: G::Stmt,
         fact: &P::Fact,
-    ) -> Vec<P::Fact> {
+        out: &mut Vec<P::Fact>,
+    ) {
         self.trip();
         self.inner
-            .flow_return(icfg, call, callee, exit, return_site, fact)
+            .flow_return(icfg, call, callee, exit, return_site, fact, out)
     }
 
     fn flow_call_to_return(
@@ -289,10 +298,11 @@ where
         call: G::Stmt,
         return_site: G::Stmt,
         fact: &P::Fact,
-    ) -> Vec<P::Fact> {
+        out: &mut Vec<P::Fact>,
+    ) {
         self.trip();
         self.inner
-            .flow_call_to_return(icfg, call, return_site, fact)
+            .flow_call_to_return(icfg, call, return_site, fact, out)
     }
 
     fn initial_seeds(&self, icfg: &G) -> Vec<(G::Stmt, P::Fact)> {

@@ -60,6 +60,7 @@ impl fmt::Display for Mismatch {
 /// The parallel driver in [`crate::parallel`] relies on this — every
 /// shard produces exactly the prefix of mismatches the sequential pass
 /// would produce for the same configurations.
+#[allow(clippy::too_many_arguments)] // one shard's inputs, then its budget and output
 pub(crate) fn check_shard<'p, P, Ctx>(
     icfg: &ProgramIcfg<'p>,
     lifted: &LiftedSolution<'_, ProgramIcfg<'p>, P::Fact, Ctx::C>,

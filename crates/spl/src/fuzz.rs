@@ -120,8 +120,15 @@ where
         self.inner.zero()
     }
 
-    fn flow_normal(&self, icfg: &G, curr: G::Stmt, succ: G::Stmt, fact: &P::Fact) -> Vec<P::Fact> {
-        self.inner.flow_normal(icfg, curr, succ, fact)
+    fn flow_normal(
+        &self,
+        icfg: &G,
+        curr: G::Stmt,
+        succ: G::Stmt,
+        fact: &P::Fact,
+        out: &mut Vec<P::Fact>,
+    ) {
+        self.inner.flow_normal(icfg, curr, succ, fact, out)
     }
 
     fn flow_call(
@@ -130,8 +137,9 @@ where
         call: G::Stmt,
         callee: G::Method,
         fact: &P::Fact,
-    ) -> Vec<P::Fact> {
-        self.inner.flow_call(icfg, call, callee, fact)
+        out: &mut Vec<P::Fact>,
+    ) {
+        self.inner.flow_call(icfg, call, callee, fact, out)
     }
 
     fn flow_return(
@@ -142,9 +150,10 @@ where
         exit: G::Stmt,
         return_site: G::Stmt,
         fact: &P::Fact,
-    ) -> Vec<P::Fact> {
+        out: &mut Vec<P::Fact>,
+    ) {
         self.inner
-            .flow_return(icfg, call, callee, exit, return_site, fact)
+            .flow_return(icfg, call, callee, exit, return_site, fact, out)
     }
 
     fn flow_call_to_return(
@@ -153,15 +162,21 @@ where
         call: G::Stmt,
         return_site: G::Stmt,
         fact: &P::Fact,
-    ) -> Vec<P::Fact> {
-        let out = self
-            .inner
-            .flow_call_to_return(icfg, call, return_site, fact);
+        out: &mut Vec<P::Fact>,
+    ) {
+        let start = out.len();
+        self.inner
+            .flow_call_to_return(icfg, call, return_site, fact, out);
         match self.bug {
-            InjectedBug::None => out,
+            InjectedBug::None => {}
             InjectedBug::KillAtCallToReturn => {
+                // Drop every non-zero fact this evaluation appended.
                 let zero = self.inner.zero();
-                out.into_iter().filter(|f| *f == zero).collect()
+                let mut index = 0;
+                out.retain(|f| {
+                    index += 1;
+                    index <= start || *f == zero
+                });
             }
         }
     }

@@ -196,7 +196,7 @@ mod property {
     /// Annotation palette over features F0, F1, F2.
     fn annotation(code: u8, f: &[spllift_features::FeatureId; 3]) -> FeatureExpr {
         match code % 8 {
-            0 | 1 | 2 => FeatureExpr::True,
+            0..=2 => FeatureExpr::True,
             3 => FeatureExpr::var(f[0]),
             4 => FeatureExpr::var(f[1]),
             5 => FeatureExpr::var(f[2]).not(),
@@ -444,47 +444,72 @@ mod property {
     }
 }
 
-/// Pins Phase-1 worklist deduplication: a `(d1, n, d2)` triple whose
-/// jump function strengthens while it is still queued is not queued a
-/// second time. Beside it, pins the BDD work of the lifted solves.
+/// Pins the Phase-1 schedule: worklist deduplication (a `(d1, n, d2)`
+/// triple whose jump function strengthens while it is still queued is
+/// not queued a second time) and the order in which the worklist is fed.
+/// Beside it, pins the BDD work of the lifted solves.
 mod phase1_dedup {
     use super::*;
     use spllift_analyses::{with_analysis, AnalysisKind};
     use spllift_benchgen::{subject_by_name, GeneratedSpl};
     use spllift_core::{LiftedSolution, ModelMode};
     use spllift_frontend::parse_spl;
-    use spllift_ifds::IfdsProblem;
+    use spllift_ide::IdeStats;
     use spllift_ir::Program;
 
-    fn propagations<P, D>(spl: &GeneratedSpl, problem: &P) -> u64
-    where
-        P: for<'a> IfdsProblem<ProgramIcfg<'a>, Fact = D>,
-        D: Clone + Eq + std::hash::Hash + std::fmt::Debug,
-    {
+    /// The full [`IdeStats`] of one cold lifted solve with the feature
+    /// model on the edges, as
+    /// `(propagations, flow_evals, jump_fns, killed_early, value_updates)`.
+    fn ide_stats(spl: &GeneratedSpl, kind: AnalysisKind) -> (u64, u64, u64, u64, u64) {
         let icfg = ProgramIcfg::new(&spl.program);
         let ctx = BddConstraintContext::new(&spl.table);
         let model = spl.model_expr();
-        LiftedSolution::solve(problem, &icfg, &ctx, Some(&model), ModelMode::OnEdges)
-            .stats()
-            .propagations
+        let st: IdeStats = with_analysis!(kind, |p| {
+            LiftedSolution::solve(p, &icfg, &ctx, Some(&model), ModelMode::OnEdges).stats()
+        });
+        (
+            st.propagations,
+            st.flow_evals,
+            st.jump_fn_constructions,
+            st.killed_early,
+            st.value_updates,
+        )
     }
 
     #[test]
-    fn mm08_propagations_are_pinned_at_the_deduplicated_counts() {
-        // MM08 is large enough for jump functions to strengthen while
-        // their triple is queued, so a solver that stops deduplicating
-        // processes more worklist items than these exact counts.
-        let spl = GeneratedSpl::generate(subject_by_name("MM08").unwrap());
-        let counts = (
-            propagations(&spl, &TaintAnalysis::secret_to_print()),
-            propagations(&spl, &ReachingDefs::new()),
-            propagations(&spl, &UninitVars::new()),
-        );
-        assert_eq!(
-            counts,
-            (982, 17808, 14226),
-            "MM08 (Taint, R. Def., U. Var.)"
-        );
+    fn ide_stats_are_pinned_on_mm08_and_gpl() {
+        // The counters depend on the order in which the worklist is fed:
+        // a solver that stops deduplicating queued triples processes
+        // more items, and one that reorders `incoming`, the end
+        // summaries, the inner jump maps or Phase 2's values moves
+        // `jump_fns` and `value_updates`.
+        for (subject, stats) in [
+            (
+                "MM08",
+                [
+                    (982, 1402, 984, 0, 855),
+                    (1006, 1447, 1008, 0, 882),
+                    (17808, 25079, 17824, 89, 14935),
+                    (14226, 20371, 14277, 71, 10075),
+                ],
+            ),
+            (
+                "GPL",
+                [
+                    (33371, 59187, 33739, 115, 15070),
+                    (2156, 3198, 2168, 0, 1846),
+                    (41583, 58995, 41661, 241, 34675),
+                    (45729, 79143, 46144, 225, 24741),
+                ],
+            ),
+        ] {
+            let spl = GeneratedSpl::generate(subject_by_name(subject).unwrap());
+            let got: Vec<_> = AnalysisKind::ALL
+                .iter()
+                .map(|&kind| ide_stats(&spl, kind))
+                .collect();
+            assert_eq!(got, stats, "{subject} (Taint, Types, R. Def., U. Var.)");
+        }
     }
 
     /// `(nodes, ops)` one cold lifted solve allocates and charges on the

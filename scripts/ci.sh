@@ -11,6 +11,11 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --check
 
+echo "== clippy (warnings are errors) =="
+# Every target, tests and benches included. A lint that must stay off
+# at one site carries an `#[allow]` there with a one-line reason.
+cargo clippy --workspace --all-targets --offline -- -D warnings
+
 echo "== cargo build --release --offline --workspace =="
 # --workspace matters: a plain `cargo build` only covers the root facade
 # package and its dependencies, which silently skips the bench crate's
