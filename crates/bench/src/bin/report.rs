@@ -1,63 +1,134 @@
 //! Regenerates the paper's evaluation artifacts from the command line.
 //!
 //! ```text
-//! cargo run -p spllift-bench --release --bin report -- all [--jobs N]
+//! cargo run -p spllift-bench --release --bin report -- all [--cutoff SECS] [--sample N] [--jobs N]
 //! cargo run -p spllift-bench --release --bin report -- table1
 //! cargo run -p spllift-bench --release --bin report -- table2 [--cutoff SECS] [--jobs N]
 //! cargo run -p spllift-bench --release --bin report -- table3 [--cutoff SECS] [--jobs N]
-//! cargo run -p spllift-bench --release --bin report -- correlation
+//! cargo run -p spllift-bench --release --bin report -- correlation [--jobs N]
+//! cargo run -p spllift-bench --release --bin report -- scaling [--jobs N]
+//! cargo run -p spllift-bench --release --bin report -- density
+//! cargo run -p spllift-bench --release --bin report -- ordering
+//! cargo run -p spllift-bench --release --bin report -- ablations
 //! cargo run -p spllift-bench --release --bin report -- rq1 [--sample N] [--jobs N]
 //! ```
 //!
 //! `--jobs N` sets the worker-thread count for the configuration-sharded
 //! arms (the A2 brute-force campaigns and the RQ1 cross-check); it
-//! defaults to the machine's available parallelism.
+//! defaults to the machine's available parallelism. `--cutoff SECS`
+//! (default 30) bounds each A2 campaign before it is extrapolated, and
+//! `--sample N` (default 40) caps the configurations RQ1 checks per
+//! subject. A bad command or flag is one `report: ...` line on stderr
+//! and exit code 2, before any subject is generated.
+//!
+//! Every SPLLIFT time is one cold lift and solve on a fresh constraint
+//! context ([`spllift_bench::time_spllift`]).
 
-use spllift_analyses::{with_analysis, AnalysisKind};
-use spllift_bench::{fmt_duration, measure_cell, pearson, Cell};
-use spllift_benchgen::{subjects, GeneratedSpl};
-use spllift_features::BddConstraintContext;
+use spllift_analyses::{with_analysis, AnalysisKind, ReachingDefs, TaintAnalysis};
+use spllift_bench::{fmt_duration, measure_cell, pearson, time_a2_all, time_spllift, Cell};
+use spllift_benchgen::{subject_by_name, subjects, GeneratedSpl};
+use spllift_core::ModelMode;
+use spllift_features::{BddConstraintContext, DnfConstraintContext, FeatureTable};
+use spllift_ifds::IfdsProblem;
+use spllift_ir::ProgramIcfg;
 use spllift_spl::{crosscheck_parallel, default_jobs, ParallelOptions};
+use std::process::ExitCode;
 use std::time::Duration;
 
-fn main() {
+/// What a command runs, given the parsed flags.
+type Command = fn(&Options);
+
+/// Every command and what it runs; `all` (the default) runs them all.
+const COMMANDS: [(&str, Command); 10] = [
+    ("all", all),
+    ("table1", |_| table1()),
+    ("table2", |o| print_table2(&measure_all(o.cutoff, o.jobs))),
+    ("table3", |o| print_table3(&measure_all(o.cutoff, o.jobs))),
+    ("correlation", |o| {
+        print_correlation(&measure_all(Duration::from_secs(5), o.jobs))
+    }),
+    ("scaling", |o| scaling(o.jobs)),
+    ("density", |_| density()),
+    ("ordering", |_| ordering()),
+    ("ablations", |_| ablations()),
+    ("rq1", |o| rq1(o.sample, o.jobs)),
+];
+
+struct Options {
+    cutoff: Duration,
+    sample: usize,
+    jobs: usize,
+}
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("all");
-    let cutoff = Duration::from_secs_f64(flag_value(&args, "--cutoff").unwrap_or(30.0));
-    let sample = flag_value(&args, "--sample").unwrap_or(40.0) as usize;
-    let jobs = flag_value(&args, "--jobs")
-        .map(|j| (j as usize).max(1))
-        .unwrap_or_else(default_jobs);
-    match cmd {
-        "table1" => table1(),
-        "table2" => table2(cutoff, jobs),
-        "table3" => table3(cutoff, jobs),
-        "correlation" => correlation(jobs),
-        "scaling" => scaling(jobs),
-        "density" => density(),
-        "ordering" => ordering(),
-        "rq1" => rq1(sample, jobs),
-        "all" => {
-            table1();
-            let cells = measure_all(cutoff, jobs);
-            print_table2(&cells);
-            print_table3(&cells);
-            print_correlation(&cells);
-            scaling(jobs);
-            density();
-            ordering();
-            rq1(sample, jobs);
+    match parse_args(&args) {
+        Ok((run, opts)) => {
+            run(&opts);
+            ExitCode::SUCCESS
         }
-        other => {
-            eprintln!("unknown command {other}; see the module docs");
-            std::process::exit(2);
+        Err(msg) => {
+            eprintln!("report: {msg}");
+            ExitCode::from(2)
         }
     }
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<f64> {
-    let idx = args.iter().position(|a| a == flag)?;
-    args.get(idx + 1)?.parse().ok()
+fn all(o: &Options) {
+    table1();
+    let cells = measure_all(o.cutoff, o.jobs);
+    print_table2(&cells);
+    print_table3(&cells);
+    print_correlation(&cells);
+    scaling(o.jobs);
+    density();
+    ordering();
+    ablations();
+    rq1(o.sample, o.jobs);
+}
+
+/// Parses `[COMMAND] [--cutoff SECS] [--sample N] [--jobs N]`.
+fn parse_args(args: &[String]) -> Result<(Command, Options), String> {
+    let mut run = None;
+    let mut opts = Options {
+        cutoff: Duration::from_secs(30),
+        sample: 40,
+        jobs: default_jobs(),
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--cutoff" => {
+                let v = args.next().ok_or("--cutoff needs a value")?;
+                opts.cutoff = v
+                    .parse()
+                    .ok()
+                    .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+                    .ok_or(format!(
+                        "--cutoff needs a non-negative number of seconds, got `{v}`"
+                    ))?;
+            }
+            "--sample" => opts.sample = positive("--sample", args.next())?,
+            "--jobs" => opts.jobs = positive("--jobs", args.next())?,
+            name if run.is_none() && !name.starts_with('-') => {
+                let (_, f) = COMMANDS
+                    .iter()
+                    .find(|(n, _)| *n == name)
+                    .ok_or(format!("unknown command `{name}`"))?;
+                run = Some(*f);
+            }
+            other => return Err(format!("unexpected argument `{other}`")),
+        }
+    }
+    Ok((run.unwrap_or(all), opts))
+}
+
+fn positive(flag: &str, v: Option<&String>) -> Result<usize, String> {
+    let v = v.ok_or(format!("{flag} needs a value"))?;
+    v.parse()
+        .ok()
+        .filter(|n| *n > 0)
+        .ok_or(format!("{flag} needs a positive integer, got `{v}`"))
 }
 
 fn generate_all() -> Vec<GeneratedSpl> {
@@ -118,10 +189,6 @@ fn measure_all(cutoff: Duration, jobs: usize) -> Vec<Cell> {
     cells
 }
 
-fn table2(cutoff: Duration, jobs: usize) {
-    print_table2(&measure_all(cutoff, jobs));
-}
-
 fn print_table2(cells: &[Cell]) {
     println!("== Table 2: SPLLIFT vs A2 (feature model regarded) ==");
     println!(
@@ -153,10 +220,6 @@ fn print_table2(cells: &[Cell]) {
     println!("(A2 brute-force arm sharded across {jobs} worker thread(s); times are wall-clock)\n");
 }
 
-fn table3(cutoff: Duration, jobs: usize) {
-    print_table3(&measure_all(cutoff, jobs));
-}
-
 fn print_table3(cells: &[Cell]) {
     println!("== Table 3: cost of regarding the feature model ==");
     println!(
@@ -181,10 +244,6 @@ fn print_table3(cells: &[Cell]) {
 // ----------------------------------------------------------------------
 // §6.2 qualitative analysis: time correlates with jump functions.
 // ----------------------------------------------------------------------
-
-fn correlation(jobs: usize) {
-    print_correlation(&measure_all(Duration::from_secs(5), jobs));
-}
 
 fn print_correlation(cells: &[Cell]) {
     println!("== Qualitative analysis (§6.2): time vs. jump-function constructions ==");
@@ -215,16 +274,16 @@ fn print_correlation(cells: &[Cell]) {
     let mut xs = Vec::new();
     let mut ys = Vec::new();
     for i in 0..12u64 {
-        let mut spec = spllift_benchgen::subject_by_name("MM08").unwrap();
+        let mut spec = subject_by_name("MM08").unwrap();
         spec.seed = spec.seed.wrapping_add(i * 7919);
         spec.loc_target = 300 + (i as usize) * 150;
         let spl = GeneratedSpl::generate(spec);
-        let (_, icfg) = spllift_bench::time_icfg(&spl);
-        let m = spllift_bench::time_spllift(
-            &spl,
-            &icfg,
-            &spllift_analyses::ReachingDefs::new(),
-            spllift_core::ModelMode::OnEdges,
+        let m = time_spllift(
+            &ReachingDefs::new(),
+            &spl.icfg(),
+            &BddConstraintContext::new(&spl.table),
+            Some(&spl.model_expr()),
+            ModelMode::OnEdges,
         );
         xs.push(m.stats.jump_fn_constructions as f64);
         ys.push(m.time.as_secs_f64());
@@ -253,11 +312,16 @@ fn scaling(jobs: usize) {
     );
     for n in [2usize, 4, 6, 8, 10, 12] {
         let spl = GeneratedSpl::generate(spllift_benchgen::synthetic_spec(n, 500, 42));
-        let (_, icfg) = spllift_bench::time_icfg(&spl);
-        let analysis = spllift_analyses::ReachingDefs::new();
-        let lift =
-            spllift_bench::time_spllift(&spl, &icfg, &analysis, spllift_core::ModelMode::OnEdges);
-        let a2 = spllift_bench::time_a2_all(&spl, &icfg, &analysis, Duration::from_secs(20), jobs);
+        let icfg = spl.icfg();
+        let analysis = ReachingDefs::new();
+        let lift = time_spllift(
+            &analysis,
+            &icfg,
+            &BddConstraintContext::new(&spl.table),
+            Some(&spl.model_expr()),
+            ModelMode::OnEdges,
+        );
+        let a2 = time_a2_all(&spl, &icfg, &analysis, Duration::from_secs(20), jobs);
         println!(
             "{:>9} {:>9} {:>12} {:>12} {:>8.0}x",
             n,
@@ -292,9 +356,8 @@ fn density() {
         ifdef_percent: 60,
         ..Default::default()
     };
-    let spec = spllift_benchgen::subject_by_name("GPL").unwrap();
+    let spec = subject_by_name("GPL").unwrap();
     let base = GeneratedSpl::generate_with_params(spec, params);
-    let ctx = spllift_features::BddConstraintContext::new(&base.table);
     for keep_pct in [0u32, 25, 50, 75, 100] {
         // Deterministic thinning: keep an annotation iff its statement
         // hash falls below the threshold.
@@ -316,23 +379,19 @@ fn density() {
                 FeatureExpr::True
             }
         });
-        let icfg = spllift_ir::ProgramIcfg::new(&program);
-        let analysis = spllift_analyses::ReachingDefs::new();
-        let start = std::time::Instant::now();
-        let solution = spllift_core::LiftedSolution::solve(
-            &analysis,
-            &icfg,
-            &ctx,
+        let m = time_spllift(
+            &ReachingDefs::new(),
+            &ProgramIcfg::new(&program),
+            &BddConstraintContext::new(&base.table),
             None,
-            spllift_core::ModelMode::Ignore,
+            ModelMode::Ignore,
         );
-        let time = start.elapsed();
         println!(
             "{:>9} {:>10} {:>12} {:>14}",
             keep_pct,
             kept,
-            fmt_duration(time.as_secs_f64()),
-            solution.stats().jump_fn_constructions,
+            fmt_duration(m.time.as_secs_f64()),
+            m.stats.jump_fn_constructions,
         );
     }
     println!("(cost tracks annotation density — the 'splits and joins as sparsely as possible' claim of §8)");
@@ -356,9 +415,9 @@ fn ordering() {
         "Benchmark", "order", "SPLLIFT", "BDD nodes", "jump-fns"
     );
     for name in ["GPL", "BerkeleyDB"] {
-        let spl = GeneratedSpl::generate(spllift_benchgen::subject_by_name(name).unwrap());
-        let icfg = spllift_ir::ProgramIcfg::new(&spl.program);
-        let analysis = spllift_analyses::ReachingDefs::new();
+        let spl = GeneratedSpl::generate(subject_by_name(name).unwrap());
+        let icfg = spl.icfg();
+        let analysis = ReachingDefs::new();
         let model = spl.model_expr();
         let natural: Vec<_> = spl.table.iter().map(|(id, _)| id).collect();
         let reversed: Vec<_> = natural.iter().rev().copied().collect();
@@ -377,27 +436,121 @@ fn ordering() {
             ("reversed", &reversed),
             ("interleaved", &interleaved),
         ] {
-            let ctx = spllift_features::BddConstraintContext::with_order(&spl.table, order);
-            let start = std::time::Instant::now();
-            let solution = spllift_core::LiftedSolution::solve(
-                &analysis,
-                &icfg,
-                &ctx,
-                Some(&model),
-                spllift_core::ModelMode::OnEdges,
-            );
-            let time = start.elapsed();
+            let ctx = BddConstraintContext::with_order(&spl.table, order);
+            let m = time_spllift(&analysis, &icfg, &ctx, Some(&model), ModelMode::OnEdges);
             println!(
                 "{:<12} {:<12} {:>12} {:>12} {:>12}",
                 name,
                 label,
-                fmt_duration(time.as_secs_f64()),
+                fmt_duration(m.time.as_secs_f64()),
                 ctx.manager().stats().nodes,
-                solution.stats().jump_fn_constructions,
+                m.stats.jump_fn_constructions,
             );
         }
     }
     println!("(the paper's deferred experiment: order affects BDD size, rarely the verdicts)\n");
+}
+
+// ----------------------------------------------------------------------
+// Ablations: the design choices of §4.2, §5 and §7.
+// ----------------------------------------------------------------------
+
+fn ablations() {
+    ablation_repr();
+    ablation_model();
+}
+
+/// Ablation A. The paper first stored constraints in a hand-written DNF
+/// structure and switched to BDDs because "others do not scale nearly
+/// as well for the Boolean operations we require" (§5, §7). The same
+/// lifting runs on either constraint context, feature model ignored.
+fn ablation_repr() {
+    println!("== Ablation A (§5, §7): BDD vs. DNF constraints (feature model ignored) ==");
+    println!(
+        "{:<12} {:<10} {:>12} {:>12} {:>9}",
+        "Benchmark", "Analysis", "BDD", "DNF", "DNF/BDD"
+    );
+    let ex = spllift_ir::samples::fig1();
+    let icfg = ProgramIcfg::new(&ex.program);
+    let taint = TaintAnalysis::secret_to_print();
+    repr_row("fig1", "Taint", &taint, &icfg, &ex.table);
+    let spl = GeneratedSpl::generate(subject_by_name("MM08").unwrap());
+    let icfg = spl.icfg();
+    for kind in [AnalysisKind::ReachingDefs, AnalysisKind::Uninit] {
+        with_analysis!(kind, |p| repr_row(
+            "MM08",
+            kind.label(),
+            p,
+            &icfg,
+            &spl.table
+        ));
+    }
+    println!("(both representations denote the same constraints; asserted by the BDD/DNF tests)\n");
+}
+
+fn repr_row<'a, P: IfdsProblem<ProgramIcfg<'a>>>(
+    subject: &str,
+    analysis: &str,
+    problem: &P,
+    icfg: &ProgramIcfg<'a>,
+    table: &FeatureTable,
+) {
+    let bdd = BddConstraintContext::new(table);
+    let bdd = time_spllift(problem, icfg, &bdd, None, ModelMode::Ignore).time;
+    let dnf = DnfConstraintContext::new(table);
+    let dnf = time_spllift(problem, icfg, &dnf, None, ModelMode::Ignore).time;
+    println!(
+        "{:<12} {:<10} {:>12} {:>12} {:>8.1}x",
+        subject,
+        analysis,
+        fmt_duration(bdd.as_secs_f64()),
+        fmt_duration(dnf.as_secs_f64()),
+        dnf.as_secs_f64() / bdd.as_secs_f64().max(1e-9),
+    );
+}
+
+/// Ablations B and C (§4.2): where the feature model enters. `on-edges`
+/// conjoins it onto every edge, the paper's final design, so a
+/// contradiction ends its path while jump functions are built.
+/// `start-value` seeds it as the start value instead, the PLAS 2012
+/// design: same results, pruned only in the value phase. `ignore`
+/// drops it, the baseline for both.
+fn ablation_model() {
+    println!("== Ablations B/C (§4.2): where the feature model enters ==");
+    println!(
+        "{:<12} {:<10} {:>12} {:>12} {:>12}   jump-fns (on-edges/start-value/ignore)",
+        "Benchmark", "Analysis", "on-edges", "start-value", "ignore"
+    );
+    for name in ["MM08", "GPL"] {
+        let spl = GeneratedSpl::generate(subject_by_name(name).unwrap());
+        let icfg = spl.icfg();
+        let model = spl.model_expr();
+        for kind in [AnalysisKind::ReachingDefs, AnalysisKind::Uninit] {
+            let cells = [
+                (Some(&model), ModelMode::OnEdges),
+                (Some(&model), ModelMode::AtStartValue),
+                (None, ModelMode::Ignore),
+            ]
+            .map(|(model, mode)| {
+                let ctx = BddConstraintContext::new(&spl.table);
+                with_analysis!(kind, |p| time_spllift(p, &icfg, &ctx, model, mode))
+            });
+            let [edges, start, ignore] = cells.map(|m| fmt_duration(m.time.as_secs_f64()));
+            let [je, js, ji] = cells.map(|m| m.stats.jump_fn_constructions);
+            println!(
+                "{:<12} {:<10} {:>12} {:>12} {:>12}   {je}/{js}/{ji}",
+                name,
+                kind.label(),
+                edges,
+                start,
+                ignore,
+            );
+        }
+    }
+    println!(
+        "(on-edges and start-value compute the same constraints, asserted in spllift-core's tests;"
+    );
+    println!(" ignore drops the model's restrictions)\n");
 }
 
 // ----------------------------------------------------------------------

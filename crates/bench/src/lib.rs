@@ -1,13 +1,14 @@
-//! The benchmark harness: shared measurement machinery for the `report`
-//! binary and the in-tree benches, regenerating the paper's Tables 1–3.
+//! Measurement machinery for the `report` binary, which regenerates the
+//! paper's Tables 1–3, its §6.2 correlation and the ablations behind
+//! its design choices. Every SPLLIFT time comes from [`time_spllift`]:
+//! one cold lift and solve on a constraint context built for that cell.
 
 #![warn(missing_docs)]
-pub mod harness;
 
 use spllift_analyses::{with_analysis, AnalysisKind};
 use spllift_benchgen::GeneratedSpl;
-use spllift_core::{LiftedIcfg, LiftedSolution, ModelMode};
-use spllift_features::BddConstraintContext;
+use spllift_core::{AnnotatedIcfg, LiftedIcfg, LiftedSolution, ModelMode};
+use spllift_features::{BddConstraintContext, ConstraintContext, FeatureExpr};
 use spllift_ide::IdeStats;
 use spllift_ifds::IfdsProblem;
 use spllift_ir::ProgramIcfg;
@@ -92,36 +93,26 @@ impl A2Outcome {
     }
 }
 
-/// Times the ICFG construction (class hierarchy + call graph) — the
-/// "Soot/CG" column of Table 2.
-pub fn time_icfg(spl: &GeneratedSpl) -> (Duration, ProgramIcfg<'_>) {
-    let start = Instant::now();
-    let icfg = ProgramIcfg::new(&spl.program);
-    (start.elapsed(), icfg)
-}
-
-/// Runs SPLLIFT once over the whole product line.
-pub fn time_spllift<P, D>(
-    spl: &GeneratedSpl,
-    icfg: &ProgramIcfg<'_>,
+/// Times one SPLLIFT run over the whole product line: the lifting and
+/// both IDE phases, as [`LiftedSolution::solve`] runs them. `ctx` must
+/// be built for this run alone, so no earlier solve has warmed its
+/// memo or node table; it may be any constraint representation.
+pub fn time_spllift<G, P, Ctx>(
     problem: &P,
+    icfg: &G,
+    ctx: &Ctx,
+    model: Option<&FeatureExpr>,
     mode: ModelMode,
 ) -> SplliftMeasurement
 where
-    P: for<'p> IfdsProblem<ProgramIcfg<'p>, Fact = D>,
-    D: Clone + Eq + Hash + std::fmt::Debug,
+    G: AnnotatedIcfg,
+    P: IfdsProblem<G>,
+    Ctx: ConstraintContext,
 {
-    let ctx = BddConstraintContext::new(&spl.table);
-    let model = spl.model_expr();
-    let model_opt = match mode {
-        ModelMode::Ignore => None,
-        _ => Some(&model),
-    };
     let start = Instant::now();
-    let solution = LiftedSolution::solve(problem, icfg, &ctx, model_opt, mode);
-    let time = start.elapsed();
+    let solution = LiftedSolution::solve(problem, icfg, ctx, model, mode);
     SplliftMeasurement {
-        time,
+        time: start.elapsed(),
         stats: solution.stats(),
     }
 }
@@ -198,7 +189,8 @@ pub struct Cell {
     pub subject: &'static str,
     /// Analysis label.
     pub analysis: &'static str,
-    /// Call-graph construction time (shared by both approaches).
+    /// ICFG construction time (class hierarchy and call graph, the
+    /// "Soot/CG" column of Table 2), shared by both approaches.
     pub cg_time: Duration,
     /// SPLLIFT, feature model regarded (§4.2, on edges).
     pub spllift_regarded: SplliftMeasurement,
@@ -216,22 +208,30 @@ pub fn measure_cell(
     cutoff: Duration,
     jobs: usize,
 ) -> Cell {
-    let (cg_time, icfg) = time_icfg(spl);
+    let start = Instant::now();
+    let icfg = spl.icfg();
+    let cg_time = start.elapsed();
+    let model = spl.model_expr();
+    let ctx = || BddConstraintContext::new(&spl.table);
     with_analysis!(analysis, |p| Cell {
         subject: spl.spec.name,
         analysis: analysis.label(),
         cg_time,
-        spllift_regarded: time_spllift(spl, &icfg, p, ModelMode::OnEdges),
-        spllift_ignored: time_spllift(spl, &icfg, p, ModelMode::Ignore),
+        spllift_regarded: time_spllift(p, &icfg, &ctx(), Some(&model), ModelMode::OnEdges),
+        spllift_ignored: time_spllift(p, &icfg, &ctx(), None, ModelMode::Ignore),
         a2: time_a2_all(spl, &icfg, p, cutoff, jobs),
     })
 }
 
-/// Pretty-prints a duration the way the paper does (`4s`, `2m06s`,
-/// `9h03m`, `~days`, `~years`).
+/// Pretty-prints a duration: milliseconds below a second (`12.6ms`),
+/// then the way the paper does (`4.0s`, `2m06s`, `9h03m`, `~days`,
+/// `~years`).
 pub fn fmt_duration(secs: f64) -> String {
     if secs.is_nan() {
         return "-".into();
+    }
+    if secs < 1.0 {
+        return format!("{:.1}ms", secs * 1e3);
     }
     if secs < 60.0 {
         return format!("{secs:.1}s");
@@ -299,6 +299,8 @@ mod tests {
 
     #[test]
     fn fmt_duration_scales() {
+        assert_eq!(fmt_duration(0.0126), "12.6ms");
+        assert_eq!(fmt_duration(1.0), "1.0s");
         assert_eq!(fmt_duration(4.0), "4.0s");
         assert_eq!(fmt_duration(126.0), "2m06s");
         assert!(fmt_duration(9.0 * 3600.0).starts_with("9h"));

@@ -6,8 +6,10 @@ use spllift_features::{
     LatticePoint,
 };
 use spllift_hash::{FastMap, FastSet};
-use spllift_ide::{IdeProblem, IdeSolver, IdeSolverOptions, IdeStats, SolveAbort, SolverMemo};
-use spllift_ifds::{IfdsProblem, SolveLimits};
+use spllift_ide::{
+    IdeProblem, IdeSolver, IdeSolverOptions, IdeStats, SolveAbort, SolveLimits, SolverMemo,
+};
+use spllift_ifds::IfdsProblem;
 use std::cell::{RefCell, RefMut};
 use std::time::{Duration, Instant};
 
@@ -22,8 +24,8 @@ pub enum ModelMode {
     OnEdges,
     /// Replace the start value `true` by `m` (the paper's first attempt,
     /// from the PLAS 2012 workshop paper): same results, but early
-    /// termination only in the value-propagation phase. Kept for the
-    /// ablation benchmark.
+    /// termination only in the value-propagation phase. Kept for
+    /// ablation B of `report ablations`.
     AtStartValue,
     /// Ignore the feature model entirely (the "ignored" rows of Table 3).
     Ignore,
@@ -70,29 +72,7 @@ where
         model: Option<&FeatureExpr>,
         mode: ModelMode,
     ) -> Self {
-        let model_c = match (model, mode) {
-            (Some(expr), ModelMode::OnEdges | ModelMode::AtStartValue) => ctx.of_expr(expr),
-            _ => ctx.tt(),
-        };
-        let on_edges = mode == ModelMode::OnEdges;
-        let mut ann = FastMap::default();
-        for m in icfg.methods() {
-            for s in icfg.stmts_of(m) {
-                let a = icfg.annotation(s);
-                let (en, dis) = if a == FeatureExpr::True {
-                    (ctx.tt(), ctx.ff())
-                } else {
-                    (ctx.of_expr(&a), ctx.of_expr(&a.clone().not()))
-                };
-                let (en, dis) = if on_edges {
-                    (en.and(&model_c), dis.and(&model_c))
-                } else {
-                    (en, dis)
-                };
-                ann.insert(s, (en, dis));
-            }
-        }
-        Self::with_constraints(problem, ctx, model_c, ann)
+        Self::abstracted(problem, icfg, ctx, model, mode, &LatticePoint::full()).0
     }
 
     /// Lifts `problem` at an arbitrary point of the variability-
@@ -109,6 +89,16 @@ where
     /// negated afterwards: `¬τ(a)` would strengthen, breaking
     /// soundness.
     ///
+    /// The bottom point ([`LatticePoint::constraint_true`]) is the
+    /// variability join abstraction of Dimovski et al.: every feature
+    /// annotation is abstracted to *unknown* — the annotated flow and
+    /// the identity fall-back both fire under the constraint `true` —
+    /// and the feature model is ignored. The constraint lattice
+    /// collapses to `{true, false}`, so neither the lifting nor the
+    /// solve performs a non-trivial constraint operation, and neither
+    /// can exhaust a constraint budget. Every reported fact carries
+    /// `true`, a sound over-approximation of the precise answer.
+    ///
     /// Also returns the [`AbstractionImpact`]: which methods' stored
     /// constraints actually changed relative to [`LiftedProblem::new`]
     /// — the governor uses it to keep still-valid memoized jump
@@ -121,19 +111,17 @@ where
         mode: ModelMode,
         point: &LatticePoint,
     ) -> (Self, AbstractionImpact<G::Method>) {
-        if point.is_collapsed() {
-            let impact = AbstractionImpact {
-                model_changed: true,
-                changed_methods: FastSet::default(),
-            };
-            return (Self::collapsed(problem, icfg, ctx), impact);
-        }
         let steps = point.steps();
+        let collapsed = point.is_collapsed();
         let model_in_play = matches!(
             (model, mode),
             (Some(_), ModelMode::OnEdges | ModelMode::AtStartValue)
         );
-        let (model_c, model_changed) = if !model_in_play {
+        // The bottom point changes every annotated edge, so no memoized
+        // jump function survives it, with or without a model.
+        let (model_c, model_changed) = if collapsed {
+            (ctx.tt(), true)
+        } else if !model_in_play {
             (ctx.tt(), false)
         } else if point.drops_model() {
             (ctx.tt(), true)
@@ -152,6 +140,8 @@ where
                 let a = icfg.annotation(s);
                 let (en, dis) = if a == FeatureExpr::True {
                     (ctx.tt(), ctx.ff())
+                } else if collapsed {
+                    (ctx.tt(), ctx.tt())
                 } else {
                     let en0 = ctx.of_expr(&a);
                     let dis0 = ctx.of_expr(&a.clone().not());
@@ -173,55 +163,19 @@ where
                 changed_methods.insert(m);
             }
         }
-        let lifted = Self::with_constraints(problem, ctx, model_c, ann);
+        let lifted = LiftedProblem {
+            problem,
+            ctx,
+            model: model_c,
+            ann,
+            unannotated: (ctx.tt(), ctx.ff()),
+            scratch: RefCell::new(Vec::new()),
+        };
         let impact = AbstractionImpact {
             model_changed,
             changed_methods,
         };
         (lifted, impact)
-    }
-
-    /// The maximally collapsed lifting (the lattice's A1-style bottom
-    /// point, [`LatticePoint::constraint_true`]): every feature
-    /// annotation is abstracted to *unknown* — the annotated flow and
-    /// the identity fall-back both fire under the constraint `true` —
-    /// and the feature model is ignored.
-    ///
-    /// This is the variability join abstraction of Dimovski et al.: the
-    /// constraint lattice collapses to `{true, false}`, so the solve
-    /// performs no non-trivial constraint operations at all and cannot
-    /// exhaust a constraint budget. Every reported fact carries the
-    /// constraint `true`, which is entailed by any precise constraint —
-    /// a sound over-approximation of [`LiftedProblem::new`]'s answer.
-    pub fn collapsed(problem: &'a P, icfg: &G, ctx: &'a Ctx) -> Self {
-        let mut ann = FastMap::default();
-        for m in icfg.methods() {
-            for s in icfg.stmts_of(m) {
-                let (en, dis) = if icfg.annotation(s) == FeatureExpr::True {
-                    (ctx.tt(), ctx.ff())
-                } else {
-                    (ctx.tt(), ctx.tt())
-                };
-                ann.insert(s, (en, dis));
-            }
-        }
-        Self::with_constraints(problem, ctx, ctx.tt(), ann)
-    }
-
-    fn with_constraints(
-        problem: &'a P,
-        ctx: &'a Ctx,
-        model: Ctx::C,
-        ann: FastMap<G::Stmt, (Ctx::C, Ctx::C)>,
-    ) -> Self {
-        LiftedProblem {
-            problem,
-            ctx,
-            model,
-            ann,
-            unannotated: (ctx.tt(), ctx.ff()),
-            scratch: RefCell::new(Vec::new()),
-        }
     }
 
     /// The constraint context in use.
@@ -438,8 +392,8 @@ where
 #[derive(Debug, Clone)]
 pub struct AbstractionImpact<M> {
     /// Whether the feature-model conjunct differs from full precision
-    /// (dropped or weakened). When it does, every edge changed and no
-    /// memo reuse is possible.
+    /// (dropped or weakened), or the point is the bottom. When it does,
+    /// every edge changed and no memo reuse is possible.
     pub model_changed: bool,
     /// Methods with at least one statement whose (enabled, disabled)
     /// constraints changed. *Not* closed under callers.
@@ -811,13 +765,8 @@ where
             }
             let options = gov.solver_options();
             let is_full = point.is_full();
-            let (lifted, impact) = if is_full {
-                (LiftedProblem::new(problem, icfg, ctx, model, mode), None)
-            } else {
-                let (lifted, impact) =
-                    LiftedProblem::abstracted(problem, icfg, ctx, model, mode, &point);
-                (lifted, Some(impact))
-            };
+            let (lifted, impact) =
+                LiftedProblem::abstracted(problem, icfg, ctx, model, mode, &point);
             // The constraint work above can already exhaust the budget;
             // bail out before solving on garbage constraints.
             if let Err(reason) = ctx.budget_status() {
@@ -826,22 +775,19 @@ where
                 last_abort = Some(abort);
                 continue;
             }
-            // Memo reuse: the full attempt uses the caller's clean
-            // predicate as-is. A degraded attempt additionally dirties
-            // every method the abstraction touched, closed under
-            // transitive callers; a changed model conjunct invalidates
-            // everything (run cold).
-            let reuse_memo = match &impact {
-                None => true,
-                Some(impact) => !impact.model_changed,
-            };
-            let dirty = impact
-                .as_ref()
-                .filter(|impact| !impact.model_changed && !impact.changed_methods.is_empty())
-                .map(|impact| transitive_callers(icfg, &impact.changed_methods));
+            // Memo reuse: the caller's clean predicate, minus every
+            // method the point's abstraction touched, closed under
+            // transitive callers (none at the full point); a changed
+            // model conjunct invalidates everything (run cold).
+            let dirty = (!impact.model_changed && !impact.changed_methods.is_empty())
+                .then(|| transitive_callers(icfg, &impact.changed_methods));
             let composed_clean =
                 |m: G::Method| clean(m) && dirty.as_ref().is_none_or(|d| !d.contains(&m));
-            let point_memo = if reuse_memo { memo } else { &empty_memo };
+            let point_memo = if impact.model_changed {
+                &empty_memo
+            } else {
+                memo
+            };
             match IdeSolver::try_solve_seeded(
                 &lifted,
                 &lifted_icfg,

@@ -3,9 +3,9 @@
 //! The paper reports (§5, §7) that the authors *first* implemented feature
 //! constraints as a hand-written DNF data structure and abandoned it for
 //! BDDs because "others do not scale nearly as well for the Boolean
-//! operations we require". We keep a DNF implementation so that the
-//! ablation benchmark (`benches/ablation_repr.rs`) can reproduce that
-//! finding.
+//! operations we require". We keep a DNF implementation so that
+//! ablation A of `report ablations` (in `spllift-bench`) can reproduce
+//! that finding.
 //!
 //! A constraint is a set of *cubes*; a cube is a conjunction of literals
 //! stored as two bitmasks (positive / negative occurrences) over at most

@@ -27,8 +27,7 @@ mod solver;
 
 pub use edge_fn::EdgeFn;
 pub use problem::IdeProblem;
-pub use solver::{IdeSolver, IdeSolverOptions, IdeStats, SolverMemo};
-pub use spllift_ifds::{SolveAbort, SolveLimits};
+pub use solver::{IdeSolver, IdeSolverOptions, IdeStats, SolveAbort, SolveLimits, SolverMemo};
 
 #[cfg(test)]
 mod tests;

@@ -99,7 +99,7 @@ pub trait IdeProblem<G: Icfg> {
     /// resource budget. Governed solves
     /// ([`IdeSolverOptions::poll_budget`](crate::IdeSolverOptions)) poll
     /// this between propagations and abort with
-    /// [`SolveAbort::Budget`](spllift_ifds::SolveAbort) on `Err`; results
+    /// [`SolveAbort::Budget`](crate::SolveAbort) on `Err`; results
     /// computed while a budget is exhausted are garbage, so the solver
     /// must stop rather than tabulate with them. Default: always `Ok`.
     fn budget_check(&self) -> Result<(), String> {

@@ -9,8 +9,9 @@
 
 use crate::{EdgeFn, IdeProblem};
 use spllift_hash::{FastMap, FastSet};
-use spllift_ifds::{Icfg, SolveAbort, SolveLimits};
+use spllift_ifds::Icfg;
 use std::collections::VecDeque;
+use std::time::Instant;
 
 /// Counters collected during an IDE solver run.
 ///
@@ -32,6 +33,70 @@ pub struct IdeStats {
     pub killed_early: u64,
     /// Phase-2 value updates.
     pub value_updates: u64,
+}
+
+/// Why a governed solve stopped before reaching its fixpoint.
+///
+/// Returned by [`IdeSolver::try_solve_seeded`] when a [`SolveLimits`]
+/// bound (or the constraint engine's resource budget) was hit. The
+/// partial state computed up to the abort is discarded — a degraded
+/// re-solve, not a partial answer, is the supported recovery.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SolveAbort {
+    /// The value domain's resource budget (e.g. the BDD node or op
+    /// budget) was exhausted; the payload is the engine's description.
+    Budget(String),
+    /// The propagation cap was reached.
+    PropagationLimit(u64),
+    /// The wall-clock deadline passed.
+    Deadline,
+}
+
+impl std::fmt::Display for SolveAbort {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SolveAbort::Budget(why) => write!(f, "budget exhausted: {why}"),
+            SolveAbort::PropagationLimit(n) => write!(f, "propagation limit {n} reached"),
+            SolveAbort::Deadline => f.write_str("deadline exceeded"),
+        }
+    }
+}
+
+impl std::error::Error for SolveAbort {}
+
+/// Resource bounds for a governed solve. The default is unlimited, under
+/// which a governed solve behaves exactly like a plain one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SolveLimits {
+    /// Abort with [`SolveAbort::PropagationLimit`] after this many
+    /// worklist items.
+    pub max_propagations: Option<u64>,
+    /// Abort with [`SolveAbort::Deadline`] once `Instant::now()` passes
+    /// this point.
+    pub deadline: Option<Instant>,
+}
+
+impl SolveLimits {
+    /// `true` if any bound is set (the solver skips per-iteration checks
+    /// entirely otherwise, keeping the ungoverned hot path unchanged).
+    fn armed(&self) -> bool {
+        self.max_propagations.is_some() || self.deadline.is_some()
+    }
+
+    /// Checks the bounds against the current propagation count.
+    fn check(&self, propagations: u64) -> Result<(), SolveAbort> {
+        if let Some(max) = self.max_propagations {
+            if propagations > max {
+                return Err(SolveAbort::PropagationLimit(max));
+            }
+        }
+        if let Some(deadline) = self.deadline {
+            if Instant::now() >= deadline {
+                return Err(SolveAbort::Deadline);
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Tuning knobs for the IDE solver.
@@ -114,16 +179,6 @@ impl<M, S, D, EF> SolverMemo<M, S, D, EF> {
     /// an empty memo is exactly a cold solve).
     pub fn is_empty(&self) -> bool {
         self.jump.is_empty() && self.end_summary.is_empty()
-    }
-
-    /// Number of retained jump-function entries.
-    pub fn jump_fns(&self) -> usize {
-        self.jump.values().map(FastMap::len).sum()
-    }
-
-    /// Number of retained `(method, entry-fact)` summary keys.
-    pub fn summary_keys(&self) -> usize {
-        self.end_summary.len()
     }
 }
 

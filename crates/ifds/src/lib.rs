@@ -63,7 +63,7 @@ pub mod supergraph;
 pub use icfg::Icfg;
 pub use problem::IfdsProblem;
 pub use simple_graph::{SimpleGraph, StmtKind};
-pub use solver::{IfdsSolver, SolveAbort, SolveLimits, SolverStats};
+pub use solver::{IfdsSolver, SolverStats};
 
 #[cfg(test)]
 mod tests;

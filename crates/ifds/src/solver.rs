@@ -3,73 +3,6 @@
 use crate::{Icfg, IfdsProblem};
 use spllift_hash::{FastMap, FastSet};
 use std::collections::VecDeque;
-use std::fmt;
-use std::time::Instant;
-
-/// Why a governed solve stopped before reaching its fixpoint.
-///
-/// Returned by the `try_solve*` entry points of this crate and
-/// `spllift-ide` when a [`SolveLimits`] bound (or the constraint
-/// engine's resource budget) was hit. The partial state computed up to
-/// the abort is discarded — a degraded re-solve, not a partial answer,
-/// is the supported recovery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SolveAbort {
-    /// The value domain's resource budget (e.g. the BDD node or op
-    /// budget) was exhausted; the payload is the engine's description.
-    Budget(String),
-    /// The propagation cap was reached.
-    PropagationLimit(u64),
-    /// The wall-clock deadline passed.
-    Deadline,
-}
-
-impl fmt::Display for SolveAbort {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SolveAbort::Budget(why) => write!(f, "budget exhausted: {why}"),
-            SolveAbort::PropagationLimit(n) => write!(f, "propagation limit {n} reached"),
-            SolveAbort::Deadline => f.write_str("deadline exceeded"),
-        }
-    }
-}
-
-impl std::error::Error for SolveAbort {}
-
-/// Resource bounds for a governed solve. The default is unlimited, under
-/// which the governed entry points behave exactly like the plain ones.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolveLimits {
-    /// Abort with [`SolveAbort::PropagationLimit`] after this many
-    /// worklist items.
-    pub max_propagations: Option<u64>,
-    /// Abort with [`SolveAbort::Deadline`] once `Instant::now()` passes
-    /// this point.
-    pub deadline: Option<Instant>,
-}
-
-impl SolveLimits {
-    /// `true` if any bound is set (the solver skips per-iteration checks
-    /// entirely otherwise, keeping the ungoverned hot path unchanged).
-    pub fn armed(&self) -> bool {
-        self.max_propagations.is_some() || self.deadline.is_some()
-    }
-
-    /// Checks the bounds against the current propagation count.
-    pub fn check(&self, propagations: u64) -> Result<(), SolveAbort> {
-        if let Some(max) = self.max_propagations {
-            if propagations > max {
-                return Err(SolveAbort::PropagationLimit(max));
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                return Err(SolveAbort::Deadline);
-            }
-        }
-        Ok(())
-    }
-}
 
 /// Counters collected during a solver run.
 ///
@@ -117,17 +50,6 @@ where
     where
         P: IfdsProblem<G, Fact = D>,
     {
-        Self::try_solve(problem, icfg, SolveLimits::default())
-            .expect("unlimited solve cannot abort")
-    }
-
-    /// Like [`solve`](Self::solve), but aborts with a [`SolveAbort`] when
-    /// a [`SolveLimits`] bound is hit.
-    pub fn try_solve<P>(problem: &P, icfg: &G, limits: SolveLimits) -> Result<Self, SolveAbort>
-    where
-        P: IfdsProblem<G, Fact = D>,
-    {
-        let governed = limits.armed();
         let zero = problem.zero();
         let mut state = State::<G, D> {
             path_edges: FastSet::default(),
@@ -149,9 +71,6 @@ where
 
         while let Some((d1, n, d2)) = state.worklist.pop_front() {
             state.stats.propagations += 1;
-            if governed {
-                limits.check(state.stats.propagations)?;
-            }
             let method = icfg.method_of(n);
             if icfg.is_call(n) {
                 // Call flows into callees.
@@ -232,12 +151,12 @@ where
         }
 
         state.stats.path_edges = state.path_edges.len() as u64;
-        Ok(IfdsSolver {
+        IfdsSolver {
             results: state.results,
             predecessors: state.predecessors,
             zero,
             stats: state.stats,
-        })
+        }
     }
 
     /// The facts holding at `s`, including the zero fact if `s` is

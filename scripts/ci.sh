@@ -27,11 +27,6 @@ echo "== rustdoc (warnings are errors) =="
 # would otherwise leave a dangling link that no other step notices.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "== bench targets compile (table2, table3, ablation_repr, ablation_model) =="
-# Neither the build nor the test step above compiles `[[bench]]`
-# targets, so a harness change could break them unnoticed.
-cargo bench --no-run -q --offline -p spllift-bench
-
 echo "== cargo test -q --offline --workspace =="
 cargo test -q --offline --workspace
 
@@ -67,6 +62,12 @@ echo "== fuzz smoke (deterministic seed range, sharded) =="
 # so this is fully deterministic; --jobs 2 also exercises the seed
 # shards.
 ./target/release/spllift-cli fuzz --seeds 0..32 --jobs 2
+
+echo "== report ablations (BDD vs. DNF, where the feature model enters) =="
+# The paper's ablations (§4.2, §5, §7), one cold solve per cell in
+# release: a panic in any arm fails CI. The slowest cell, MM08 U. Var.
+# on DNF constraints, took 0.74 s on a 2-vCPU host.
+./target/release/report ablations
 
 echo "== datalog backend crosscheck smoke (MM08/GPL/Lampiro) =="
 # The second backend (DESIGN.md §13) must agree with the IDE lifting on

@@ -14,7 +14,7 @@
 use spllift::analyses::TaintAnalysis;
 use spllift::benchgen::{subject_by_name, synthetic_spec, GeneratedSpl, ModelShape};
 use spllift::features::{BddConstraintContext, FeatureId};
-use spllift::ifds::SolveAbort;
+use spllift::ide::SolveAbort;
 use spllift::ir::ProgramIcfg;
 use spllift::lift::{
     AbstractionStep, GovernorOptions, LatticeHints, LatticePoint, LiftedSolution, ModelMode,
