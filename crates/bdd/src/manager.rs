@@ -802,21 +802,6 @@ impl BddManager {
         self.wrap(id)
     }
 
-    /// The number of declared variables.
-    pub fn num_vars(&self) -> usize {
-        self.store.borrow().var_names.len()
-    }
-
-    /// The name a variable was declared with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var` was not declared by this manager.
-    pub fn var_name(&self, var: VarId) -> String {
-        let name = self.store.borrow().var_names.get(var.0 as usize).cloned();
-        name.unwrap_or_else(|| panic!("variable {var} not declared in this manager"))
-    }
-
     /// The constant `true` formula.
     pub fn top(&self) -> Bdd {
         self.wrap(TRUE_ID)

@@ -18,8 +18,10 @@
 //! defaults to the machine's available parallelism. `--cutoff SECS`
 //! (default 30) bounds each A2 campaign before it is extrapolated, and
 //! `--sample N` (default 40) caps the configurations RQ1 checks per
-//! subject. A bad command or flag is one `report: ...` line on stderr
-//! and exit code 2, before any subject is generated.
+//! subject: a stride through the valid ones, or for BerkeleyDB, whose
+//! 2^39 cannot be enumerated, a seeded random draw. `rq1` exits 1 on
+//! any mismatch. A bad command or flag is one `report: ...` line on
+//! stderr and exit code 2, before any subject is generated.
 //!
 //! Every SPLLIFT time is one cold lift and solve on a fresh constraint
 //! context ([`spllift_bench::time_spllift`]).
@@ -28,12 +30,37 @@ use spllift_analyses::{with_analysis, AnalysisKind, ReachingDefs, TaintAnalysis}
 use spllift_bench::{fmt_duration, measure_cell, pearson, time_a2_all, time_spllift, Cell};
 use spllift_benchgen::{subject_by_name, subjects, GeneratedSpl};
 use spllift_core::ModelMode;
-use spllift_features::{BddConstraintContext, DnfConstraintContext, FeatureTable};
+use spllift_features::{
+    BddConstraintContext, Configuration, ConstraintContext, DnfConstraintContext, FeatureTable,
+};
 use spllift_ifds::IfdsProblem;
 use spllift_ir::ProgramIcfg;
+use spllift_rng::SplitMix64;
 use spllift_spl::{crosscheck_parallel, default_jobs, ParallelOptions};
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 use std::time::Duration;
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout. A closed stdout (`report ... | head`) ends the
+/// output: the process exits 0 without a message.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
 
 /// What a command runs, given the parsed flags.
 type Command = fn(&Options);
@@ -140,10 +167,15 @@ fn generate_all() -> Vec<GeneratedSpl> {
 // ----------------------------------------------------------------------
 
 fn table1() {
-    println!("== Table 1: key information about benchmarks used ==");
-    println!(
+    outln!("== Table 1: key information about benchmarks used ==");
+    outln!(
         "{:<12} {:>6} {:>9} {:>10} {:>16} {:>14}",
-        "Benchmark", "KLOC", "F.total", "F.reach", "Configs.reach", "Configs.valid"
+        "Benchmark",
+        "KLOC",
+        "F.total",
+        "F.reach",
+        "Configs.reach",
+        "Configs.valid"
     );
     for spl in generate_all() {
         let valid = spl.count_valid_configs();
@@ -153,7 +185,7 @@ fn table1() {
         } else {
             valid.to_string()
         };
-        println!(
+        outln!(
             "{:<12} {:>6.1} {:>9} {:>10} {:>16} {:>14}",
             spl.spec.name,
             spl.loc as f64 / 1000.0,
@@ -163,7 +195,7 @@ fn table1() {
             valid_str,
         );
     }
-    println!("(*) the paper reports 'unknown'; our BDD sat-count resolves it\n");
+    outln!("(*) the paper reports 'unknown'; our BDD sat-count resolves it\n");
 }
 
 fn format_pow2(n: usize) -> String {
@@ -190,10 +222,15 @@ fn measure_all(cutoff: Duration, jobs: usize) -> Vec<Cell> {
 }
 
 fn print_table2(cells: &[Cell]) {
-    println!("== Table 2: SPLLIFT vs A2 (feature model regarded) ==");
-    println!(
+    outln!("== Table 2: SPLLIFT vs A2 (feature model regarded) ==");
+    outln!(
         "{:<12} {:>14} {:>9} | {:>12} {:>12} {:>9}",
-        "Benchmark", "valid configs", "CG", "SPLLIFT", "A2 (all)", "speedup"
+        "Benchmark",
+        "valid configs",
+        "CG",
+        "SPLLIFT",
+        "A2 (all)",
+        "speedup"
     );
     let mut jobs = 1;
     for c in cells {
@@ -205,7 +242,7 @@ fn print_table2(cells: &[Cell]) {
         };
         let marker = if c.a2.is_estimate() { "~" } else { "" };
         jobs = c.a2.jobs();
-        println!(
+        outln!(
             "{:<12} {:>14} {:>9} | {:>12} {:>13} {:>11}  [{}]",
             c.subject,
             configs,
@@ -216,18 +253,22 @@ fn print_table2(cells: &[Cell]) {
             c.analysis,
         );
     }
-    println!("(~ = extrapolated past the cutoff, as in the paper's grey cells)");
-    println!("(A2 brute-force arm sharded across {jobs} worker thread(s); times are wall-clock)\n");
+    outln!("(~ = extrapolated past the cutoff, as in the paper's grey cells)");
+    outln!("(A2 brute-force arm sharded across {jobs} worker thread(s); times are wall-clock)\n");
 }
 
 fn print_table3(cells: &[Cell]) {
-    println!("== Table 3: cost of regarding the feature model ==");
-    println!(
+    outln!("== Table 3: cost of regarding the feature model ==");
+    outln!(
         "{:<12} {:<10} {:>12} {:>12} {:>12}",
-        "Benchmark", "Analysis", "regarded", "ignored", "avg A2"
+        "Benchmark",
+        "Analysis",
+        "regarded",
+        "ignored",
+        "avg A2"
     );
     for c in cells {
-        println!(
+        outln!(
             "{:<12} {:<10} {:>12} {:>12} {:>12}",
             c.subject,
             c.analysis,
@@ -236,7 +277,7 @@ fn print_table3(cells: &[Cell]) {
             fmt_duration(c.a2.per_run_secs()),
         );
     }
-    println!(
+    outln!(
         "(avg A2 = mean single-configuration A2 time: the paper's 'gold standard' lower bound)\n"
     );
 }
@@ -246,7 +287,7 @@ fn print_table3(cells: &[Cell]) {
 // ----------------------------------------------------------------------
 
 fn print_correlation(cells: &[Cell]) {
-    println!("== Qualitative analysis (§6.2): time vs. jump-function constructions ==");
+    outln!("== Qualitative analysis (§6.2): time vs. jump-function constructions ==");
     let xs: Vec<f64> = cells
         .iter()
         .map(|c| c.spllift_regarded.stats.jump_fn_constructions as f64)
@@ -256,7 +297,7 @@ fn print_correlation(cells: &[Cell]) {
         .map(|c| c.spllift_regarded.time.as_secs_f64())
         .collect();
     for (c, (x, y)) in cells.iter().zip(xs.iter().zip(&ys)) {
-        println!(
+        outln!(
             "  {:<12} {:<10} jump-fns {:>10}   time {:>10}",
             c.subject,
             c.analysis,
@@ -264,7 +305,7 @@ fn print_correlation(cells: &[Cell]) {
             fmt_duration(*y)
         );
     }
-    println!(
+    outln!(
         "Pearson correlation across heterogeneous cells: {:.4}",
         pearson(&xs, &ys)
     );
@@ -288,7 +329,7 @@ fn print_correlation(cells: &[Cell]) {
         xs.push(m.stats.jump_fn_constructions as f64);
         ys.push(m.time.as_secs_f64());
     }
-    println!(
+    outln!(
         "Pearson correlation over a controlled size/seed sweep (12 MM08-shaped subjects, R. Def.): {:.4} (paper: > 0.99)\n",
         pearson(&xs, &ys)
     );
@@ -303,12 +344,14 @@ fn print_correlation(cells: &[Cell]) {
 /// SPLLIFT's stays roughly flat — the claim of the paper's §8 ("SPLLIFT
 /// successfully avoids the exponential blowup") as a measurable curve.
 fn scaling(jobs: usize) {
-    println!(
-        "== Scaling sweep: features vs. time (Reaching Definitions, A2 on {jobs} thread(s)) =="
-    );
-    println!(
+    outln!("== Scaling sweep: features vs. time (Reaching Definitions, A2 on {jobs} thread(s)) ==");
+    outln!(
         "{:>9} {:>9} {:>12} {:>12} {:>9}",
-        "features", "configs", "SPLLIFT", "A2 (all)", "ratio"
+        "features",
+        "configs",
+        "SPLLIFT",
+        "A2 (all)",
+        "ratio"
     );
     for n in [2usize, 4, 6, 8, 10, 12] {
         let spl = GeneratedSpl::generate(spllift_benchgen::synthetic_spec(n, 500, 42));
@@ -322,7 +365,7 @@ fn scaling(jobs: usize) {
             ModelMode::OnEdges,
         );
         let a2 = time_a2_all(&spl, &icfg, &analysis, Duration::from_secs(20), jobs);
-        println!(
+        outln!(
             "{:>9} {:>9} {:>12} {:>12} {:>8.0}x",
             n,
             1u64 << n,
@@ -331,7 +374,7 @@ fn scaling(jobs: usize) {
             a2.total_secs() / lift.time.as_secs_f64().max(1e-9),
         );
     }
-    println!();
+    outln!();
 }
 
 // ----------------------------------------------------------------------
@@ -344,11 +387,14 @@ fn scaling(jobs: usize) {
 /// possible": cost should grow with annotation density, not with the
 /// (constant) configuration count — which A2's cost tracks instead.
 fn density() {
-    println!("== Annotation-density sweep (GPL shape, Reaching Definitions) ==");
-    println!("One fixed program; annotations thinned to a fraction of the original.");
-    println!(
+    outln!("== Annotation-density sweep (GPL shape, Reaching Definitions) ==");
+    outln!("One fixed program; annotations thinned to a fraction of the original.");
+    outln!(
         "{:>9} {:>10} {:>12} {:>14}",
-        "keep %", "annotated", "SPLLIFT", "jump-fns"
+        "keep %",
+        "annotated",
+        "SPLLIFT",
+        "jump-fns"
     );
     // Generate once at high density, then thin annotations only — the
     // CFG, the statements, and the call graph stay identical across rows.
@@ -386,7 +432,7 @@ fn density() {
             None,
             ModelMode::Ignore,
         );
-        println!(
+        outln!(
             "{:>9} {:>10} {:>12} {:>14}",
             keep_pct,
             kept,
@@ -394,8 +440,8 @@ fn density() {
             m.stats.jump_fn_constructions,
         );
     }
-    println!("(cost tracks annotation density — the 'splits and joins as sparsely as possible' claim of §8)");
-    println!();
+    outln!("(cost tracks annotation density — the 'splits and joins as sparsely as possible' claim of §8)");
+    outln!();
 }
 
 // ----------------------------------------------------------------------
@@ -409,10 +455,14 @@ fn density() {
 /// performance impact of BDD variable orderings". This experiment does:
 /// same subject, same analysis, three orderings.
 fn ordering() {
-    println!("== BDD variable-ordering impact (Reaching Definitions) ==");
-    println!(
+    outln!("== BDD variable-ordering impact (Reaching Definitions) ==");
+    outln!(
         "{:<12} {:<12} {:>12} {:>12} {:>12}",
-        "Benchmark", "order", "SPLLIFT", "BDD nodes", "jump-fns"
+        "Benchmark",
+        "order",
+        "SPLLIFT",
+        "BDD nodes",
+        "jump-fns"
     );
     for name in ["GPL", "BerkeleyDB"] {
         let spl = GeneratedSpl::generate(subject_by_name(name).unwrap());
@@ -438,7 +488,7 @@ fn ordering() {
         ] {
             let ctx = BddConstraintContext::with_order(&spl.table, order);
             let m = time_spllift(&analysis, &icfg, &ctx, Some(&model), ModelMode::OnEdges);
-            println!(
+            outln!(
                 "{:<12} {:<12} {:>12} {:>12} {:>12}",
                 name,
                 label,
@@ -448,7 +498,7 @@ fn ordering() {
             );
         }
     }
-    println!("(the paper's deferred experiment: order affects BDD size, rarely the verdicts)\n");
+    outln!("(the paper's deferred experiment: order affects BDD size, rarely the verdicts)\n");
 }
 
 // ----------------------------------------------------------------------
@@ -465,10 +515,14 @@ fn ablations() {
 /// as well for the Boolean operations we require" (§5, §7). The same
 /// lifting runs on either constraint context, feature model ignored.
 fn ablation_repr() {
-    println!("== Ablation A (§5, §7): BDD vs. DNF constraints (feature model ignored) ==");
-    println!(
+    outln!("== Ablation A (§5, §7): BDD vs. DNF constraints (feature model ignored) ==");
+    outln!(
         "{:<12} {:<10} {:>12} {:>12} {:>9}",
-        "Benchmark", "Analysis", "BDD", "DNF", "DNF/BDD"
+        "Benchmark",
+        "Analysis",
+        "BDD",
+        "DNF",
+        "DNF/BDD"
     );
     let ex = spllift_ir::samples::fig1();
     let icfg = ProgramIcfg::new(&ex.program);
@@ -485,7 +539,7 @@ fn ablation_repr() {
             &spl.table
         ));
     }
-    println!("(both representations denote the same constraints; asserted by the BDD/DNF tests)\n");
+    outln!("(both representations denote the same constraints; asserted by the BDD/DNF tests)\n");
 }
 
 fn repr_row<'a, P: IfdsProblem<ProgramIcfg<'a>>>(
@@ -499,7 +553,7 @@ fn repr_row<'a, P: IfdsProblem<ProgramIcfg<'a>>>(
     let bdd = time_spllift(problem, icfg, &bdd, None, ModelMode::Ignore).time;
     let dnf = DnfConstraintContext::new(table);
     let dnf = time_spllift(problem, icfg, &dnf, None, ModelMode::Ignore).time;
-    println!(
+    outln!(
         "{:<12} {:<10} {:>12} {:>12} {:>8.1}x",
         subject,
         analysis,
@@ -516,10 +570,14 @@ fn repr_row<'a, P: IfdsProblem<ProgramIcfg<'a>>>(
 /// design: same results, pruned only in the value phase. `ignore`
 /// drops it, the baseline for both.
 fn ablation_model() {
-    println!("== Ablations B/C (§4.2): where the feature model enters ==");
-    println!(
+    outln!("== Ablations B/C (§4.2): where the feature model enters ==");
+    outln!(
         "{:<12} {:<10} {:>12} {:>12} {:>12}   jump-fns (on-edges/start-value/ignore)",
-        "Benchmark", "Analysis", "on-edges", "start-value", "ignore"
+        "Benchmark",
+        "Analysis",
+        "on-edges",
+        "start-value",
+        "ignore"
     );
     for name in ["MM08", "GPL"] {
         let spl = GeneratedSpl::generate(subject_by_name(name).unwrap());
@@ -537,7 +595,7 @@ fn ablation_model() {
             });
             let [edges, start, ignore] = cells.map(|m| fmt_duration(m.time.as_secs_f64()));
             let [je, js, ji] = cells.map(|m| m.stats.jump_fn_constructions);
-            println!(
+            outln!(
                 "{:<12} {:<10} {:>12} {:>12} {:>12}   {je}/{js}/{ji}",
                 name,
                 kind.label(),
@@ -547,33 +605,31 @@ fn ablation_model() {
             );
         }
     }
-    println!(
+    outln!(
         "(on-edges and start-value compute the same constraints, asserted in spllift-core's tests;"
     );
-    println!(" ignore drops the model's restrictions)\n");
+    outln!(" ignore drops the model's restrictions)\n");
 }
 
 // ----------------------------------------------------------------------
 // RQ1: correctness cross-check against the A2 oracle.
 // ----------------------------------------------------------------------
 
+/// Cross-checks every subject on at most `sample` valid configurations
+/// and exits 1 if any disagrees with A2.
 fn rq1(sample: usize, jobs: usize) {
-    println!("== RQ1: SPLLIFT vs A2 oracle cross-check (§6.1, {jobs} worker thread(s)) ==");
+    outln!("== RQ1: SPLLIFT vs A2 oracle cross-check (§6.1, {jobs} worker thread(s)) ==");
+    let mut mismatches = 0usize;
     for spl in generate_all() {
-        if spl.reachable.len() > 30 {
-            println!(
-                "{:<12} skipped exhaustive check (2^{} configs); sampled below",
-                spl.spec.name,
-                spl.reachable.len()
-            );
-            continue;
-        }
-        let mut configs = spl.valid_configurations();
-        if configs.len() > sample {
+        let (configs, note) = if spl.reachable.len() > 30 {
+            // 2^39 configurations for BerkeleyDB: too many to enumerate.
+            (sample_configurations(&spl, sample), " (seeded random draw)")
+        } else {
+            let configs = spl.valid_configurations();
             // Deterministic stride sample.
-            let stride = configs.len() / sample;
-            configs = configs.into_iter().step_by(stride.max(1)).collect();
-        }
+            let stride = (configs.len() / sample).max(1);
+            (configs.into_iter().step_by(stride).collect(), "")
+        };
         let icfg = spl.icfg();
         let model = spl.model_expr();
         let opts = ParallelOptions::with_jobs(jobs);
@@ -588,12 +644,43 @@ fn rq1(sample: usize, jobs: usize) {
             }
             total += outcome.mismatches.len();
         }
-        println!(
-            "{:<12} {} configs x 3 analyses: {} mismatches",
+        outln!(
+            "{:<12} {} configs x 3 analyses: {} mismatches{note}",
             spl.spec.name,
             configs.len(),
             total
         );
+        mismatches += total;
     }
-    println!();
+    outln!();
+    if mismatches > 0 {
+        std::process::exit(1);
+    }
+}
+
+/// `count` valid configurations of `spl`, each drawn by a walk over the
+/// features that flips a seeded coin per feature and flips it back
+/// whenever the choice would falsify the feature model.
+fn sample_configurations(spl: &GeneratedSpl, count: usize) -> Vec<Configuration> {
+    let ctx = BddConstraintContext::new(&spl.table);
+    let model = ctx.of_expr(&spl.model_expr());
+    let mut rng = SplitMix64::seed_from_u64(spl.spec.seed);
+    (0..count)
+        .map(|_| {
+            let mut rest = model.clone();
+            let mut enabled = Vec::new();
+            for (id, _) in spl.table.iter() {
+                let var = ctx.var_of(id).expect("every feature has a BDD variable");
+                let mut value = rng.gen_bool(0.5);
+                if rest.restrict(var, value).is_false() {
+                    value = !value;
+                }
+                rest = rest.restrict(var, value);
+                if value {
+                    enabled.push(id);
+                }
+            }
+            Configuration::from_enabled(enabled)
+        })
+        .collect()
 }

@@ -1,8 +1,10 @@
 //! `report` answers a bad command or flag with one `report: ...` line
 //! on stderr and exit code 2, before it generates any subject — so
-//! nothing here waits on a measurement.
+//! nothing here waits on a measurement, except the check that a closed
+//! stdout ends a run quietly.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 
 fn rejects(args: &[&str], needle: &str) {
     let out = Command::new(env!("CARGO_BIN_EXE_report"))
@@ -46,4 +48,23 @@ fn unparsable_values_and_unknown_arguments_are_not_ignored() {
     rejects(&["table1", "--bogus"], "unexpected argument `--bogus`");
     rejects(&["table1", "table2"], "unexpected argument `table2`");
     rejects(&["tables"], "unknown command `tables`");
+}
+
+#[test]
+fn a_closed_stdout_ends_the_output_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_report"))
+        .arg("ablations")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("report runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line");
+    assert!(first.starts_with("== Ablation A"), "{first}");
+    let out = child.wait_with_output().expect("report exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
 }

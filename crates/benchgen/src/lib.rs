@@ -33,7 +33,7 @@ pub mod reduce;
 pub use codegen::CodegenParams;
 pub use mutate::{mutate, mutate_once, Mutation};
 pub use random_ir::{random_spl, RandomSpl};
-pub use reduce::{payload_stmt_count, reduce, Oracle, ReduceOptions, ReduceOutcome};
+pub use reduce::{payload_stmt_count, reduce, Oracle, ReduceOutcome};
 
 use spllift_features::{Configuration, FeatureExpr, FeatureId, FeatureModel, FeatureTable};
 use spllift_ir::{Program, ProgramIcfg};

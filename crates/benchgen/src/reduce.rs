@@ -25,33 +25,6 @@
 use spllift_features::{partition_slice, FeatureExpr, FeatureId, FeatureTable};
 use spllift_ir::{text, MethodId, Operand, Program, StmtKind, StmtRef};
 
-/// What the reducer may simplify. Each pass can be disabled — the
-/// reducer demo test, for instance, pins the feature set so the repro
-/// keeps the same configuration space as the original failure.
-#[derive(Debug, Clone, Copy)]
-pub struct ReduceOptions {
-    /// Nop-out individual statements.
-    pub reduce_statements: bool,
-    /// Hollow out whole method bodies.
-    pub reduce_functions: bool,
-    /// Eliminate features from annotations (substituting `false`).
-    pub reduce_features: bool,
-    /// Upper bound on pass rounds (a fixpoint is normally reached in
-    /// two or three).
-    pub max_rounds: usize,
-}
-
-impl Default for ReduceOptions {
-    fn default() -> Self {
-        ReduceOptions {
-            reduce_statements: true,
-            reduce_functions: true,
-            reduce_features: true,
-            max_rounds: 8,
-        }
-    }
-}
-
 /// A reduced failing program, plus bookkeeping for reports and tests.
 #[derive(Debug)]
 pub struct ReduceOutcome {
@@ -256,8 +229,10 @@ pub fn reduce(
     table: &FeatureTable,
     features: &[FeatureId],
     oracle: &mut Oracle<'_>,
-    options: ReduceOptions,
 ) -> ReduceOutcome {
+    /// Upper bound on pass rounds (a fixpoint is normally reached in
+    /// two or three).
+    const MAX_ROUNDS: usize = 8;
     let mut oracle_runs = 1;
     assert!(
         oracle(program, features),
@@ -271,7 +246,7 @@ pub fn reduce(
         rounds += 1;
         let before = (payload_stmt_count(&current), features.len());
 
-        if options.reduce_features && !features.is_empty() {
+        if !features.is_empty() {
             let feats = features.clone();
             let base = current.clone();
             let kept = ddmin(
@@ -296,81 +271,75 @@ pub fn reduce(
             features = kept;
         }
 
-        if options.reduce_functions {
-            // Entry points stay; hollowing them would trivialize the
-            // program without exercising interprocedural flow.
-            let entries = current.entry_points().to_vec();
-            let candidates: Vec<MethodId> = current
-                .methods_with_body()
-                .filter(|m| !entries.contains(m))
-                .collect();
-            let base = current.clone();
-            let feats = features.clone();
-            let kept = ddmin(
-                candidates.clone(),
-                |keep| {
-                    let gone: Vec<MethodId> = candidates
-                        .iter()
-                        .copied()
-                        .filter(|m| !keep.contains(m))
-                        .collect();
-                    (without_functions(&base, &gone), feats.clone())
-                },
-                oracle,
-                &mut oracle_runs,
-            );
-            let gone: Vec<MethodId> = candidates
-                .iter()
-                .copied()
-                .filter(|m| !kept.contains(m))
-                .collect();
-            current = without_functions(&base, &gone);
-        }
+        // Entry points stay; hollowing them would trivialize the
+        // program without exercising interprocedural flow.
+        let entries = current.entry_points().to_vec();
+        let candidates: Vec<MethodId> = current
+            .methods_with_body()
+            .filter(|m| !entries.contains(m))
+            .collect();
+        let base = current.clone();
+        let feats = features.clone();
+        let kept = ddmin(
+            candidates.clone(),
+            |keep| {
+                let gone: Vec<MethodId> = candidates
+                    .iter()
+                    .copied()
+                    .filter(|m| !keep.contains(m))
+                    .collect();
+                (without_functions(&base, &gone), feats.clone())
+            },
+            oracle,
+            &mut oracle_runs,
+        );
+        let gone: Vec<MethodId> = candidates
+            .iter()
+            .copied()
+            .filter(|m| !kept.contains(m))
+            .collect();
+        current = without_functions(&base, &gone);
 
-        if options.reduce_statements {
-            let candidates: Vec<StmtRef> = current
-                .methods_with_body()
-                .flat_map(|m| {
-                    let stmts = &current.body(m).stmts;
-                    let last = stmts.len() - 1;
-                    stmts
-                        .iter()
-                        .enumerate()
-                        .filter(move |&(i, s)| {
-                            i != 0 && i != last && !matches!(s.kind, StmtKind::Nop)
-                        })
-                        .map(move |(i, _)| StmtRef {
-                            method: m,
-                            index: i as u32,
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            let base = current.clone();
-            let feats = features.clone();
-            let kept = ddmin(
-                candidates.clone(),
-                |keep| {
-                    let gone: Vec<StmtRef> = candidates
-                        .iter()
-                        .copied()
-                        .filter(|s| !keep.contains(s))
-                        .collect();
-                    (without_stmts(&base, &gone), feats.clone())
-                },
-                oracle,
-                &mut oracle_runs,
-            );
-            let gone: Vec<StmtRef> = candidates
-                .iter()
-                .copied()
-                .filter(|s| !kept.contains(s))
-                .collect();
-            current = without_stmts(&base, &gone);
-        }
+        let candidates: Vec<StmtRef> = current
+            .methods_with_body()
+            .flat_map(|m| {
+                let stmts = &current.body(m).stmts;
+                let last = stmts.len() - 1;
+                stmts
+                    .iter()
+                    .enumerate()
+                    .filter(move |&(i, s)| i != 0 && i != last && !matches!(s.kind, StmtKind::Nop))
+                    .map(move |(i, _)| StmtRef {
+                        method: m,
+                        index: i as u32,
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let base = current.clone();
+        let feats = features.clone();
+        let kept = ddmin(
+            candidates.clone(),
+            |keep| {
+                let gone: Vec<StmtRef> = candidates
+                    .iter()
+                    .copied()
+                    .filter(|s| !keep.contains(s))
+                    .collect();
+                (without_stmts(&base, &gone), feats.clone())
+            },
+            oracle,
+            &mut oracle_runs,
+        );
+        let gone: Vec<StmtRef> = candidates
+            .iter()
+            .copied()
+            .filter(|s| !kept.contains(s))
+            .collect();
+        current = without_stmts(&base, &gone);
 
         let after = (payload_stmt_count(&current), features.len());
-        if after == before || rounds >= options.max_rounds {
+        if after == before || rounds >= MAX_ROUNDS {
             break;
         }
     }
@@ -415,13 +384,7 @@ mod tests {
                 })
             })
         };
-        let out = reduce(
-            &spl.program,
-            &spl.table,
-            &spl.features,
-            &mut oracle,
-            ReduceOptions::default(),
-        );
+        let out = reduce(&spl.program, &spl.table, &spl.features, &mut oracle);
         assert!(out.program.check().is_ok());
         // One call statement must survive; the ddmin floor for this
         // oracle is exactly one payload statement.
@@ -459,16 +422,7 @@ mod tests {
                 .any(|e| matches!(e, spllift_ir::interp::Event::Leak(_)))
         };
         let before = payload_stmt_count(&spl.program);
-        let out = reduce(
-            &spl.program,
-            &spl.table,
-            &spl.features,
-            &mut oracle,
-            ReduceOptions {
-                reduce_features: false,
-                ..ReduceOptions::default()
-            },
-        );
+        let out = reduce(&spl.program, &spl.table, &spl.features, &mut oracle);
         assert!(
             out.payload_stmts < before,
             "{} !< {before}",
@@ -492,14 +446,7 @@ mod tests {
                         .any(|s| matches!(s.kind, StmtKind::Invoke { .. }))
                 })
             };
-            reduce(
-                &spl.program,
-                &spl.table,
-                &spl.features,
-                &mut oracle,
-                ReduceOptions::default(),
-            )
-            .repro
+            reduce(&spl.program, &spl.table, &spl.features, &mut oracle).repro
         };
         assert_eq!(run_once(), run_once());
     }

@@ -51,8 +51,7 @@ pub mod report;
 pub use annotated::{AnnotatedIcfg, LiftedIcfg};
 pub use edge::ConstraintEdge;
 pub use lift::{
-    AbstractionImpact, GovernorOptions, LatticeHints, LiftedProblem, LiftedSolution, ModelMode,
-    SolveOutcome,
+    GovernorOptions, LatticeHints, LiftedProblem, LiftedSolution, ModelMode, SolveOutcome,
 };
 pub use spllift_features::{AbstractionStep, LatticePoint};
 pub use spllift_ide::{SolveAbort, SolverMemo};

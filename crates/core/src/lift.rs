@@ -101,9 +101,9 @@ where
     ///
     /// Also returns the [`AbstractionImpact`]: which methods' stored
     /// constraints actually changed relative to [`LiftedProblem::new`]
-    /// — the governor uses it to keep still-valid memoized jump
-    /// functions (closed under transitive callers) when re-solving.
-    pub fn abstracted(
+    /// — the governor names them to the solver as changed, so the memo
+    /// entries of every other method stay in use.
+    fn abstracted(
         problem: &'a P,
         icfg: &G,
         ctx: &'a Ctx,
@@ -386,18 +386,16 @@ where
 /// A method whose per-statement constraints are unchanged by the
 /// point's transformer (and whose model conjunct is unchanged) has
 /// bit-identical edge functions at that point, so its full-precision
-/// memoized jump functions and end summaries remain valid — provided
-/// the dirty set is closed under transitive *callers* (summaries embed
-/// callee summaries; see [`SolverMemo`]).
-#[derive(Debug, Clone)]
-pub struct AbstractionImpact<M> {
+/// memoized jump functions and end summaries remain valid unless it
+/// calls a touched method, which the solver decides.
+struct AbstractionImpact<M> {
     /// Whether the feature-model conjunct differs from full precision
     /// (dropped or weakened), or the point is the bottom. When it does,
     /// every edge changed and no memo reuse is possible.
-    pub model_changed: bool,
+    model_changed: bool,
     /// Methods with at least one statement whose (enabled, disabled)
-    /// constraints changed. *Not* closed under callers.
-    pub changed_methods: FastSet<M>,
+    /// constraints changed.
+    changed_methods: FastSet<M>,
 }
 
 /// How a governed solve ([`LiftedSolution::solve_governed`]) finished.
@@ -528,8 +526,9 @@ impl LatticeHints {
 }
 
 /// Resource envelope for a governed solve. Every limit defaults to
-/// unlimited; with all limits off, [`LiftedSolution::solve_governed`] is
-/// exactly [`LiftedSolution::solve`] plus an `Ok(Complete)`.
+/// unlimited; with all limits off, a cold
+/// [`LiftedSolution::solve_governed`] is exactly
+/// [`LiftedSolution::solve`] plus an `Ok(Complete)`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GovernorOptions {
     /// BDD node budget per lattice-point attempt (nodes allocated since
@@ -562,37 +561,6 @@ impl GovernorOptions {
             poll_budget: self.arms_budget(),
         }
     }
-}
-
-/// The transitive-caller closure of `changed`: every method from which
-/// some changed method is reachable in the call graph (including the
-/// changed methods themselves). This is the dirty set memo reuse needs
-/// — a caller's summaries embed callee summaries, so a clean caller of
-/// a changed callee would leak stale constraints.
-fn transitive_callers<G: AnnotatedIcfg>(
-    icfg: &G,
-    changed: &FastSet<G::Method>,
-) -> FastSet<G::Method> {
-    let mut callers_of: FastMap<G::Method, Vec<G::Method>> = FastMap::default();
-    for m in icfg.methods() {
-        for s in icfg.calls_in(m) {
-            for &callee in icfg.callees_of(s) {
-                callers_of.entry(callee).or_default().push(m);
-            }
-        }
-    }
-    let mut dirty: FastSet<G::Method> = changed.clone();
-    let mut work: Vec<G::Method> = changed.iter().copied().collect();
-    while let Some(m) = work.pop() {
-        if let Some(callers) = callers_of.get(&m) {
-            for &c in callers {
-                if dirty.insert(c) {
-                    work.push(c);
-                }
-            }
-        }
-    }
-    dirty
 }
 
 /// The result of running SPLLIFT: for every (statement, fact) pair, the
@@ -673,8 +641,9 @@ where
         LiftedSolution { solver }
     }
 
-    /// Resource-governed SPLLIFT: solves under the `gov` envelope,
-    /// descending the variability-abstraction lattice on exhaustion.
+    /// Resource-governed, incremental SPLLIFT: solves under the `gov`
+    /// envelope, descending the variability-abstraction lattice on
+    /// exhaustion, warm-started from `memo`.
     ///
     /// The attempt order is the `LatticeHints::schedule` descent: the
     /// full-precision top first, then — when `gov.lattice.keep` names
@@ -688,6 +657,20 @@ where
     /// and reports which lattice point answered via [`SolveOutcome`].
     /// `Err` is returned only when even the bottom point aborted (e.g.
     /// a deadline too short for any solve).
+    ///
+    /// `changed` names the methods whose bodies differ from the program
+    /// `memo` was solved on; with an empty memo the solve is cold, and
+    /// with an unlimited `gov` as well it is exactly
+    /// [`solve`](Self::solve). Every attempt hands the memo to
+    /// [`IdeSolver::try_solve_seeded`], which re-tabulates the changed
+    /// methods and their transitive callers. A degraded attempt adds
+    /// the methods whose constraints its lattice point changes; a point
+    /// that changes the feature-model conjunct (drops or weakens it)
+    /// changes every edge, so that attempt runs cold. The *returned*
+    /// memo is non-empty only when the full attempt completed — a
+    /// degraded solve's jump functions encode weakened constraints that
+    /// must not seed a later full-precision round.
+    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     pub fn solve_governed<P, Ctx>(
         problem: &P,
         icfg: &'g G,
@@ -695,47 +678,8 @@ where
         model: Option<&FeatureExpr>,
         mode: ModelMode,
         gov: GovernorOptions,
-    ) -> Result<(Self, SolveOutcome), SolveAbort>
-    where
-        P: IfdsProblem<G, Fact = D>,
-        Ctx: ConstraintContext<C = C>,
-    {
-        Self::solve_governed_memoized(
-            problem,
-            icfg,
-            ctx,
-            model,
-            mode,
-            gov,
-            &SolverMemo::default(),
-            &|_| false,
-        )
-        .map(|(solution, outcome, _)| (solution, outcome))
-    }
-
-    /// [`solve_governed`](Self::solve_governed) warm-started from a memo.
-    ///
-    /// The full-precision attempt consults `memo` as usual. A degraded
-    /// attempt still reuses the memo *selectively*: methods whose
-    /// constraints the lattice point leaves bit-identical (per
-    /// [`AbstractionImpact`], closed under transitive callers) keep
-    /// their retained jump functions — they encode exactly the same
-    /// edge functions at that point. When the point changes the
-    /// feature-model conjunct (drops or weakens it) every edge changed,
-    /// so the attempt runs cold. The *returned* memo is non-empty only
-    /// when the full attempt completed — a degraded solve's jump
-    /// functions encode weakened constraints that must not seed a later
-    /// full-precision round.
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    pub fn solve_governed_memoized<P, Ctx>(
-        problem: &P,
-        icfg: &'g G,
-        ctx: &Ctx,
-        model: Option<&FeatureExpr>,
-        mode: ModelMode,
-        gov: GovernorOptions,
         memo: &SolverMemo<G::Method, G::Stmt, D, ConstraintEdge<C>>,
-        clean: &dyn Fn(G::Method) -> bool,
+        changed: &[G::Method],
     ) -> Result<
         (
             Self,
@@ -775,25 +719,22 @@ where
                 last_abort = Some(abort);
                 continue;
             }
-            // Memo reuse: the caller's clean predicate, minus every
-            // method the point's abstraction touched, closed under
-            // transitive callers (none at the full point); a changed
-            // model conjunct invalidates everything (run cold).
-            let dirty = (!impact.model_changed && !impact.changed_methods.is_empty())
-                .then(|| transitive_callers(icfg, &impact.changed_methods));
-            let composed_clean =
-                |m: G::Method| clean(m) && dirty.as_ref().is_none_or(|d| !d.contains(&m));
+            // Memo reuse: the methods the point's abstraction touched
+            // changed too (none at the full point); a changed model
+            // conjunct invalidates everything (run cold).
             let point_memo = if impact.model_changed {
                 &empty_memo
             } else {
                 memo
             };
+            let mut point_changed = changed.to_vec();
+            point_changed.extend(impact.changed_methods);
             match IdeSolver::try_solve_seeded(
                 &lifted,
                 &lifted_icfg,
                 options,
                 point_memo,
-                &composed_clean,
+                &point_changed,
             ) {
                 Ok((solver, next_memo)) => {
                     ctx.disarm_budget();

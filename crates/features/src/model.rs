@@ -1,6 +1,6 @@
 //! Feature models and their translation to propositional constraints.
 
-use crate::{Configuration, FeatureExpr, FeatureId, FeatureTable};
+use crate::{FeatureExpr, FeatureId, FeatureTable};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -265,11 +265,6 @@ impl FeatureModel {
             c.collect_features(&mut out);
         }
         out
-    }
-
-    /// `true` iff `config` is a valid product of this model.
-    pub fn is_valid(&self, config: &Configuration) -> bool {
-        config.satisfies(&self.to_expr())
     }
 
     /// Serializes the model in the text format accepted by

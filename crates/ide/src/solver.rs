@@ -149,17 +149,19 @@ type MemoOf<G, P> = SolverMemo<
 /// Reps–Horwitz–Sagiv end summaries — Phase 1's own tables, moved out of
 /// the solve at its fixpoint (where every pending flag is clear).
 /// [`IdeSolver::try_solve_seeded`] consumes a memo to warm-start an
-/// *incremental* re-solve: entries belonging to methods the caller
-/// declares clean are preloaded at their fixpoint, so the solver only
-/// re-tabulates the dirty region; entries for dirty methods are
-/// discarded and recomputed.
+/// *incremental* re-solve from the methods whose flow functions the
+/// caller names as changed: the solver preloads, at their fixpoint, the
+/// entries of every method that is reachable in the current ICFG and
+/// does not transitively call a changed method, and re-tabulates the
+/// rest.
 ///
-/// Soundness requires the clean set to be closed under "calls into":
-/// a clean method must only call clean methods (equivalently, the dirty
-/// set must contain every transitive *caller* of an edited method).
-/// Under that closure a clean method's summaries depend only on
-/// unchanged code, so they are final, and the warm solve's fixpoint —
-/// and therefore its values — is identical to a cold solve's.
+/// Each preloaded method therefore only calls preloaded methods, whose
+/// bodies are unchanged, so its summaries are final and the warm solve's
+/// fixpoint — and therefore its values — is identical to a cold solve's.
+/// Phase 1 only tabulates reachable methods and a warm start preloads
+/// only reachable ones, so a memo never holds entries of a method that
+/// was unreachable in the program it was solved on: the changed set of
+/// an edit need not cover callers that the edit's program cannot reach.
 pub struct SolverMemo<M, S, D, EF> {
     jump: JumpTable<S, D, EF>,
     end_summary: EndSummaries<M, S, D, EF>,
@@ -219,22 +221,24 @@ where
     where
         P: IdeProblem<G, Fact = D, Value = V>,
     {
-        Self::try_solve_seeded(problem, icfg, options, &SolverMemo::default(), &|_| false)
+        Self::try_solve_seeded(problem, icfg, options, &SolverMemo::default(), &[])
             .expect("governed solve aborted; use try_solve_seeded to handle SolveAbort")
             .0
     }
 
-    /// Governed, incremental solve: warm-starts Phase 1 from `memo`,
-    /// keeping the retained jump functions and end summaries of every
-    /// method `m` with `clean(m)`, and re-tabulating everything else.
-    /// Returns the solution together with the memo for the *next*
-    /// solve: this solve's Phase-1 tables, moved, not copied.
+    /// Governed, incremental solve: warm-starts Phase 1 from `memo`.
+    /// `changed` must name every method whose flow functions or call
+    /// edges differ from those of the solve `memo` came from; the solver
+    /// preloads the retained jump functions and end summaries of every
+    /// method that is reachable in `icfg` and none of whose transitive
+    /// callees is in `changed` (see [`SolverMemo`]), and re-tabulates
+    /// everything else. Returns the solution together with the memo for
+    /// the *next* solve: this solve's Phase-1 tables, moved, not copied.
     ///
-    /// The caller guarantees the clean-set closure documented on
-    /// [`SolverMemo`]; with it, the result is identical to a cold
-    /// [`solve_with`](Self::solve_with) while
-    /// [`IdeStats::propagations`] only counts work in the dirty region
-    /// (plus any new entry facts flowing into clean methods).
+    /// The result is identical to a cold [`solve_with`](Self::solve_with)
+    /// while [`IdeStats::propagations`] only counts work outside the
+    /// preloaded methods (plus any new entry facts flowing into them).
+    /// An empty memo is a cold solve, which computes no reachability.
     ///
     /// Aborts with a [`SolveAbort`] when an [`IdeSolverOptions::limits`]
     /// bound is hit or (with [`IdeSolverOptions::poll_budget`]) the
@@ -245,27 +249,31 @@ where
         icfg: &G,
         options: IdeSolverOptions,
         memo: &MemoOf<G, P>,
-        clean: &dyn Fn(G::Method) -> bool,
+        changed: &[G::Method],
     ) -> Result<(Self, MemoOf<G, P>), SolveAbort>
     where
         P: IdeProblem<G, Fact = D, Value = V>,
     {
-        // Preload clean methods' Phase-1 state. The memo's jump entries
-        // carry cleared pending flags: they are already at fixpoint, so
-        // the initial seeds re-joining the identity edge find no change
-        // and queue nothing — a fully clean program re-solves with zero
-        // propagations.
+        // Preload the reusable methods' Phase-1 state. The memo's jump
+        // entries carry cleared pending flags: they are already at
+        // fixpoint, so the initial seeds re-joining the identity edge —
+        // and calls re-joining a preloaded callee's entry — find no
+        // change and queue nothing: a program with nothing changed
+        // re-solves with zero propagations.
+        let reusable = if memo.is_empty() {
+            FastSet::default()
+        } else {
+            reusable_methods(icfg, changed)
+        };
         let mut jump: JumpTable<G::Stmt, D, P::EF> = FastMap::default();
         for (key, fns) in &memo.jump {
-            if clean(icfg.method_of(key.0)) {
+            if reusable.contains(&icfg.method_of(key.0)) {
                 jump.insert(key.clone(), fns.clone());
             }
         }
         let mut end_summary: EndSummaries<G::Method, G::Stmt, D, P::EF> = FastMap::default();
-        let mut sealed: FastSet<(G::Method, D)> = FastSet::default();
         for (key, summaries) in &memo.end_summary {
-            if clean(key.0) {
-                sealed.insert(key.clone());
+            if reusable.contains(&key.0) {
                 end_summary.insert(key.clone(), summaries.clone());
             }
         }
@@ -277,7 +285,6 @@ where
             },
             incoming: FastMap::default(),
             end_summary,
-            sealed,
             normal_buf: Vec::new(),
             call_buf: Vec::new(),
             ret_buf: Vec::new(),
@@ -367,11 +374,6 @@ struct Phase1<G: Icfg, P: IdeProblem<G>> {
     tab: Tabulation<G, P>,
     incoming: Incoming<G::Method, G::Stmt, P::Fact>,
     end_summary: EndSummaries<G::Method, G::Stmt, P::Fact, P::EF>,
-    /// `(method, entry fact)` keys whose end summaries were preloaded
-    /// from a [`SolverMemo`] and are known final: calls reaching such an
-    /// entry apply the cached summaries without re-tabulating the callee
-    /// body for that entry fact.
-    sealed: FastSet<(G::Method, P::Fact)>,
     /// Flow-result buffers, one per nesting level: a call's return flows
     /// are evaluated while its call flow's results are still being read.
     normal_buf: Vec<(P::Fact, P::EF)>,
@@ -495,14 +497,9 @@ where
             for (d3, g_call) in self.call_buf.iter() {
                 let sp = icfg.start_point_of(callee);
                 let key = (callee, d3.clone());
-                // Callee-local jump functions start from the identity —
-                // unless this entry is self.sealed (its summaries were
-                // preloaded at fixpoint), in which case re-tabulating
-                // the callee body would be pure wasted work.
-                if !self.sealed.contains(&key) {
-                    self.tab
-                        .propagate(d3.clone(), sp, d3.clone(), problem.id_edge());
-                }
+                // Callee-local jump functions start from the identity.
+                self.tab
+                    .propagate(d3.clone(), sp, d3.clone(), problem.id_edge());
                 self.incoming
                     .entry(key.clone())
                     .or_default()
@@ -600,6 +597,34 @@ where
             }
         }
     }
+}
+
+/// The methods whose memo entries a warm start preloads: every method
+/// reachable from `icfg`'s entry points, minus the transitive callers
+/// of `changed` over the reachable call edges (`changed` included).
+fn reusable_methods<G: Icfg>(icfg: &G, changed: &[G::Method]) -> FastSet<G::Method> {
+    let mut reachable: FastSet<G::Method> = FastSet::default();
+    let mut callers: FastMap<G::Method, Vec<G::Method>> = FastMap::default();
+    let mut work = icfg.entry_points();
+    reachable.extend(work.iter().copied());
+    while let Some(m) = work.pop() {
+        for call in icfg.calls_in(m) {
+            for &callee in icfg.callees_of(call) {
+                callers.entry(callee).or_default().push(m);
+                if reachable.insert(callee) {
+                    work.push(callee);
+                }
+            }
+        }
+    }
+    // An unreachable changed method has no reachable caller.
+    let mut dirty = changed.to_vec();
+    while let Some(m) = dirty.pop() {
+        if reachable.remove(&m) {
+            dirty.extend(callers.get(&m).into_iter().flatten());
+        }
+    }
+    reachable
 }
 
 /// The per-propagation governance probe: bounds first (cheap integer /

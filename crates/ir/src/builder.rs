@@ -170,11 +170,6 @@ pub struct MethodBuilder {
 }
 
 impl MethodBuilder {
-    /// The method being built.
-    pub fn method_id(&self) -> MethodId {
-        self.method
-    }
-
     /// The locals bound to parameters, in order.
     pub fn param_local(&self, i: usize) -> LocalId {
         self.param_locals[i]

@@ -91,53 +91,3 @@ impl CallGraph {
         self.targets.values().map(Vec::len).sum()
     }
 }
-
-/// The transitive *caller* closure of `roots`: every method from which
-/// some root is reachable through call edges, roots included.
-///
-/// This is the dirty set of an incremental re-analysis after editing the
-/// bodies of `roots` (see `SolverMemo` in `spllift-ide`): a method whose
-/// body is unchanged can still observe an edit through a callee's end
-/// summary, so every transitive caller must be re-tabulated, while the
-/// complement — the clean set — is closed under "calls into" by
-/// construction.
-///
-/// Unlike [`CallGraph::build`], this scans *every* body (not just
-/// entry-reachable ones): the closure must stay sound even for methods a
-/// later edit could make reachable.
-pub fn transitive_callers(
-    program: &Program,
-    hierarchy: &Hierarchy,
-    roots: &BTreeSet<MethodId>,
-) -> BTreeSet<MethodId> {
-    // callee → callers, over all bodies.
-    let mut callers: FastMap<MethodId, Vec<MethodId>> = FastMap::default();
-    for m in program.methods_with_body() {
-        let body = program.body(m);
-        for stmt in &body.stmts {
-            let StmtKind::Invoke { callee, .. } = &stmt.kind else {
-                continue;
-            };
-            let callees = match callee {
-                Callee::Static(target) => vec![*target],
-                Callee::Virtual { base, name, argc } => match body.locals[base.index()].ty {
-                    Type::Ref(declared) => hierarchy.resolve_virtual(declared, name, *argc),
-                    _ => Vec::new(),
-                },
-            };
-            for q in callees {
-                callers.entry(q).or_default().push(m);
-            }
-        }
-    }
-    let mut closure: BTreeSet<MethodId> = roots.clone();
-    let mut worklist: Vec<MethodId> = roots.iter().copied().collect();
-    while let Some(m) = worklist.pop() {
-        for &caller in callers.get(&m).map(Vec::as_slice).unwrap_or(&[]) {
-            if closure.insert(caller) {
-                worklist.push(caller);
-            }
-        }
-    }
-    closure
-}

@@ -51,11 +51,6 @@ impl Hierarchy {
         }
     }
 
-    /// Direct subclasses of `c`.
-    pub fn direct_subclasses(&self, c: ClassId) -> &[ClassId] {
-        &self.subclasses[c.index()]
-    }
-
     /// All subtypes of `c`, including `c` itself, in deterministic order.
     pub fn subtypes_of(&self, c: ClassId) -> Vec<ClassId> {
         let mut out = Vec::new();

@@ -40,7 +40,7 @@ pub mod text;
 mod types;
 
 pub use builder::{Label, MethodBuilder, ProgramBuilder};
-pub use callgraph::{transitive_callers, CallGraph};
+pub use callgraph::CallGraph;
 pub use fingerprint::fingerprint;
 pub use hierarchy::Hierarchy;
 pub use icfg::ProgramIcfg;

@@ -76,17 +76,6 @@ impl Json {
         }
     }
 
-    /// The number as a finite `f64`, if this is a number. Unlike
-    /// [`Json::as_u64`] this admits fractional values (latency
-    /// percentiles, throughput rates) but still rejects the
-    /// non-finite values a corrupted emitter could produce.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) if n.is_finite() => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The items, if this is an array.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {

@@ -16,7 +16,7 @@ use crate::engine::{Engine, LoadedSpl};
 use crate::store::{mode_str, parse_mode, ChaosSpec, RenderedSolution, Store};
 use crate::ServerOptions;
 use spllift_analyses::AnalysisKind;
-use spllift_benchgen::{parse_subject_spec, GeneratedSpl, SubjectSpec};
+use spllift_benchgen::{parse_subject_spec, GeneratedSpl};
 use spllift_core::{GovernorOptions, LatticeHints, ModelMode, SolveOutcome};
 use spllift_features::{parse_feature_model, Configuration, FeatureId, FeatureTable};
 use spllift_frontend::parse_source;
@@ -91,13 +91,6 @@ fn governance_u64(req: &Json, key: &str, default: Option<u64>) -> Result<Option<
         Some(0) => Err(format!("`{key}` must be >= 1")),
         some => Ok(some),
     }
-}
-
-fn parse_gen_spec(s: &str) -> Result<SubjectSpec, String> {
-    // One grammar for every front end (see spllift_benchgen docs):
-    //   MM08|GPL|Lampiro|BerkeleyDB
-    //   synthetic:<features>:<loc>:<seed>[:model=free|chain|groups][:depth=N]
-    parse_subject_spec(s)
 }
 
 /// Resolves a `<method>:<index>` key to the canonical `m<N>:<I>` form
@@ -357,7 +350,7 @@ impl ShardState {
                         .into(),
                 );
             }
-            let spl = GeneratedSpl::generate(parse_gen_spec(spec)?);
+            let spl = GeneratedSpl::generate(parse_subject_spec(spec)?);
             let model = Some(spl.model_expr());
             let or_groups = spl.model.or_groups();
             let GeneratedSpl { program, table, .. } = spl;

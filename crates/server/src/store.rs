@@ -20,11 +20,14 @@
 //! BDD handles.
 //!
 //! Each `(analysis, model-mode)` pair owns a slot with the
-//! [`SolverMemo`] of its most recent solve. An `edit` records the edited
-//! method as a dirty root in every slot; the next `analyze` of a slot
-//! derives the dirty *set* as the transitive-caller closure of the
-//! accumulated roots ([`spllift_ir::transitive_callers`]) and re-solves
-//! incrementally, reusing the memo entries of every clean method.
+//! [`SolverMemo`] of its most recent full-precision solve. An `edit`
+//! records the edited method as a dirty root in every slot; the next
+//! `analyze` of a slot hands the memo and the accumulated roots to
+//! [`LiftedSolution::solve_governed`], and the IDE solver re-tabulates
+//! the roots and their transitive callers while reusing the memo
+//! entries of every other reachable method. A slot whose memo matches
+//! the current program passes no roots; one whose program changed with
+//! no edit recorded solves cold.
 
 use crate::engine::LoadedSpl;
 use spllift_analyses::{with_analysis, AnalysisKind};
@@ -38,7 +41,7 @@ use spllift_hash::{FastMap, FxHasher64};
 use spllift_ide::IdeStats;
 use spllift_ifds::{Icfg, IfdsProblem};
 use spllift_ir::text::parse_body_edit;
-use spllift_ir::{transitive_callers, MethodId, Program, ProgramIcfg};
+use spllift_ir::{MethodId, Program, ProgramIcfg};
 use spllift_spl::{ChaosWrapper, FaultKind};
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
@@ -268,31 +271,23 @@ where
 {
     let icfg = ProgramIcfg::new(program);
     // The downcast cannot fail (the slot key fixes the fact type); if it
-    // did, the solve would merely run cold.
+    // did, the solve would merely run cold. The solver re-tabulates the
+    // edited methods and their transitive callers (`SolverMemo`).
     let memo = slot
         .memo
         .as_ref()
         .and_then(|(mfp, m)| Some((*mfp, m.downcast_ref::<Memo<D>>()?)));
-    // Pick the clean set. The memo's soundness contract (SolverMemo)
-    // requires the dirty set to contain every transitive caller of every
-    // edited method. Computing the closure on the *current* program is
-    // sound because an edit can only replace a method body — signatures,
-    // classes, and the hierarchy are fixed — so call edges out of
-    // unchanged bodies are identical before and after the edit.
-    let (kind, clean): (&'static str, Box<dyn Fn(MethodId) -> bool>) = match memo {
-        Some((mfp, _)) if mfp == fp => ("incremental", Box::new(|_| true)),
-        Some(_) if !slot.dirty_roots.is_empty() => {
-            let dirty = transitive_callers(program, icfg.hierarchy(), &slot.dirty_roots);
-            ("incremental", Box::new(move |m| !dirty.contains(&m)))
-        }
-        _ => ("cold", Box::new(|_| false)),
-    };
     let empty = Memo::default();
-    let memo = memo.map_or(&empty, |(_, m)| m);
+    let changed: Vec<MethodId> = slot.dirty_roots.iter().copied().collect();
+    let (kind, memo, changed) = match memo {
+        Some((mfp, m)) if mfp == fp => ("incremental", m, &[][..]),
+        Some((_, m)) if !changed.is_empty() => ("incremental", m, &changed[..]),
+        _ => ("cold", &empty, &[][..]),
+    };
     let result = match chaos {
-        None => LiftedSolution::solve_governed_memoized(
-            problem, &icfg, ctx, model, mode, gov, memo, &*clean,
-        ),
+        None => {
+            LiftedSolution::solve_governed(problem, &icfg, ctx, model, mode, gov, memo, changed)
+        }
         Some(spec) => {
             let wrapped = ChaosWrapper::new(
                 problem,
@@ -301,9 +296,7 @@ where
                 spec.slow_for,
                 Box::new(|| ctx.manager().charge_ops(u64::MAX)),
             );
-            LiftedSolution::solve_governed_memoized(
-                &wrapped, &icfg, ctx, model, mode, gov, memo, &*clean,
-            )
+            LiftedSolution::solve_governed(&wrapped, &icfg, ctx, model, mode, gov, memo, changed)
         }
     };
     let (solution, outcome, next_memo) =

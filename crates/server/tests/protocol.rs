@@ -659,3 +659,104 @@ fn an_injected_fault_is_counted_only_when_a_solve_runs_with_it() {
     let cold = [load_req("s"), analyze_req("s")];
     assert_eq!(fault_counters("panic-in-flow@1", &cold), (1, 1, 1));
 }
+
+/// A call chain `main → a → m → c` whose end `c` returns `secret()`, so
+/// `main` prints a tainted value. Method ids: secret=m0, print=m1, c=m2,
+/// m=m3, a=m4, main=m5.
+const CHAIN: &str = "\
+# spllift repro v1
+features F
+
+method secret(): int
+  locals
+    0: nop
+    1: return 7
+
+method print(p0: int)
+  locals
+    0: nop
+    1: return
+
+method c(): int
+  locals t: int
+    0: nop
+    1: t = secret()
+    2: return t
+
+method m(): int
+  locals t: int
+    0: nop
+    1: t = c()
+    2: return t
+
+method a(): int
+  locals t: int
+    0: nop
+    1: t = m()
+    2: return t
+
+method main()
+  locals x: int
+    0: nop
+    1: x = a()
+    2: print(x)
+    3: return
+
+entry main
+";
+
+/// Replaces the body of the one-local method `method` with `t = <rhs>;
+/// return t`.
+fn edit_t(session: &str, method: &str, rhs: &str) -> Json {
+    obj(&[
+        ("type", Json::str("edit")),
+        ("session", Json::str(session)),
+        ("method", Json::str(method)),
+        ("locals", Json::str("t: int")),
+        (
+            "stmts",
+            Json::Arr(vec![
+                Json::str("0: nop"),
+                Json::str(format!("1: t = {rhs}")),
+                Json::str("2: return t"),
+            ]),
+        ),
+    ])
+}
+
+/// A memo holds no entries of a method that was unreachable when it was
+/// solved. Cutting `a → m` makes `m` and `c` unreachable; the edit of
+/// `c` that follows then dirties no reachable method, so a memo that
+/// still held `m`'s summary — which returns `c`'s secret — would hand
+/// it back, stale, once `a` calls `m` again.
+#[test]
+fn an_edit_to_an_unreachable_callee_leaves_no_stale_summary() {
+    let mut srv = server(2);
+    let load = |session: &str| {
+        obj(&[
+            ("type", Json::str("load")),
+            ("session", Json::str(session)),
+            ("source", Json::str(CHAIN)),
+        ])
+    };
+    assert_ok(&send(&mut srv, &load("s")));
+    assert_eq!(text(&send(&mut srv, &analyze_req("s")), "solve"), "cold");
+    let mut answers = Vec::new();
+    for (method, rhs) in [("a", "1"), ("c", "0"), ("a", "m()")] {
+        assert_ok(&send(&mut srv, &edit_t("s", method, rhs)));
+        let answer = send(&mut srv, &analyze_req("s"));
+        assert_ok(&answer);
+        answers.push(answer);
+    }
+    let third = &answers[2];
+    assert_eq!(text(third, "solve"), "incremental");
+
+    // The same program, solved cold in a fresh session: without the
+    // evict it would be answered from the cache.
+    assert_ok(&send(&mut srv, &load("fresh")));
+    assert_ok(&send(&mut srv, &edit_t("fresh", "c", "0")));
+    assert_ok(&send(&mut srv, &obj(&[("type", Json::str("evict"))])));
+    let cold = send(&mut srv, &analyze_req("fresh"));
+    assert_eq!(text(&cold, "solve"), "cold");
+    assert_eq!(text(third, "digest"), text(&cold, "digest"));
+}

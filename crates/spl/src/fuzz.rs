@@ -53,7 +53,7 @@ use spllift_analyses::{
     with_analysis, AnalysisKind, ReachingDefs, TaintAnalysis, TaintFact, Typestate, UninitFact,
     UninitVars,
 };
-use spllift_benchgen::{mutate, random_spl, reduce, RandomSpl, ReduceOptions, ReduceOutcome};
+use spllift_benchgen::{mutate, random_spl, reduce, RandomSpl, ReduceOutcome};
 use spllift_core::{LiftedIcfg, LiftedSolution, ModelMode};
 use spllift_datalog::{solve_reaching_defs, EvalOptions};
 use spllift_features::{
@@ -780,13 +780,7 @@ fn reduce_failure(verdict: &SeedVerdict, opts: &FuzzOptions) -> Option<FailureRe
             dynamic,
         )
     };
-    let reduced = reduce(
-        &spl.program,
-        &spl.table,
-        &spl.features,
-        &mut oracle,
-        ReduceOptions::default(),
-    );
+    let reduced = reduce(&spl.program, &spl.table, &spl.features, &mut oracle);
     Some(FailureReport {
         seed: verdict.seed,
         analysis,

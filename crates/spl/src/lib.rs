@@ -43,7 +43,7 @@ pub use parallel::{
     ParallelOptions, ShardStats,
 };
 
-use spllift_features::{Configuration, FeatureExpr, FeatureId};
+use spllift_features::{all_configurations, Configuration, FeatureExpr, FeatureId};
 
 /// Enumerates the configurations over `universe` that satisfy
 /// `model` — the "Configurations valid" column of Table 1, as concrete
@@ -55,24 +55,9 @@ use spllift_features::{Configuration, FeatureExpr, FeatureId};
 /// `sat_count` instead — this is exactly the wall the paper hits with
 /// BerkeleyDB's 2^39 reachable configurations).
 pub fn valid_configurations(model: &FeatureExpr, universe: &[FeatureId]) -> Vec<Configuration> {
-    assert!(
-        universe.len() <= 30,
-        "refusing to enumerate 2^{} configurations",
-        universe.len()
-    );
-    let mut out = Vec::new();
-    for bits in 0u64..(1u64 << universe.len()) {
-        let mut config = Configuration::empty();
-        for (i, &f) in universe.iter().enumerate() {
-            if bits & (1 << i) != 0 {
-                config.enable(f);
-            }
-        }
-        if config.satisfies(model) {
-            out.push(config);
-        }
-    }
-    out
+    all_configurations(universe)
+        .filter(|config| config.satisfies(model))
+        .collect()
 }
 
 #[cfg(test)]

@@ -69,6 +69,12 @@ echo "== report ablations (BDD vs. DNF, where the feature model enters) =="
 # on DNF constraints, took 0.74 s on a 2-vCPU host.
 ./target/release/report ablations
 
+echo "== report rq1 (SPLLIFT vs. A2 on every subject, BerkeleyDB sampled) =="
+# Two configurations per subject: a stride through the valid ones, or
+# for BerkeleyDB, whose 2^39 cannot be enumerated, a seeded random
+# draw. `rq1` exits 1 on any mismatch. About 7 s on a 2-vCPU host.
+./target/release/report rq1 --sample 2 --jobs 2
+
 echo "== datalog backend crosscheck smoke (MM08/GPL/Lampiro) =="
 # The second backend (DESIGN.md §13) must agree with the IDE lifting on
 # every fact's constraint. `--crosscheck` exits non-zero on any digest

@@ -82,9 +82,10 @@
 //! ```
 
 use spllift::analyses::{with_analysis, AnalysisKind, ReachingDefs, TaintAnalysis};
-use spllift::benchgen::{parse_subject_spec, GeneratedSpl, SubjectSpec};
+use spllift::benchgen::{parse_subject_spec, GeneratedSpl};
 use spllift::features::{
-    parse_feature_model, BddConstraintContext, Configuration, FeatureExpr, FeatureTable,
+    all_configurations, parse_feature_model, BddConstraintContext, Configuration, FeatureExpr,
+    FeatureId, FeatureTable,
 };
 use spllift::frontend::parse_spl;
 use spllift::ifds::IfdsProblem;
@@ -96,8 +97,34 @@ use spllift::spl::{
     InjectedBug, ParallelOptions, ShardStats, ANALYSES, DEFAULT_MAX_MISMATCHES,
 };
 use std::hash::Hash;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 use std::str::FromStr;
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout. A closed stdout (`spllift-cli ... | head`) ends
+/// the output: the process exits 0 without a message.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
 
 /// Printed by `spllift-cli help` (and `--help`/`-h`), and to stderr on
 /// an unknown subcommand.
@@ -186,7 +213,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("help" | "--help" | "-h") => {
-            print!("{HELP}");
+            out!("{HELP}");
             return ExitCode::SUCCESS;
         }
         Some("fuzz") => run_fuzz(&args[1..]),
@@ -211,7 +238,7 @@ fn main() -> ExitCode {
 
 /// `--help`/`-h` after a subcommand: print [`HELP`] and succeed.
 fn print_help() -> Result<(), String> {
-    print!("{HELP}");
+    out!("{HELP}");
     Ok(())
 }
 
@@ -390,13 +417,6 @@ struct Loaded {
     configs: Option<Vec<Configuration>>,
 }
 
-fn parse_gen_spec(s: &str) -> Result<SubjectSpec, String> {
-    // One grammar for every front end (see spllift::benchgen docs):
-    //   MM08|GPL|Lampiro|BerkeleyDB
-    //   synthetic:<features>:<loc>:<seed>[:model=free|chain|groups][:depth=N]
-    parse_subject_spec(s)
-}
-
 fn load(file: &str, model_file: Option<&str>) -> Result<Loaded, String> {
     if let Some(spec) = file.strip_prefix("gen:") {
         if model_file.is_some() {
@@ -405,7 +425,7 @@ fn load(file: &str, model_file: Option<&str>) -> Result<Loaded, String> {
                     .into(),
             );
         }
-        let spl = GeneratedSpl::generate(parse_gen_spec(spec)?);
+        let spl = GeneratedSpl::generate(parse_subject_spec(spec)?);
         let model = Some(spl.model_expr());
         let configs = (spl.reachable.len() <= 20).then(|| spl.valid_configurations());
         let GeneratedSpl { program, table, .. } = spl;
@@ -442,25 +462,21 @@ fn configurations(loaded: &Loaded) -> Result<Vec<Configuration>, String> {
     if let Some(configs) = &loaded.configs {
         return Ok(configs.clone());
     }
-    let n = loaded.table.iter().count();
+    let universe: Vec<FeatureId> = loaded.table.iter().map(|(id, _)| id).collect();
+    let n = universe.len();
     if n > 16 {
         return Err(format!(
             "refusing to enumerate 2^{n} configurations; use a gen: subject instead"
         ));
     }
-    let mut out = Vec::new();
-    for bits in 0u64..(1u64 << n) {
-        let cfg = Configuration::from_bits(bits, n);
-        if loaded.model.as_ref().is_none_or(|m| cfg.satisfies(m)) {
-            out.push(cfg);
-        }
-    }
-    Ok(out)
+    Ok(all_configurations(&universe)
+        .filter(|cfg| loaded.model.as_ref().is_none_or(|m| cfg.satisfies(m)))
+        .collect())
 }
 
 fn run(args: &[String]) -> Result<(), String> {
     let Some(opts) = parse_args(args)? else {
-        print!("{HELP}");
+        out!("{HELP}");
         return Ok(());
     };
     let loaded = load(&opts.file, opts.model_file.as_deref())?;
@@ -511,24 +527,24 @@ fn run_crosscheck(opts: &Options, icfg: &ProgramIcfg<'_>, loaded: &Loaded) -> Re
         outcome.wall
     );
     print_shards("crosscheck", &outcome.shards);
-    println!(
+    outln!(
         "crosscheck: {} analysis over {} valid configurations",
         opts.analysis.name(),
         configs.len()
     );
     if outcome.mismatches.is_empty() {
-        println!("OK: SPLLIFT and A2 agree on every configuration");
+        outln!("OK: SPLLIFT and A2 agree on every configuration");
         Ok(())
     } else {
         for m in &outcome.mismatches {
-            println!("MISMATCH: {m}");
+            outln!("MISMATCH: {m}");
         }
         let capped = if outcome.mismatches.len() == opts.max_mismatches {
             " (cap reached)"
         } else {
             ""
         };
-        println!("{} mismatch(es){capped}", outcome.mismatches.len());
+        outln!("{} mismatch(es){capped}", outcome.mismatches.len());
         Err(format!(
             "crosscheck found {} mismatch(es)",
             outcome.mismatches.len()
@@ -561,7 +577,7 @@ fn run_a2_bench(opts: &Options, icfg: &ProgramIcfg<'_>, loaded: &Loaded) -> Resu
         seq.wall.as_secs_f64() / par.wall.as_secs_f64().max(1e-9),
         par.jobs
     );
-    println!(
+    outln!(
         "a2-bench: {} analysis, {} valid configurations, facts checksum {}",
         opts.analysis.name(),
         configs.len(),
@@ -587,7 +603,7 @@ where
     if format == Format::Dot {
         let lifted_icfg = LiftedIcfg::new(icfg);
         let lifted = LiftedProblem::new(problem, icfg, ctx, model.as_ref(), ModelMode::OnEdges);
-        println!(
+        outln!(
             "{}",
             report::lifted_supergraph_dot(
                 &lifted,
@@ -597,7 +613,7 @@ where
             )
         );
     } else {
-        print!(
+        out!(
             "{}",
             report::constraints_table(&solution, icfg, |c| c.to_cube_string())
         );
@@ -631,14 +647,14 @@ fn emit_leaks(
                     let label = icfg.stmt_label(s);
                     if label.contains("print(") {
                         found += 1;
-                        println!("LEAK at [{label}] iff {}", c.to_cube_string());
+                        outln!("LEAK at [{label}] iff {}", c.to_cube_string());
                     }
                 }
             }
         }
     }
     if found == 0 {
-        println!("no source-to-sink flows in any configuration");
+        outln!("no source-to-sink flows in any configuration");
     }
     Ok(())
 }
@@ -717,7 +733,7 @@ fn run_fuzz(args: &[String]) -> Result<(), String> {
         report.wall
     );
     print_shards("fuzz", &report.shards);
-    print!("{}", report.render());
+    out!("{}", report.render());
 
     if let Some(dir) = corpus_dir {
         std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
@@ -778,20 +794,23 @@ fn run_datalog(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("datalog: {e}"))?;
 
     if dump_relations {
-        print!(
+        out!(
             "{}",
             DumpDoc::from_solution(&sol, &ctx, &loaded.table).render()
         );
     }
     let stats = sol.stats();
-    println!(
+    outln!(
         "datalog: {} strata, {} rounds, {} derivations, {} tuples",
-        stats.strata, stats.rounds, stats.derivations, stats.tuples
+        stats.strata,
+        stats.rounds,
+        stats.derivations,
+        stats.tuples
     );
     let program = sol.program();
     for r in 0..program.relation_count() {
         let rel = RelId(r);
-        println!(
+        outln!(
             "  {}/{}: {} tuples",
             program.relation_name(rel),
             program.arity(rel),
@@ -799,7 +818,7 @@ fn run_datalog(args: &[String]) -> Result<(), String> {
         );
     }
     let reachable = sol.reachable_methods();
-    println!(
+    outln!(
         "datalog: {} of {} methods reachable",
         reachable.len(),
         icfg.methods().len()
@@ -816,14 +835,14 @@ fn run_datalog(args: &[String]) -> Result<(), String> {
     let ide = LiftedSolution::solve(&ReachingDefs::new(), &icfg, &ctx, model, mode);
     let (facts, mismatches) = compare_datalog(&icfg, &ide, &sol, usize::MAX);
     if mismatches.is_empty() {
-        println!("crosscheck: SPLLIFT and Datalog agree on all {facts} fact constraints");
+        outln!("crosscheck: SPLLIFT and Datalog agree on all {facts} fact constraints");
         return Ok(());
     }
     for m in &mismatches {
-        println!("MISMATCH at [{}] {}", icfg.stmt_label(m.stmt), m.fact);
+        outln!("MISMATCH at [{}] {}", icfg.stmt_label(m.stmt), m.fact);
     }
     let n = mismatches.len();
-    println!("crosscheck: {n} mismatch(es) over {facts} fact constraints");
+    outln!("crosscheck: {n} mismatch(es) over {facts} fact constraints");
     Err(format!("datalog crosscheck found {n} mismatch(es)"))
 }
 
@@ -847,7 +866,7 @@ fn parse_check(name: &str) -> Result<(&'static str, bool), String> {
 /// `spllift-cli reduce`: print the repro text of a generated subject
 /// (`gen:` input), or ddmin-minimize a failing `.repro` file.
 fn run_reduce(args: &[String]) -> Result<(), String> {
-    use spllift::benchgen::{reduce, ReduceOptions};
+    use spllift::benchgen::reduce;
     use spllift::ir::text::{parse_repro, to_repro_string};
     use spllift::spl::{check_program, failure_persists, subject_for_seed};
 
@@ -900,7 +919,7 @@ fn run_reduce(args: &[String]) -> Result<(), String> {
         let spl = subject_for_seed(parse("seed", seed)? as u64, &fopts);
         let repro = to_repro_string(&spl.program, &spl.table)
             .map_err(|e| format!("generated subject outside the repro subset: {e}"))?;
-        print!("{repro}");
+        out!("{repro}");
         return Ok(());
     }
 
@@ -934,13 +953,7 @@ fn run_reduce(args: &[String]) -> Result<(), String> {
     let mut oracle = |p: &spllift::ir::Program, feats: &[spllift::features::FeatureId]| {
         failure_persists(p, &table, feats, 0, bug, analysis, dynamic)
     };
-    let out = reduce(
-        &program,
-        &table,
-        &features,
-        &mut oracle,
-        ReduceOptions::default(),
-    );
+    let out = reduce(&program, &table, &features, &mut oracle);
     eprintln!(
         "reduce: {} check, {} -> {} payload stmts in {} oracle runs",
         analysis,
@@ -948,6 +961,6 @@ fn run_reduce(args: &[String]) -> Result<(), String> {
         out.payload_stmts,
         out.oracle_runs
     );
-    print!("{}", out.repro);
+    out!("{}", out.repro);
     Ok(())
 }

@@ -1,7 +1,8 @@
 //! Integration: drive the `spllift-cli` binary end to end on the checked-in
 //! example data, the way a downstream user would.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_spllift-cli"))
@@ -461,4 +462,32 @@ fn chat_product_line_leak_analysis() {
         .unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("LEAK at"), "{stdout}");
+}
+
+/// A reader that stops after the first line (`| head -1`) closes the
+/// pipe while the table is still being written: the CLI takes that as
+/// the end of its output and exits 0 without a message.
+#[test]
+fn a_closed_stdout_ends_the_output_quietly() {
+    let mut child = cli()
+        .args([
+            "gen:MM08",
+            "--analysis",
+            "reaching-defs",
+            "--format",
+            "table",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line");
+    assert!(!first.is_empty());
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
 }

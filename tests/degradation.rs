@@ -233,13 +233,15 @@ fn blowup_subject_completes_under_node_budget_via_the_ladder() {
         max_bdd_nodes: Some(2),
         ..GovernorOptions::default()
     };
-    let (degraded, outcome) = LiftedSolution::solve_governed(
+    let (degraded, outcome, _) = LiftedSolution::solve_governed(
         &analysis,
         &icfg,
         &ctx,
         Some(&model),
         ModelMode::OnEdges,
         gov,
+        &SolverMemo::default(),
+        &[],
     )
     .expect("bottom point needs no constraint nodes and must complete");
     assert_eq!(outcome.point().name(), "constraint-true");
@@ -289,7 +291,7 @@ fn lattice_bottom_matches_constraint_true_semantics() {
         &LatticePoint::constraint_true(),
     );
     let fresh_ctx = BddConstraintContext::new(&spl.table);
-    let (governed, outcome) = LiftedSolution::solve_governed(
+    let (governed, outcome, _) = LiftedSolution::solve_governed(
         &analysis,
         &icfg,
         &fresh_ctx,
@@ -299,6 +301,8 @@ fn lattice_bottom_matches_constraint_true_semantics() {
             max_bdd_nodes: Some(2),
             ..GovernorOptions::default()
         },
+        &SolverMemo::default(),
+        &[],
     )
     .expect("bottom completes");
     assert!(outcome.point().is_collapsed());
@@ -341,13 +345,15 @@ fn adaptive_descent_spares_kept_features() {
         },
         ..GovernorOptions::default()
     };
-    let (solution, outcome) = LiftedSolution::solve_governed(
+    let (solution, outcome, _) = LiftedSolution::solve_governed(
         &analysis,
         &icfg,
         &ctx,
         Some(&model),
         ModelMode::OnEdges,
         gov,
+        &SolverMemo::default(),
+        &[],
     )
     .expect("some lattice point must fit the envelope");
     let point = outcome.point();
@@ -398,7 +404,7 @@ fn degraded_memo_reuse_matches_cold_solve() {
     let uni = universe(&spl);
     let keep: Vec<FeatureId> = uni.iter().take(2).map(|(id, _)| *id).collect();
     // Warm up: a full-precision memoized solve retains jump functions.
-    let (_, outcome, memo) = LiftedSolution::solve_governed_memoized(
+    let (_, outcome, memo) = LiftedSolution::solve_governed(
         &analysis,
         &icfg,
         &ctx,
@@ -406,7 +412,7 @@ fn degraded_memo_reuse_matches_cold_solve() {
         ModelMode::OnEdges,
         GovernorOptions::default(),
         &SolverMemo::default(),
-        &|_| false,
+        &[],
     )
     .expect("unlimited solve completes");
     assert_eq!(outcome, SolveOutcome::Complete);
@@ -430,7 +436,7 @@ fn degraded_memo_reuse_matches_cold_solve() {
         },
         ..GovernorOptions::default()
     };
-    let (warm, outcome, returned) = LiftedSolution::solve_governed_memoized(
+    let (warm, outcome, returned) = LiftedSolution::solve_governed(
         &chaotic,
         &icfg,
         &ctx,
@@ -438,7 +444,7 @@ fn degraded_memo_reuse_matches_cold_solve() {
         ModelMode::OnEdges,
         gov,
         &memo,
-        &|_| true,
+        &[],
     )
     .expect("the projection point must complete");
     assert!(outcome.is_degraded());
@@ -479,13 +485,15 @@ fn ungoverned_solve_is_unchanged() {
     let model = spl.model_expr();
     let analysis = TaintAnalysis::secret_to_print();
     let plain = LiftedSolution::solve(&analysis, &icfg, &ctx, Some(&model), ModelMode::OnEdges);
-    let (governed, outcome) = LiftedSolution::solve_governed(
+    let (governed, outcome, _) = LiftedSolution::solve_governed(
         &analysis,
         &icfg,
         &ctx,
         Some(&model),
         ModelMode::OnEdges,
         GovernorOptions::default(),
+        &SolverMemo::default(),
+        &[],
     )
     .expect("unlimited governed solve cannot abort");
     assert_eq!(outcome, SolveOutcome::Complete);
@@ -518,8 +526,11 @@ fn impossible_limit_aborts_every_rung_with_a_structured_error() {
         Some(&model),
         ModelMode::OnEdges,
         gov,
+        &SolverMemo::default(),
+        &[],
     )
-    .expect_err("1 propagation cannot finish any rung");
+    .err()
+    .expect("1 propagation cannot finish any rung");
     assert_eq!(err, SolveAbort::PropagationLimit(1));
 }
 
@@ -546,13 +557,15 @@ fn mid_solve_budget_exhaustion_degrades_deterministically() {
         max_bdd_ops: Some(1_000_000),
         ..GovernorOptions::default()
     };
-    let (degraded, outcome) = LiftedSolution::solve_governed(
+    let (degraded, outcome, _) = LiftedSolution::solve_governed(
         &chaotic,
         &icfg,
         &ctx,
         Some(&model),
         ModelMode::OnEdges,
         gov,
+        &SolverMemo::default(),
+        &[],
     )
     .expect("the fault carries one charge; a lower point completes");
     assert_eq!(chaotic.charges_left(), 0, "the fault never fired");
