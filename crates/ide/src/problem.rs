@@ -20,7 +20,9 @@ use std::hash::Hash;
 /// As in [`spllift_ifds::IfdsProblem`], every flow function *appends* its
 /// `(target fact, edge function)` pairs to the caller-owned buffer `out`
 /// and leaves the entries already there alone; the solver clears and
-/// reuses its buffers, and queues the appended pairs in order.
+/// reuses its buffers, and pushes the appended pairs in order. Phase 1
+/// pops by statement, so the order only breaks ties between pending
+/// triples at one statement.
 pub trait IdeProblem<G: Icfg> {
     /// A data-flow fact.
     type Fact: Clone + Eq + Hash + Debug;

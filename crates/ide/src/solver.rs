@@ -6,20 +6,32 @@
 //! (fact, edge-function) pairs. Phase 2 seeds concrete values at the entry
 //! points, pushes them across call edges to all procedure entries, and
 //! finally evaluates every jump function once.
+//!
+//! Phase 1's worklist pops the pending triple whose statement is smallest
+//! under `Icfg::Stmt`'s `Ord` (source order for the MiniJava ICFG), the
+//! earliest push first among equal statements. Where statement order
+//! follows control flow, a jump function is usually final before it is
+//! propagated, so it is propagated once instead of once per
+//! strengthening. Any order that eventually pops every pending triple
+//! reaches the same least fixpoint: the order moves the scheduling
+//! counters, never a value.
 
 use crate::{EdgeFn, IdeProblem};
 use spllift_hash::{FastMap, FastSet};
 use spllift_ifds::Icfg;
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 use std::time::Instant;
 
 /// Counters collected during an IDE solver run.
 ///
 /// `jump_fn_constructions` counts every time a jump function is created or
 /// strengthened — the quantity the paper's §6.2 correlates with running
-/// time (ρ > 0.99). The solver is sequential, so every counter —
-/// including the scheduling counters `propagations`, `flow_evals` and
-/// `value_updates` — is deterministic for a given problem.
+/// time (ρ > 0.99). The solver is sequential, so every counter is
+/// deterministic for a given problem. All but `value_updates` count the
+/// Phase-1 schedule, so they move with the worklist order while the
+/// values do not; `value_updates` moves only where a jump table's
+/// iteration order does.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IdeStats {
     /// Phase-1 worklist items processed.
@@ -280,7 +292,10 @@ where
         let mut phase1 = Phase1::<G, P> {
             tab: Tabulation {
                 jump,
-                worklist: VecDeque::new(),
+                worklist: Worklist {
+                    heap: BinaryHeap::new(),
+                    pushes: 0,
+                },
                 stats: IdeStats::default(),
             },
             incoming: FastMap::default(),
@@ -358,12 +373,66 @@ where
 /// flag rides on map lookups `propagate`/`run` perform anyway).
 type JumpEntry<EF> = (EF, bool);
 
+/// A pending `(d1, n, d2)` triple. Ordered by `(n, seq)` alone,
+/// reversed, so the max-heap [`BinaryHeap`] pops the smallest statement
+/// first and, among equal statements, the earliest push; facts are never
+/// compared.
+struct Pending<S, D> {
+    stmt: S,
+    seq: u64,
+    d1: D,
+    d2: D,
+}
+
+impl<S: Ord, D> Ord for Pending<S, D> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (&other.stmt, other.seq).cmp(&(&self.stmt, self.seq))
+    }
+}
+
+impl<S: Ord, D> PartialOrd for Pending<S, D> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<S: Ord, D> PartialEq for Pending<S, D> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<S: Ord, D> Eq for Pending<S, D> {}
+
+/// Phase 1's worklist: pending triples popped in statement order (see
+/// the module docs), each push numbered to break ties first-in first-out.
+struct Worklist<S, D> {
+    heap: BinaryHeap<Pending<S, D>>,
+    pushes: u64,
+}
+
+impl<S: Ord, D> Worklist<S, D> {
+    fn push(&mut self, d1: D, stmt: S, d2: D) {
+        self.pushes += 1;
+        self.heap.push(Pending {
+            stmt,
+            seq: self.pushes,
+            d1,
+            d2,
+        });
+    }
+
+    fn pop(&mut self) -> Option<(D, S, D)> {
+        self.heap.pop().map(|p| (p.d1, p.stmt, p.d2))
+    }
+}
+
 /// What [`Tabulation::propagate`] writes: the jump table, the worklist
 /// and the counters. Jump functions are keyed `(stmt, d1) → d2 → EF`,
 /// where `d1` is the fact at the start point of `stmt`'s method.
 struct Tabulation<G: Icfg, P: IdeProblem<G>> {
     jump: JumpTable<G::Stmt, P::Fact, P::EF>,
-    worklist: VecDeque<(P::Fact, G::Stmt, P::Fact)>,
+    worklist: Worklist<G::Stmt, P::Fact>,
     stats: IdeStats,
 }
 
@@ -416,7 +485,7 @@ where
             self.stats.jump_fn_constructions += 1;
         }
         if queue {
-            self.worklist.push_back((d1, n, d2));
+            self.worklist.push(d1, n, d2);
         }
     }
 
@@ -448,7 +517,7 @@ where
             self.tab
                 .propagate(fact.clone(), sp, fact, problem.id_edge());
         }
-        while let Some((d1, n, d2)) = self.tab.worklist.pop_front() {
+        while let Some((d1, n, d2)) = self.tab.worklist.pop() {
             self.tab.stats.propagations += 1;
             if governed {
                 governance_check(options, self.tab.stats.propagations, problem)?;

@@ -516,6 +516,42 @@ fn stats_are_populated() {
     assert!(st.value_updates > 0);
 }
 
+#[test]
+fn ordered_worklist_pops_each_triple_once_on_an_acyclic_method() {
+    // Node ids are topological, and the branch that assigns `x` second
+    // is one statement longer. A first-in first-out worklist pops the
+    // join's `x` triple with the short branch's constant, then again
+    // once the long branch strengthens it to ⊥, and the statement after
+    // the join twice with it. Popping the smallest pending statement
+    // first reaches the join only after both branches: every triple is
+    // popped once, with its final jump function.
+    let mut g = SimpleGraph::new();
+    let m = g.add_method("m");
+    let top = g.add_stmt(m, "branch");
+    let short = g.add_stmt(m, "set x 1");
+    let long1 = g.add_stmt(m, "set x 2");
+    let long2 = g.add_stmt(m, "nop");
+    let join = g.add_stmt(m, "nop");
+    let after = g.add_stmt(m, "sink");
+    g.add_edge(top, short);
+    g.add_edge(top, long1);
+    g.add_edge(long1, long2);
+    g.add_edge(short, join);
+    g.add_edge(long2, join);
+    g.add_edge(join, after);
+    g.set_entry(m);
+    let s = IdeSolver::solve(&ConstProp, &g);
+    assert_eq!(s.value_at(after, &"x".into()), Val::Bot);
+    // One entry fact, and no jump function is a kill, so each `(n, d2)`
+    // with a non-⊤ value is one `(d1, n, d2)` triple.
+    let triples: usize = [top, short, long1, long2, join, after]
+        .iter()
+        .map(|&n| s.results_at(n).len())
+        .sum();
+    assert_eq!(triples, 9);
+    assert_eq!(s.stats().propagations, triples as u64, "{:?}", s.stats());
+}
+
 mod edge_cases {
     use super::*;
 

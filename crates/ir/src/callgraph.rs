@@ -17,8 +17,6 @@ use std::collections::BTreeSet;
 pub struct CallGraph {
     targets: FastMap<StmtRef, Vec<MethodId>>,
     reachable: BTreeSet<MethodId>,
-    /// Call sites per callee, for reverse queries.
-    callers: FastMap<MethodId, Vec<StmtRef>>,
 }
 
 impl CallGraph {
@@ -26,7 +24,6 @@ impl CallGraph {
     /// dispatch.
     pub fn build(program: &Program, hierarchy: &Hierarchy) -> Self {
         let mut targets: FastMap<StmtRef, Vec<MethodId>> = FastMap::default();
-        let mut callers: FastMap<MethodId, Vec<StmtRef>> = FastMap::default();
         let mut reachable: BTreeSet<MethodId> = BTreeSet::new();
         let mut worklist: Vec<MethodId> = program.entry_points().to_vec();
         while let Some(m) = worklist.pop() {
@@ -48,7 +45,6 @@ impl CallGraph {
                     }
                 };
                 for &q in &callees {
-                    callers.entry(q).or_default().push(sref);
                     if program.method(q).body.is_some() {
                         worklist.push(q);
                     }
@@ -59,21 +55,12 @@ impl CallGraph {
         // Only keep reachable methods that have bodies (abstract targets
         // are kept in `targets` for diagnostics but not analyzed).
         reachable.retain(|&m| program.method(m).body.is_some());
-        CallGraph {
-            targets,
-            reachable,
-            callers,
-        }
+        CallGraph { targets, reachable }
     }
 
     /// The possible callees of call site `s` (empty for non-calls).
     pub fn callees_of(&self, s: StmtRef) -> &[MethodId] {
         self.targets.get(&s).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Call sites that may invoke `m`.
-    pub fn callers_of(&self, m: MethodId) -> &[StmtRef] {
-        self.callers.get(&m).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Methods (with bodies) reachable from the entry points.

@@ -45,8 +45,9 @@ cargo test -q --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.tom
 
 echo "== BerkeleyDB cells against goldens.txt and the A2 oracle =="
 # The benchmark's smoke runs only the cheap BerkeleyDB cells (taint and
-# types); reaching-defs and uninit carry the largest diagrams (1.86 M
-# nodes). One short `lifted-bdd` run checks all four cells' digests
+# types); reaching-defs and uninit make the most propagations and build
+# the largest diagrams (33 k and 51 k nodes). One short `lifted-bdd`
+# run checks all four cells' digests
 # against goldens.txt and each cell against the A2 oracle, and exits 1
 # on any failed check. It reuses the dependencies the step above built
 # (the package's dev profile runs at opt-level 3) and runs the minimum
@@ -66,13 +67,13 @@ echo "== fuzz smoke (deterministic seed range, sharded) =="
 echo "== report ablations (BDD vs. DNF, where the feature model enters) =="
 # The paper's ablations (§4.2, §5, §7), one cold solve per cell in
 # release: a panic in any arm fails CI. The slowest cell, MM08 U. Var.
-# on DNF constraints, took 0.74 s on a 2-vCPU host.
+# on DNF constraints, took 0.37 s on a 2-vCPU host.
 ./target/release/report ablations
 
 echo "== report rq1 (SPLLIFT vs. A2 on every subject, BerkeleyDB sampled) =="
 # Two configurations per subject: a stride through the valid ones, or
 # for BerkeleyDB, whose 2^39 cannot be enumerated, a seeded random
-# draw. `rq1` exits 1 on any mismatch. About 7 s on a 2-vCPU host.
+# draw. `rq1` exits 1 on any mismatch. About 1.5 s on a 2-vCPU host.
 ./target/release/report rq1 --sample 2 --jobs 2
 
 echo "== datalog backend crosscheck smoke (MM08/GPL/Lampiro) =="
@@ -174,7 +175,7 @@ for shards in "" "--shards 4"; do
     # projection answers), the degraded-point stats counter, and the
     # full-precision unbudgeted retry.
     ./target/release/spllift-cli serve $shards \
-        --inject-fault budget-exhaust@2000 --inject-fault-session victim \
+        --inject-fault budget-exhaust@1000 --inject-fault-session victim \
         < tests/serve/chaos-budget.requests \
         | diff -u tests/serve/chaos-budget-exhaust.expected -
 done

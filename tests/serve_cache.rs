@@ -93,7 +93,7 @@ fn eviction_under_byte_budget_keeps_solves_bit_identical() {
 #[test]
 fn degraded_solves_at_any_lattice_point_never_enter_the_cache() {
     // A budget that forces the governor off full precision but not to
-    // the bottom: on the 12-feature groups subject 2000 BDD ops rule out
+    // the bottom: on the 12-feature groups subject 1000 BDD ops rule out
     // `full` and `confound(Root)` while the keep-sparing projection
     // fits, so the solve lands on a composite, non-bottom lattice point.
     let mut server = Server::new(ServerOptions::default());
@@ -105,7 +105,7 @@ fn degraded_solves_at_any_lattice_point_never_enter_the_cache() {
 
     let degraded = drive(
         &mut server,
-        "{\"type\":\"analyze\",\"session\":\"s\",\"bdd_op_budget\":2000,\
+        "{\"type\":\"analyze\",\"session\":\"s\",\"bdd_op_budget\":1000,\
          \"keep_features\":[\"F0\",\"F1\"]}",
     );
     assert_eq!(field(&degraded, "outcome").as_str(), Some("degraded"));

@@ -147,7 +147,7 @@ fn budget_and_deadline_faults_degrade_soundly_and_recover() {
 const BUDGET_REQUESTS: &str = "tests/serve/chaos-budget.requests";
 const BUDGET_FAULT: &[&str] = &[
     "--inject-fault",
-    "budget-exhaust@2000",
+    "budget-exhaust@1000",
     "--inject-fault-session",
     "victim",
 ];
@@ -175,7 +175,7 @@ fn budget_exhaust_descends_the_lattice_and_spares_kept_features() {
         "{degraded}"
     );
     assert!(
-        degraded.contains("{\"rung\":\"full\",\"reason\":\"budget exhausted: bdd ops budget exceeded: 2001 > 2000\"}"),
+        degraded.contains("{\"rung\":\"full\",\"reason\":\"budget exhausted: bdd ops budget exceeded: 1001 > 1000\"}"),
         "{degraded}"
     );
     assert!(
