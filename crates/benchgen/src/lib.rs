@@ -218,9 +218,19 @@ pub fn synthetic_spec(features: usize, loc: usize, seed: u64) -> SubjectSpec {
 /// *scaled-subject shaping* knobs: `model=` picks the [`ModelShape`]
 /// (default `free`), `depth=` forces an interprocedural call chain of
 /// at least `N` methods ([`SubjectSpec::call_depth`]). Clauses may
-/// appear in either order, each at most once.
+/// appear in either order, each at most once. `<features>` is in
+/// 1..=256, `<loc>` at most 100,000 (above the paper's largest subject,
+/// BerkeleyDB at 84 KLOC) and `N` in 1..=10,000, so one spec cannot ask
+/// for unbounded generation work.
 pub const SUBJECT_GRAMMAR: &str =
-    "MM08|GPL|Lampiro|BerkeleyDB, or synthetic:<features>:<loc>:<seed>[:model=free|chain|groups][:depth=N]";
+    "MM08|GPL|Lampiro|BerkeleyDB, or synthetic:<features>:<loc>:<seed>[:model=free|chain|groups][:depth=N] \
+     (features 1..=256, loc <= 100000, depth 1..=10000)";
+
+/// The largest `<loc>` a `synthetic:` spec may ask for.
+const MAX_SYNTHETIC_LOC: usize = 100_000;
+
+/// The largest `depth=` a `synthetic:` spec may ask for.
+const MAX_SYNTHETIC_DEPTH: usize = 10_000;
 
 /// Parses a subject name per [`SUBJECT_GRAMMAR`] — either a Table 1
 /// subject (case-insensitive) or a `synthetic:` spec with optional
@@ -244,11 +254,13 @@ pub fn parse_subject_spec(name: &str) -> Result<SubjectSpec, String> {
             "synthetic feature count must be in 1..=256, got `{features}`"
         ));
     }
-    let mut spec = synthetic_spec(
-        features,
-        parse("loc", parts[1])?,
-        parse("seed", parts[2])? as u64,
-    );
+    let loc = parse("loc", parts[1])?;
+    if loc > MAX_SYNTHETIC_LOC {
+        return Err(format!(
+            "synthetic loc must be at most {MAX_SYNTHETIC_LOC}, got `{loc}`"
+        ));
+    }
+    let mut spec = synthetic_spec(features, loc, parse("seed", parts[2])? as u64);
     let (mut saw_model, mut saw_depth) = (false, false);
     for clause in &parts[3..] {
         if let Some(kw) = clause.strip_prefix("model=") {
@@ -263,8 +275,10 @@ pub fn parse_subject_spec(name: &str) -> Result<SubjectSpec, String> {
                 return Err("synthetic `depth=` given twice".into());
             }
             let d = parse("depth", d)?;
-            if d == 0 {
-                return Err("synthetic depth must be >= 1".into());
+            if d == 0 || d > MAX_SYNTHETIC_DEPTH {
+                return Err(format!(
+                    "synthetic depth must be in 1..={MAX_SYNTHETIC_DEPTH}, got `{d}`"
+                ));
             }
             spec = spec.with_call_depth(d);
         } else {

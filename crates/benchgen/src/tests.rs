@@ -194,6 +194,33 @@ fn subject_grammar_round_trips_and_rejects() {
     assert_eq!(big.total_features, 128);
     assert_eq!(big.paper_valid_configs, None);
     assert!(p("synthetic:6:400:42:depth=0").is_err());
+    // The size knobs are bounded, and each error names its bound.
+    assert!(p("synthetic:3:100000:1:depth=10000").is_ok());
+    let loc = p("synthetic:3:100001:1").unwrap_err();
+    assert!(loc.contains("at most 100000"), "{loc}");
+    let huge = p("synthetic:3:20000000:1").unwrap_err();
+    assert!(huge.contains("at most 100000"), "{huge}");
+    let depth = p("synthetic:3:40:1:depth=10001").unwrap_err();
+    assert!(depth.contains("1..=10000"), "{depth}");
+}
+
+/// Lowering is linear in the number of classes: a `depth=5000` chain
+/// declares 5,000 one-method classes, which a class map built per
+/// method body would make quadratic (about 15 s in a debug build).
+#[test]
+fn lowering_a_deep_call_chain_is_linear() {
+    let spl = GeneratedSpl::generate(
+        crate::parse_subject_spec("synthetic:3:40:1:depth=5000").expect("spec"),
+    );
+    let mut table = spl.table.clone();
+    let start = std::time::Instant::now();
+    let program = spllift_frontend::parse_spl(&spl.source, &mut table).expect("parses");
+    let elapsed = start.elapsed();
+    assert!(program.methods().len() > 5000);
+    assert!(
+        elapsed < std::time::Duration::from_secs(5),
+        "lowering took {elapsed:?}"
+    );
 }
 
 #[test]

@@ -72,7 +72,7 @@ where
         model: Option<&FeatureExpr>,
         mode: ModelMode,
     ) -> Self {
-        Self::abstracted(problem, icfg, ctx, model, mode, &LatticePoint::full()).0
+        Self::abstracted(problem, icfg, ctx, model, mode, &LatticePoint::full())
     }
 
     /// Lifts `problem` at an arbitrary point of the variability-
@@ -98,11 +98,6 @@ where
     /// solve performs a non-trivial constraint operation, and neither
     /// can exhaust a constraint budget. Every reported fact carries
     /// `true`, a sound over-approximation of the precise answer.
-    ///
-    /// Also returns the [`AbstractionImpact`]: which methods' stored
-    /// constraints actually changed relative to [`LiftedProblem::new`]
-    /// — the governor names them to the solver as changed, so the memo
-    /// entries of every other method stay in use.
     fn abstracted(
         problem: &'a P,
         icfg: &G,
@@ -110,32 +105,18 @@ where
         model: Option<&FeatureExpr>,
         mode: ModelMode,
         point: &LatticePoint,
-    ) -> (Self, AbstractionImpact<G::Method>) {
+    ) -> Self {
         let steps = point.steps();
         let collapsed = point.is_collapsed();
-        let model_in_play = matches!(
-            (model, mode),
-            (Some(_), ModelMode::OnEdges | ModelMode::AtStartValue)
-        );
-        // The bottom point changes every annotated edge, so no memoized
-        // jump function survives it, with or without a model.
-        let (model_c, model_changed) = if collapsed {
-            (ctx.tt(), true)
-        } else if !model_in_play {
-            (ctx.tt(), false)
-        } else if point.drops_model() {
-            (ctx.tt(), true)
-        } else {
-            let m0 = ctx.of_expr(model.expect("model_in_play"));
-            let m1 = ctx.apply_abstraction(steps, &m0);
-            let changed = m1 != m0;
-            (m1, changed)
+        let model_c = match model {
+            Some(m) if mode != ModelMode::Ignore && !collapsed && !point.drops_model() => {
+                ctx.apply_abstraction(steps, &ctx.of_expr(m))
+            }
+            _ => ctx.tt(),
         };
         let on_edges = mode == ModelMode::OnEdges && !point.drops_model();
         let mut ann = FastMap::default();
-        let mut changed_methods = FastSet::default();
         for m in icfg.methods() {
-            let mut method_changed = false;
             for s in icfg.stmts_of(m) {
                 let a = icfg.annotation(s);
                 let (en, dis) = if a == FeatureExpr::True {
@@ -143,14 +124,12 @@ where
                 } else if collapsed {
                     (ctx.tt(), ctx.tt())
                 } else {
-                    let en0 = ctx.of_expr(&a);
-                    let dis0 = ctx.of_expr(&a.clone().not());
-                    let en1 = ctx.apply_abstraction(steps, &en0);
-                    let dis1 = ctx.apply_abstraction(steps, &dis0);
-                    if en1 != en0 || dis1 != dis0 {
-                        method_changed = true;
-                    }
-                    (en1, dis1)
+                    let en = ctx.of_expr(&a);
+                    let dis = ctx.of_expr(&a.clone().not());
+                    (
+                        ctx.apply_abstraction(steps, &en),
+                        ctx.apply_abstraction(steps, &dis),
+                    )
                 };
                 let (en, dis) = if on_edges {
                     (en.and(&model_c), dis.and(&model_c))
@@ -159,28 +138,15 @@ where
                 };
                 ann.insert(s, (en, dis));
             }
-            if method_changed {
-                changed_methods.insert(m);
-            }
         }
-        let lifted = LiftedProblem {
+        LiftedProblem {
             problem,
             ctx,
             model: model_c,
             ann,
             unannotated: (ctx.tt(), ctx.ff()),
             scratch: RefCell::new(Vec::new()),
-        };
-        let impact = AbstractionImpact {
-            model_changed,
-            changed_methods,
-        };
-        (lifted, impact)
-    }
-
-    /// The constraint context in use.
-    pub fn context(&self) -> &'a Ctx {
-        self.ctx
+        }
     }
 
     fn constraints_of(&self, s: G::Stmt) -> (&Ctx::C, &Ctx::C) {
@@ -378,24 +344,6 @@ where
     fn budget_check(&self) -> Result<(), String> {
         self.ctx.budget_status()
     }
-}
-
-/// Which methods an abstraction actually touched, reported by
-/// [`LiftedProblem::abstracted`].
-///
-/// A method whose per-statement constraints are unchanged by the
-/// point's transformer (and whose model conjunct is unchanged) has
-/// bit-identical edge functions at that point, so its full-precision
-/// memoized jump functions and end summaries remain valid unless it
-/// calls a touched method, which the solver decides.
-struct AbstractionImpact<M> {
-    /// Whether the feature-model conjunct differs from full precision
-    /// (dropped or weakened), or the point is the bottom. When it does,
-    /// every edge changed and no memo reuse is possible.
-    model_changed: bool,
-    /// Methods with at least one statement whose (enabled, disabled)
-    /// constraints changed.
-    changed_methods: FastSet<M>,
 }
 
 /// How a governed solve ([`LiftedSolution::solve_governed`]) finished.
@@ -636,7 +584,7 @@ where
         Ctx: ConstraintContext<C = C>,
     {
         let lifted_icfg = LiftedIcfg::new(icfg);
-        let (lifted, _) = LiftedProblem::abstracted(problem, icfg, ctx, model, mode, point);
+        let lifted = LiftedProblem::abstracted(problem, icfg, ctx, model, mode, point);
         let solver = IdeSolver::solve(&lifted, &lifted_icfg);
         LiftedSolution { solver }
     }
@@ -661,15 +609,13 @@ where
     /// `changed` names the methods whose bodies differ from the program
     /// `memo` was solved on; with an empty memo the solve is cold, and
     /// with an unlimited `gov` as well it is exactly
-    /// [`solve`](Self::solve). Every attempt hands the memo to
-    /// [`IdeSolver::try_solve_seeded`], which re-tabulates the changed
-    /// methods and their transitive callers. A degraded attempt adds
-    /// the methods whose constraints its lattice point changes; a point
-    /// that changes the feature-model conjunct (drops or weakens it)
-    /// changes every edge, so that attempt runs cold. The *returned*
-    /// memo is non-empty only when the full attempt completed — a
-    /// degraded solve's jump functions encode weakened constraints that
-    /// must not seed a later full-precision round.
+    /// [`solve`](Self::solve). The full-precision attempt consumes the
+    /// memo through [`IdeSolver::try_solve_seeded`], which re-tabulates
+    /// the changed methods and their transitive callers; every degraded
+    /// attempt solves cold. The *returned* memo is non-empty only when
+    /// the full attempt completed — a degraded solve's jump functions
+    /// encode weakened constraints that must not seed a later
+    /// full-precision round.
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     pub fn solve_governed<P, Ctx>(
         problem: &P,
@@ -678,7 +624,7 @@ where
         model: Option<&FeatureExpr>,
         mode: ModelMode,
         gov: GovernorOptions,
-        memo: &SolverMemo<G::Method, G::Stmt, D, ConstraintEdge<C>>,
+        memo: SolverMemo<G::Method, G::Stmt, D, ConstraintEdge<C>>,
         changed: &[G::Method],
     ) -> Result<
         (
@@ -697,9 +643,13 @@ where
         let points = gov.lattice.schedule(model_in_play);
 
         let mut attempts: Vec<(LatticePoint, String)> = Vec::new();
-        let empty_memo = SolverMemo::default();
+        // The schedule starts at the full point, the one attempt whose
+        // edges the memo's jump functions were built from: it takes the
+        // memo, and every later attempt finds `None` and solves cold.
+        let mut seed = Some((memo, changed));
         let mut last_abort = None;
         for point in points {
+            let (memo, changed) = seed.take().unwrap_or_default();
             // Arm before *constructing* the problem: translating the
             // annotations and the model (and applying the abstraction
             // transformers) runs constraint operations that can
@@ -709,8 +659,7 @@ where
             }
             let options = gov.solver_options();
             let is_full = point.is_full();
-            let (lifted, impact) =
-                LiftedProblem::abstracted(problem, icfg, ctx, model, mode, &point);
+            let lifted = LiftedProblem::abstracted(problem, icfg, ctx, model, mode, &point);
             // The constraint work above can already exhaust the budget;
             // bail out before solving on garbage constraints.
             if let Err(reason) = ctx.budget_status() {
@@ -719,23 +668,7 @@ where
                 last_abort = Some(abort);
                 continue;
             }
-            // Memo reuse: the methods the point's abstraction touched
-            // changed too (none at the full point); a changed model
-            // conjunct invalidates everything (run cold).
-            let point_memo = if impact.model_changed {
-                &empty_memo
-            } else {
-                memo
-            };
-            let mut point_changed = changed.to_vec();
-            point_changed.extend(impact.changed_methods);
-            match IdeSolver::try_solve_seeded(
-                &lifted,
-                &lifted_icfg,
-                options,
-                point_memo,
-                &point_changed,
-            ) {
+            match IdeSolver::try_solve_seeded(&lifted, &lifted_icfg, options, memo, changed) {
                 Ok((solver, next_memo)) => {
                     ctx.disarm_budget();
                     let solution = LiftedSolution { solver };

@@ -128,7 +128,7 @@ pub struct Relations {
 impl Relations {
     /// Per-relation column kinds, indexed by [`RelId`] order — drives
     /// the human-readable dump rendering (`m:i` for statement columns).
-    pub fn column_kinds(&self, program: &DatalogProgram) -> Vec<Vec<crate::dump::ColKind>> {
+    pub(crate) fn column_kinds(&self, program: &DatalogProgram) -> Vec<Vec<crate::dump::ColKind>> {
         use crate::dump::ColKind::{Raw, Stmt};
         let mut kinds: Vec<Vec<crate::dump::ColKind>> = (0..program.relation_count())
             .map(|r| vec![Raw; program.arity(RelId(r))])

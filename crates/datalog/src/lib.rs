@@ -33,7 +33,7 @@ pub use analyses::{
     decode_fact, decode_stmt, encode_fact, encode_stmt, solve_reaching_defs, DatalogSolution,
     EvalOptions, Relations,
 };
-pub use dump::{ColKind, DumpDoc, DumpRelation, DumpValue, DUMP_HEADER};
+pub use dump::{render_dump, DUMP_HEADER};
 pub use engine::{
     evaluate, neg, pos, Atom, Database, DatalogError, DatalogProgram, EvalStats, Literal, RelId,
     Rule, Term, Tuple,

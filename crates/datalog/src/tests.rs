@@ -561,31 +561,30 @@ fn dump_renders_every_tuple_deterministically() {
     let render = || {
         let ctx = BddConstraintContext::new(&ex.table);
         let sol = solve_reaching_defs(&icfg, &ctx, None, &EvalOptions::default()).unwrap();
-        let doc = DumpDoc::from_solution(&sol, &ctx, &ex.table);
-        for (r, rel) in doc.relations.iter().enumerate() {
-            assert_eq!(
-                rel.tuples.len(),
-                sol.database().len(RelId(r)),
-                "{}",
-                rel.name
-            );
+        let text = render_dump(&sol, &ctx, &ex.table);
+        // Each `relation name/arity` line opens a section holding one
+        // line per tuple of that relation.
+        let mut sections: Vec<(&str, usize)> = Vec::new();
+        for line in text.lines().skip(2) {
+            match line.strip_prefix("relation ") {
+                Some(header) => sections.push((header, 0)),
+                None => sections.last_mut().expect("a section").1 += 1,
+            }
         }
-        let lines = 2 + doc
-            .relations
-            .iter()
-            .map(|r| 1 + r.tuples.len())
-            .sum::<usize>();
-        (doc.render(), lines)
+        let program = sol.program();
+        assert_eq!(sections.len(), program.relation_count());
+        for (r, (header, tuples)) in sections.iter().enumerate() {
+            let rel = RelId(r);
+            let name = program.relation_name(rel);
+            assert_eq!(*header, format!("{name}/{}", program.arity(rel)));
+            assert_eq!(*tuples, sol.database().len(rel), "{name}");
+        }
+        text
     };
-    let (text, lines) = render();
+    let text = render();
     assert!(
         text.starts_with(&format!("{DUMP_HEADER}\nfeatures ")),
         "{text}"
     );
-    assert_eq!(text.lines().count(), lines);
-    assert_eq!(
-        render().0,
-        text,
-        "a second solve must render the same bytes"
-    );
+    assert_eq!(render(), text, "a second solve must render the same bytes");
 }

@@ -67,12 +67,13 @@ pub fn lower_program(ast: &AstProgram) -> Result<Program, FrontendError> {
         }
     }
     // Pass 3: lower bodies.
+    let classes_by_name: HashMap<&str, &AstClass> =
+        ast.classes.iter().map(|c| (c.name.as_str(), c)).collect();
     for c in &ast.classes {
         for m in &c.methods {
             let mid = ctx.methods[&(c.name.clone(), m.name.clone())];
             let mut mb = pb.method_body(mid);
-            let mut env = Env::new(&ctx, c, m, &mut mb)?;
-            env.install_classes(&ast.classes);
+            let mut env = Env::new(&ctx, &classes_by_name, c, m, &mut mb)?;
             for stmt in &m.body {
                 env.lower_stmt(&mut mb, stmt)?;
             }
@@ -134,7 +135,7 @@ impl GlobalCtx {
         &self,
         class_name: &str,
         field: &str,
-        classes: &HashMap<String, &AstClass>,
+        classes: &HashMap<&str, &AstClass>,
         pos: Pos,
     ) -> Result<FieldId, FrontendError> {
         let mut cur = Some(class_name.to_owned());
@@ -157,7 +158,7 @@ impl GlobalCtx {
 /// Per-method lowering environment.
 struct Env<'c, 'a> {
     ctx: &'c GlobalCtx,
-    classes_by_name: HashMap<String, &'a AstClass>,
+    classes_by_name: &'c HashMap<&'a str, &'a AstClass>,
     class: &'a AstClass,
     /// Lexical scopes: name → (local, declared source type).
     scopes: Vec<HashMap<String, (LocalId, AstType)>>,
@@ -167,17 +168,14 @@ struct Env<'c, 'a> {
 impl<'c, 'a> Env<'c, 'a> {
     fn new(
         ctx: &'c GlobalCtx,
+        classes_by_name: &'c HashMap<&'a str, &'a AstClass>,
         class: &'a AstClass,
         method: &'a AstMethod,
         mb: &mut MethodBuilder,
     ) -> Result<Self, FrontendError> {
-        // `classes_by_name` is rebuilt per method from ctx — callers hold
-        // the AST, so gather lazily instead would need the AstProgram;
-        // store references from the class list reachable via ctx is not
-        // possible, so Env::new receives them through `install_classes`.
         let mut env = Env {
             ctx,
-            classes_by_name: HashMap::new(),
+            classes_by_name,
             class,
             scopes: vec![HashMap::new()],
             temp_counter: 0,
@@ -202,12 +200,6 @@ impl<'c, 'a> Env<'c, 'a> {
             }
         }
         Ok(env)
-    }
-
-    fn install_classes(&mut self, classes: &'a [AstClass]) {
-        for c in classes {
-            self.classes_by_name.insert(c.name.clone(), c);
-        }
     }
 
     fn lookup(&self, name: &str) -> Option<(LocalId, AstType)> {
@@ -785,7 +777,7 @@ impl<'c, 'a> Env<'c, 'a> {
             };
             let fid = self
                 .ctx
-                .resolve_field(&cn, field, &self.classes_by_name, pos)?;
+                .resolve_field(&cn, field, self.classes_by_name, pos)?;
             Ok((Some(Operand::Local(local)), fid))
         } else {
             // Class-name base: static-style access (no receiver).
@@ -797,7 +789,7 @@ impl<'c, 'a> Env<'c, 'a> {
             }
             let fid = self
                 .ctx
-                .resolve_field(base, field, &self.classes_by_name, pos)?;
+                .resolve_field(base, field, self.classes_by_name, pos)?;
             Ok((None, fid))
         }
     }

@@ -162,15 +162,15 @@ type MemoOf<G, P> = SolverMemo<
 /// the solve at its fixpoint (where every pending flag is clear).
 /// [`IdeSolver::try_solve_seeded`] consumes a memo to warm-start an
 /// *incremental* re-solve from the methods whose flow functions the
-/// caller names as changed: the solver preloads, at their fixpoint, the
-/// entries of every method that is reachable in the current ICFG and
-/// does not transitively call a changed method, and re-tabulates the
-/// rest.
+/// caller names as changed: the solver keeps, in place and at their
+/// fixpoint, the entries of every method that is reachable in the
+/// current ICFG and does not transitively call a changed method, drops
+/// the rest, and re-tabulates them on the same tables.
 ///
-/// Each preloaded method therefore only calls preloaded methods, whose
+/// Each kept method therefore only calls kept methods, whose
 /// bodies are unchanged, so its summaries are final and the warm solve's
 /// fixpoint — and therefore its values — is identical to a cold solve's.
-/// Phase 1 only tabulates reachable methods and a warm start preloads
+/// Phase 1 only tabulates reachable methods and a warm start keeps
 /// only reachable ones, so a memo never holds entries of a method that
 /// was unreachable in the program it was solved on: the changed set of
 /// an edit need not cover callers that the edit's program cannot reach.
@@ -233,62 +233,55 @@ where
     where
         P: IdeProblem<G, Fact = D, Value = V>,
     {
-        Self::try_solve_seeded(problem, icfg, options, &SolverMemo::default(), &[])
+        Self::try_solve_seeded(problem, icfg, options, SolverMemo::default(), &[])
             .expect("governed solve aborted; use try_solve_seeded to handle SolveAbort")
             .0
     }
 
-    /// Governed, incremental solve: warm-starts Phase 1 from `memo`.
-    /// `changed` must name every method whose flow functions or call
-    /// edges differ from those of the solve `memo` came from; the solver
-    /// preloads the retained jump functions and end summaries of every
-    /// method that is reachable in `icfg` and none of whose transitive
-    /// callees is in `changed` (see [`SolverMemo`]), and re-tabulates
-    /// everything else. Returns the solution together with the memo for
-    /// the *next* solve: this solve's Phase-1 tables, moved, not copied.
+    /// Governed, incremental solve: warm-starts Phase 1 from `memo`,
+    /// which it consumes. `changed` must name every method whose flow
+    /// functions or call edges differ from those of the solve `memo`
+    /// came from; the solver keeps the jump functions and end summaries
+    /// of every method that is reachable in `icfg` and none of whose
+    /// transitive callees is in `changed` (see [`SolverMemo`]), drops
+    /// the others, and re-tabulates everything else on the same tables.
+    /// Returns the solution together with the memo for the *next* solve:
+    /// this solve's Phase-1 tables, moved, not copied.
     ///
     /// The result is identical to a cold [`solve_with`](Self::solve_with)
     /// while [`IdeStats::propagations`] only counts work outside the
-    /// preloaded methods (plus any new entry facts flowing into them).
+    /// kept methods (plus any new entry facts flowing into them).
     /// An empty memo is a cold solve, which computes no reachability.
     ///
     /// Aborts with a [`SolveAbort`] when an [`IdeSolverOptions::limits`]
     /// bound is hit or (with [`IdeSolverOptions::poll_budget`]) the
     /// problem reports budget exhaustion. The partial tabulation is
-    /// discarded on abort.
+    /// discarded on abort, and `memo` with it.
     pub fn try_solve_seeded<P>(
         problem: &P,
         icfg: &G,
         options: IdeSolverOptions,
-        memo: &MemoOf<G, P>,
+        mut memo: MemoOf<G, P>,
         changed: &[G::Method],
     ) -> Result<(Self, MemoOf<G, P>), SolveAbort>
     where
         P: IdeProblem<G, Fact = D, Value = V>,
     {
-        // Preload the reusable methods' Phase-1 state. The memo's jump
+        // Keep the reusable methods' Phase-1 state. The memo's jump
         // entries carry cleared pending flags: they are already at
         // fixpoint, so the initial seeds re-joining the identity edge —
-        // and calls re-joining a preloaded callee's entry — find no
-        // change and queue nothing: a program with nothing changed
-        // re-solves with zero propagations.
-        let reusable = if memo.is_empty() {
-            FastSet::default()
-        } else {
-            reusable_methods(icfg, changed)
-        };
-        let mut jump: JumpTable<G::Stmt, D, P::EF> = FastMap::default();
-        for (key, fns) in &memo.jump {
-            if reusable.contains(&icfg.method_of(key.0)) {
-                jump.insert(key.clone(), fns.clone());
-            }
+        // and calls re-joining a kept callee's entry — find no change
+        // and queue nothing: a program with nothing changed re-solves
+        // with zero propagations. Both phases only look the outer tables
+        // up, never iterate them, so filtering them in place rather than
+        // copying the kept entries out moves no value or counter.
+        if !memo.is_empty() {
+            let reusable = reusable_methods(icfg, changed);
+            memo.jump
+                .retain(|key, _| reusable.contains(&icfg.method_of(key.0)));
+            memo.end_summary.retain(|key, _| reusable.contains(&key.0));
         }
-        let mut end_summary: EndSummaries<G::Method, G::Stmt, D, P::EF> = FastMap::default();
-        for (key, summaries) in &memo.end_summary {
-            if reusable.contains(&key.0) {
-                end_summary.insert(key.clone(), summaries.clone());
-            }
-        }
+        let SolverMemo { jump, end_summary } = memo;
         let mut phase1 = Phase1::<G, P> {
             tab: Tabulation {
                 jump,
@@ -668,7 +661,7 @@ where
     }
 }
 
-/// The methods whose memo entries a warm start preloads: every method
+/// The methods whose memo entries a warm start keeps: every method
 /// reachable from `icfg`'s entry points, minus the transitive callers
 /// of `changed` over the reachable call edges (`changed` included).
 fn reusable_methods<G: Icfg>(icfg: &G, changed: &[G::Method]) -> FastSet<G::Method> {

@@ -19,15 +19,17 @@
 //! the [`RenderedSolution`] — plain strings and [`FeatureExpr`]s, no
 //! BDD handles.
 //!
-//! Each `(analysis, model-mode)` pair owns a slot with the
-//! [`SolverMemo`] of its most recent full-precision solve. An `edit`
+//! Each `(analysis, model-mode)` pair owns a slot that holds a
+//! [`SolverMemo`] only after a complete full-precision solve. An `edit`
 //! records the edited method as a dirty root in every slot; the next
-//! `analyze` of a slot hands the memo and the accumulated roots to
+//! `analyze` of a slot moves the memo and the accumulated roots into
 //! [`LiftedSolution::solve_governed`], and the IDE solver re-tabulates
 //! the roots and their transitive callers while reusing the memo
 //! entries of every other reachable method. A slot whose memo matches
 //! the current program passes no roots; one whose program changed with
-//! no edit recorded solves cold.
+//! no edit recorded solves cold. A degraded solve, or one that aborted
+//! at every lattice point, leaves the slot without a memo, so the next
+//! `analyze` solves cold.
 
 use crate::engine::LoadedSpl;
 use spllift_analyses::{with_analysis, AnalysisKind};
@@ -217,12 +219,12 @@ type Memo<D> = SolverMemo<MethodId, spllift_ir::StmtRef, D, ConstraintEdge<Bdd>>
 /// Per-`(analysis, mode)` incremental solver state.
 #[derive(Default)]
 struct Slot {
-    /// The last full-precision solve's [`Memo`], with the fingerprint of
-    /// the program state it was computed on. Type-erased: the slot key
-    /// fixes the analysis, hence the fact type `analyze_generic`
-    /// downcasts it to.
+    /// The [`Memo`] of the last solve, with the fingerprint of the
+    /// program state it was computed on — present only if that solve
+    /// completed at full precision. Type-erased: the slot key fixes the
+    /// analysis, hence the fact type `analyze_generic` downcasts it to.
     memo: Option<(u64, Box<dyn Any>)>,
-    /// Methods edited since `memo` was computed.
+    /// Methods edited since the last solve.
     dirty_roots: BTreeSet<MethodId>,
     /// The most recent solution for this slot, with the fingerprint it
     /// belongs to.
@@ -270,19 +272,20 @@ where
     D: Clone + Eq + Ord + Hash + std::fmt::Debug + 'static,
 {
     let icfg = ProgramIcfg::new(program);
-    // The downcast cannot fail (the slot key fixes the fact type); if it
-    // did, the solve would merely run cold. The solver re-tabulates the
-    // edited methods and their transitive callers (`SolverMemo`).
+    // The solve consumes the slot's memo and dirty roots: the slot gets
+    // a memo back only from a complete solve. The downcast cannot fail
+    // (the slot key fixes the fact type); if it did, the solve would
+    // merely run cold. The solver re-tabulates the edited methods and
+    // their transitive callers (`SolverMemo`).
     let memo = slot
         .memo
-        .as_ref()
-        .and_then(|(mfp, m)| Some((*mfp, m.downcast_ref::<Memo<D>>()?)));
-    let empty = Memo::default();
-    let changed: Vec<MethodId> = slot.dirty_roots.iter().copied().collect();
+        .take()
+        .and_then(|(mfp, m)| Some((mfp, *m.downcast::<Memo<D>>().ok()?)));
+    let changed: Vec<MethodId> = std::mem::take(&mut slot.dirty_roots).into_iter().collect();
     let (kind, memo, changed) = match memo {
         Some((mfp, m)) if mfp == fp => ("incremental", m, &[][..]),
         Some((_, m)) if !changed.is_empty() => ("incremental", m, &changed[..]),
-        _ => ("cold", &empty, &[][..]),
+        _ => ("cold", Memo::default(), &[][..]),
     };
     let result = match chaos {
         None => {
@@ -303,11 +306,11 @@ where
         result.map_err(|abort| format!("solve aborted at every ladder rung: {abort}"))?;
     let stats = solution.stats();
     let rendered = Arc::new(render_solution(&solution, &icfg, ctx, &outcome.point()));
-    // A degraded solve's jump functions are weaker than full precision;
-    // keeping them would leak the degradation into the next (possibly
-    // re-budgeted) round. Start that round cold.
+    // A degraded solve returns an empty memo: its jump functions are
+    // weaker than full precision, and keeping them would leak the
+    // degradation into the next (possibly re-budgeted) round. Start that
+    // round cold.
     slot.memo = (!outcome.is_degraded()).then(|| (fp, Box::new(next_memo) as Box<dyn Any>));
-    slot.dirty_roots.clear();
     slot.last = Some((fp, Arc::clone(&rendered)));
     Ok(AnalyzeOutcome {
         solve: kind,

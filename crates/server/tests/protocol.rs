@@ -1,10 +1,11 @@
 //! Acceptance tests for the resident analysis server: warm-path cache
 //! hits with zero propagations, incremental re-analysis strictly below
-//! a cold solve with bit-identical results, shard-invariant responses,
-//! budgeted solves that no other session perturbs, malformed-input
-//! resilience (down to request lines that are not valid UTF-8 or
-//! exceed the line cap), one write per response line, and an injected
-//! fault counted only when a solve runs with it.
+//! a cold solve with bit-identical results, a solver memo kept only
+//! after a complete solve, shard-invariant responses, budgeted solves
+//! that no other session perturbs, malformed-input resilience (down to
+//! request lines that are not valid UTF-8 or exceed the line cap, and
+//! generated subjects past their size bounds), one write per response
+//! line, and an injected fault counted only when a solve runs with it.
 
 use spllift_json::{parse_json, Json};
 use spllift_server::{Server, ServerOptions, MAX_REQUEST_LINE};
@@ -212,6 +213,50 @@ fn incremental_reanalysis_beats_cold_and_is_bit_identical() {
     // constraint) row, and the same fact count.
     assert_eq!(text(&inc, "digest"), text(&cold_edit, "digest"));
     assert_eq!(num(&inc, "facts"), num(&cold_edit, "facts"));
+}
+
+/// A slot keeps a memo only after a complete full-precision solve. Each
+/// case solves cold, annotates `h3`'s assignment with `G` (so its
+/// re-solve conjoins constraints), and then sends an `analyze` with one
+/// extra field: none (it completes), an op budget only the
+/// constraint-true point fits (it degrades), or a propagation cap no
+/// lattice point fits (it aborts at every point). After a second edit,
+/// an unbudgeted `analyze` re-solves incrementally only after the
+/// complete one.
+#[test]
+fn a_slot_keeps_a_memo_only_after_a_complete_solve() {
+    let cases = [
+        (None, "complete", "incremental"),
+        (Some(("bdd_op_budget", 1)), "degraded", "cold"),
+        (Some(("max_propagations", 1)), "aborted", "cold"),
+    ];
+    for (budget, middle, next) in cases {
+        let mut srv = server(1);
+        assert_ok(&send(&mut srv, &load_req("s")));
+        assert_eq!(text(&send(&mut srv, &analyze_req("s")), "solve"), "cold");
+        assert_ok(&send(&mut srv, &edit_t("s", "h3", "a + 5 @ G")));
+        let mut budgeted = analyze_req("s");
+        if let (Json::Obj(fields), Some((key, value))) = (&mut budgeted, budget) {
+            fields.push((key.to_owned(), Json::Num(f64::from(value))));
+        }
+        let resp = send(&mut srv, &budgeted);
+        let outcome = match resp.get("outcome").and_then(Json::as_str) {
+            Some(outcome) => outcome,
+            None => {
+                assert!(
+                    text(&resp, "message").contains("solve aborted at every ladder rung"),
+                    "response: {}",
+                    resp.render()
+                );
+                "aborted"
+            }
+        };
+        assert_eq!(outcome, middle, "response: {}", resp.render());
+        assert_ok(&send(&mut srv, &edit_t("s", "h3", "a + 6")));
+        let after = send(&mut srv, &analyze_req("s"));
+        assert_ok(&after);
+        assert_eq!(text(&after, "solve"), next, "after the {middle} solve");
+    }
 }
 
 #[test]
@@ -436,6 +481,20 @@ fn malformed_requests_error_and_the_server_keeps_serving() {
     assert!(err(&mut srv, &unloaded.render()).contains("unknown session"));
     // Load with no program payload at all.
     assert!(err(&mut srv, "{\"type\":\"load\",\"session\":\"x\"}").contains("exactly one"));
+    // Generated subjects past their size bounds, refused before any
+    // generation work, each error naming its bound.
+    for (spec, bound) in [
+        ("synthetic:3:20000000:1", "at most 100000"),
+        ("synthetic:3:40:1:depth=20000", "1..=10000"),
+    ] {
+        let load = obj(&[
+            ("type", Json::str("load")),
+            ("session", Json::str("big")),
+            ("gen", Json::str(spec)),
+        ]);
+        let msg = err(&mut srv, &load.render());
+        assert!(msg.contains(bound), "{spec}: {msg}");
+    }
 
     // The server still serves after every failure above.
     assert_ok(&send(&mut srv, &load_req("x")));

@@ -101,28 +101,44 @@ for shards in 4 2 1; do
         | diff -u tests/serve/transcript.expected -
 done
 
-echo "== hostile-input smoke (deep nesting, a 4 MiB string, JSON escapes) =="
+echo "== hostile-input smoke (deep nesting, a 4 MiB string, JSON escapes, an over-cap subject) =="
 # docs/PROTOCOL.md §Framing: a line nesting 100,000 arrays and a line
 # carrying a 4 MiB string each get one error line, and the server keeps
 # serving: the `stats` behind them is answered. Every escape RFC 8259
 # allows parses (an escaped surrogate pair, `\b`, `\f`); a lone
-# surrogate is one error line.
+# surrogate is one error line. A `load` of a generated subject past the
+# `loc` cap is one error line naming the cap, answered before any
+# generation work.
 hostile=$({
     head -c 100000 /dev/zero | tr '\0' '['
     printf '\n{"type":"bogus","pad":"'
     head -c $((4 << 20)) /dev/zero | tr '\0' 'x'
     printf '"}\n'
     printf '%s\n' '{"type":"stats","pad":"\ud83e\udd80\b\f"}' \
-        '{"type":"stats","pad":"\udc00"}' '{"type":"stats"}' '{"type":"shutdown"}'
+        '{"type":"stats","pad":"\udc00"}' \
+        '{"type":"load","session":"big","gen":"synthetic:3:20000000:1"}' \
+        '{"type":"stats"}' '{"type":"shutdown"}'
 } | ./target/release/spllift-cli serve)
-[ "$(echo "$hostile" | grep -c '^{"type":"error"')" -eq 3 ] \
-    || { echo "ci: expected three error lines for the hostile lines: $hostile" >&2; exit 1; }
+[ "$(echo "$hostile" | grep -c '^{"type":"error"')" -eq 4 ] \
+    || { echo "ci: expected four error lines for the hostile lines: $hostile" >&2; exit 1; }
 echo "$hostile" | sed -n 3p | grep -q '^{"type":"ok","request":"stats"' \
     || { echo "ci: escaped surrogate pair, \\b or \\f not parsed: $hostile" >&2; exit 1; }
 echo "$hostile" | sed -n 4p | grep -q '^{"type":"error"' \
     || { echo "ci: a lone surrogate was not answered with an error: $hostile" >&2; exit 1; }
-echo "$hostile" | sed -n 5p | grep -q '^{"type":"ok","request":"stats"' \
+echo "$hostile" | sed -n 5p | grep -q '^{"type":"error".*at most 100000' \
+    || { echo "ci: an over-cap subject was not answered with an error naming the cap: $hostile" >&2; exit 1; }
+echo "$hostile" | sed -n 6p | grep -q '^{"type":"ok","request":"stats"' \
     || { echo "ci: the server stopped serving after the hostile lines: $hostile" >&2; exit 1; }
+
+echo "== serve with a closed stdout =="
+# A reader that stops after the first response closes the pipe while the
+# server still has responses to write: the stdio session ends quietly,
+# with exit 0 and nothing on stderr (docs/PROTOCOL.md, transports).
+closed_status=0
+closed_err=$({ ./target/release/spllift-cli serve < tests/serve/transcript.requests \
+    | head -1 > /dev/null; } 2>&1) || closed_status=$?
+[ "$closed_status" -eq 0 ] && [ -z "$closed_err" ] \
+    || { echo "ci: serve did not end quietly on a closed stdout (exit $closed_status): $closed_err" >&2; exit 1; }
 
 echo "== serve --listen smoke (golden transcript over TCP) =="
 # The same transcript through the CLI's TCP transport, end to end:

@@ -306,9 +306,11 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     }
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
-    Server::new(opts)
-        .run(stdin.lock(), stdout.lock())
-        .map_err(|e| format!("serve: {e}"))
+    // A closed stdout ends the session, as it ends the analysis output.
+    match Server::new(opts).run(stdin.lock(), stdout.lock()) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => Ok(()),
+        result => result.map_err(|e| format!("serve: {e}")),
+    }
 }
 
 /// The value of an integer flag (`Ok` for `0` too).
@@ -759,7 +761,7 @@ fn run_fuzz(args: &[String]) -> Result<(), String> {
 /// with `--crosscheck` compares every fact's constraint against the
 /// IDE lifting in both directions.
 fn run_datalog(args: &[String]) -> Result<(), String> {
-    use spllift::datalog::{solve_reaching_defs, DumpDoc, EvalOptions, RelId};
+    use spllift::datalog::{render_dump, solve_reaching_defs, EvalOptions, RelId};
     use spllift::ifds::Icfg as _;
     use spllift::spl::compare_datalog;
 
@@ -794,10 +796,7 @@ fn run_datalog(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("datalog: {e}"))?;
 
     if dump_relations {
-        out!(
-            "{}",
-            DumpDoc::from_solution(&sol, &ctx, &loaded.table).render()
-        );
+        out!("{}", render_dump(&sol, &ctx, &loaded.table));
     }
     let stats = sol.stats();
     outln!(

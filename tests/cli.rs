@@ -465,29 +465,39 @@ fn chat_product_line_leak_analysis() {
 }
 
 /// A reader that stops after the first line (`| head -1`) closes the
-/// pipe while the table is still being written: the CLI takes that as
-/// the end of its output and exits 0 without a message.
+/// pipe while the output is still being written — the analysis table,
+/// or the server's responses to the golden transcript: the CLI takes
+/// that as the end of its output and exits 0 without a message.
 #[test]
 fn a_closed_stdout_ends_the_output_quietly() {
-    let mut child = cli()
-        .args([
-            "gen:MM08",
-            "--analysis",
-            "reaching-defs",
-            "--format",
-            "table",
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("binary runs");
-    let mut first = String::new();
-    BufReader::new(child.stdout.take().expect("piped stdout"))
-        .read_line(&mut first)
-        .expect("first line");
-    assert!(!first.is_empty());
-    let out = child.wait_with_output().expect("binary exits");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "{stderr}");
-    assert!(stderr.is_empty(), "{stderr}");
+    let table = [
+        "gen:MM08",
+        "--analysis",
+        "reaching-defs",
+        "--format",
+        "table",
+    ];
+    let requests =
+        std::fs::File::open("tests/serve/transcript.requests").expect("transcript requests");
+    for (args, stdin) in [
+        (&table[..], Stdio::null()),
+        (&["serve"][..], Stdio::from(requests)),
+    ] {
+        let mut child = cli()
+            .args(args)
+            .stdin(stdin)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let mut first = String::new();
+        BufReader::new(child.stdout.take().expect("piped stdout"))
+            .read_line(&mut first)
+            .expect("first line");
+        assert!(!first.is_empty(), "{args:?}");
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
 }

@@ -44,7 +44,7 @@ fn solve_seeded<'g, 'p, P, D>(
     problem: &P,
     icfg: &'g ProgramIcfg<'p>,
     ctx: &BddConstraintContext,
-    memo: &Memo<D>,
+    memo: Memo<D>,
     changed: &[MethodId],
 ) -> (LiftedSolution<'g, ProgramIcfg<'p>, D, Bdd>, Memo<D>)
 where
@@ -82,8 +82,8 @@ fn assert_incremental_equals_cold<P, D>(
 {
     let ctx = BddConstraintContext::new(table);
     let icfg = ProgramIcfg::new(program);
-    let (_, mut memo) = solve_seeded(problem, &icfg, &ctx, &Memo::default(), &[]);
-    let (clean, _) = solve_seeded(problem, &icfg, &ctx, &memo, &[]);
+    let (_, memo) = solve_seeded(problem, &icfg, &ctx, Memo::default(), &[]);
+    let (clean, mut memo) = solve_seeded(problem, &icfg, &ctx, memo, &[]);
     assert_eq!(
         clean.stats().propagations,
         0,
@@ -93,7 +93,7 @@ fn assert_incremental_equals_cold<P, D>(
     for (edited, edited_method, mutation) in edits {
         let label = format!("{label} after {mutation:?}");
         let edited_icfg = ProgramIcfg::new(edited);
-        let (warm, next) = solve_seeded(problem, &edited_icfg, &ctx, &memo, &[*edited_method]);
+        let (warm, next) = solve_seeded(problem, &edited_icfg, &ctx, memo, &[*edited_method]);
         let cold = LiftedSolution::solve(problem, &edited_icfg, &ctx, None, ModelMode::OnEdges);
         for m in edited_icfg.methods() {
             for s in edited_icfg.stmts_of(m) {
